@@ -14,7 +14,6 @@ from .errors import (
     InconsistencyError,
     PoleError,
     QtmChainError,
-    UnreachableDensityError,
     UnsupportedSubsetError,
 )
 from .tableaux import (
@@ -69,7 +68,7 @@ from .solver import (
     log_eigenvalue,
     solve_nlie,
 )
-from .thermo import ThermoPoint, density_tuned_sweep, sweep, thermo_point
+from .thermo import ThermoPoint, sweep, thermo_point
 from .oracle import (
     DenseOperator,
     build_hamiltonian,

@@ -32,6 +32,7 @@ from .tableaux import (
     EvalContext,
     RangeTableau,
     RootData,
+    canonical_move_tableaux,
     conjugate_data,
     eval_range_tableau,
     fused_eigenvalue,
@@ -86,30 +87,13 @@ class AuxFunctionDef:
         return (self.a, self.jvec)
 
 
-def _consecutive_ranges(n, jvec):
-    lead = (1, jvec[0])
-    mids = tuple((jvec[i], jvec[i + 1]) for i in range(len(jvec) - 1))
-    tail = (jvec[-1], n)
-    return lead, mids, tail
-
-
 def canonical_pair(n, jvec):
     """(uppercase, lowercase) definitions for one j-vector."""
     jvec = tuple(jvec)
-    a = len(jvec)
-    if any(jvec[i] >= jvec[i + 1] for i in range(a - 1)):
-        raise DomainError("j-vector must be strictly increasing")
-    if jvec[0] < 1 or jvec[-1] > n:
-        raise DomainError(f"j-vector entries must lie in 1..{n}")
-    lead, mids, tail = _consecutive_ranges(n, jvec)
-    col = RangeTableau.column
-    top = col((lead,) + mids, shift=-0.5j)
-    bottom = col(mids + (tail,), shift=+0.5j)
-    tall = col((lead,) + mids + (tail,))
-    den = (tall,) if not mids else (tall, col(mids))
-    rect = RangeTableau(tuple(((jk, jk), (jk, jk)) for jk in jvec))
-    upper = AuxFunctionDef(a, jvec, "upper", (top, bottom), den)
-    lower = AuxFunctionDef(a, jvec, "lower", (rect,), den)
+    top, bottom, short, tall, rect = canonical_move_tableaux(n, jvec)
+    den = (tall,) if short is None else (tall, short)
+    upper = AuxFunctionDef(len(jvec), jvec, "upper", (top, bottom), den)
+    lower = AuxFunctionDef(len(jvec), jvec, "lower", (rect,), den)
     return upper, lower
 
 
@@ -128,16 +112,19 @@ def canonical_defs(n):
     return pairs
 
 
+def _product(tableaux, data, x, ctx):
+    out = 1.0 + 0j
+    for t in tableaux:
+        out *= eval_range_tableau(data, t, x, ctx)
+    return out
+
+
 def eval_aux(defn, data, x, ctx=None):
     """Numerator product over denominator product at spectral parameter x."""
     if ctx is None:
         ctx = EvalContext(data)
-    num = 1.0 + 0j
-    for t in defn.numerator:
-        num *= eval_range_tableau(data, t, x, ctx)
-    den = 1.0 + 0j
-    for t in defn.denominator:
-        den *= eval_range_tableau(data, t, x, ctx)
+    num = _product(defn.numerator, data, x, ctx)
+    den = _product(defn.denominator, data, x, ctx)
     if den == 0:
         raise ZeroDivisionError(
             f"denominator of {defn.kind} {defn.label} vanished at x={x}"
@@ -154,21 +141,23 @@ _F5_NUM = (((1, 2), (2, 5)), ((1, 3), (3, 5)), ((1, 4), (4, 5)))
 _F5_DEN = (((1, 4), (2, 5)), ((1, 2), (3, 5)), ((1, 3), (4, 5)))
 
 
+def _column_ratio(num_rows, den_rows, data, x, ctx):
+    """Ratio of products of single-column tableaux given by their rows."""
+    if ctx is None:
+        ctx = EvalContext(data)
+    num = _product(map(RangeTableau.column, num_rows), data, x, ctx)
+    den = _product(map(RangeTableau.column, den_rows), data, x, ctx)
+    return num / den
+
+
 def eval_f(n, data, x, ctx=None):
     """Y-system dressing function f for n = 4 or 5 (self-conjugated for n=4)."""
     if n not in (4, 5):
         raise DomainError("f is defined for n in {4, 5}")
     if data.n != n:
         raise DomainError("data rank does not match requested n")
-    if ctx is None:
-        ctx = EvalContext(data)
     num_rows, den_rows = (_F4_NUM, _F4_DEN) if n == 4 else (_F5_NUM, _F5_DEN)
-    num = den = 1.0 + 0j
-    for rows in num_rows:
-        num *= eval_range_tableau(data, RangeTableau.column(rows), x, ctx)
-    for rows in den_rows:
-        den *= eval_range_tableau(data, RangeTableau.column(rows), x, ctx)
-    return num / den
+    return _column_ratio(num_rows, den_rows, data, x, ctx)
 
 
 # Representation conjugate of f^(5): every two-row factor is replaced by the
@@ -193,14 +182,7 @@ def eval_f_conjugate(n, data, x, ctx=None):
         return eval_f(4, data, x, ctx)
     if n != 5:
         raise DomainError("conjugate f is defined for n in {4, 5}")
-    if ctx is None:
-        ctx = EvalContext(data)
-    num = den = 1.0 + 0j
-    for rows in _F5BAR_NUM:
-        num *= eval_range_tableau(data, RangeTableau.column(rows), x, ctx)
-    for rows in _F5BAR_DEN:
-        den *= eval_range_tableau(data, RangeTableau.column(rows), x, ctx)
-    return num / den
+    return _column_ratio(_F5BAR_NUM, _F5BAR_DEN, data, x, ctx)
 
 
 def _y_value(data, a, x, ctx):

@@ -6,7 +6,6 @@ error.  All randomized suites take a seed and are reproducible from it.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -29,7 +28,7 @@ from .oracle import (
     trotter_free_energy,
     ybe_residual,
 )
-from .solver import Grid, default_grid, free_energy, solve_nlie
+from .solver import Grid, default_grid, solve_nlie
 from .spectral import (
     adjacency_matrix,
     bae_residuals,
@@ -38,7 +37,7 @@ from .spectral import (
     solve_bethe_roots,
 )
 from .tableaux import EvalContext, RootData, check_functional_relation
-from .thermo import parse_t_range, sweep, thermo_point
+from .thermo import parse_t_range, sweep
 
 FMT = "%.12e"
 
@@ -59,6 +58,8 @@ def random_root_data(n, rng, max_roots=2, allow_mu=True):
 
 
 def random_x(rng):
+    """Spectral parameter a safe distance from the root strip |Im| <= 0.2
+    and from its i/2-shifted copies."""
     return complex(rng.uniform(-2.0, 2.0), rng.uniform(0.85, 1.3))
 
 
@@ -248,13 +249,7 @@ def cmd_sweep(args):
     if args.chi:
         cols += [f"chi_{i+1}{j+1}" for i in range(n) for j in range(n)]
     lines = [",".join(cols)]
-    for pt in points:
-        row = [pt.T, *pt.mu, pt.f, pt.S, pt.C]
-        if args.densities:
-            row += list(pt.n)
-        if args.chi:
-            row += list(pt.chi.ravel())
-        lines.append(",".join(FMT % v for v in row))
+    lines += [",".join(FMT % v for v in pt.row()) for pt in points]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

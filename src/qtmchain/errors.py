@@ -55,6 +55,3 @@ class GridTooSmallError(QtmChainError, RuntimeError):
 class InconsistencyError(QtmChainError, RuntimeError):
     """Cross-check between two independently transcribed quantities failed."""
 
-
-class UnreachableDensityError(QtmChainError, RuntimeError):
-    """Density targets could not be matched by any chemical potential."""

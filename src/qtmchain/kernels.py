@@ -358,15 +358,6 @@ def _entry_at_zero(n, entry_id):
     return val + sum(c for c, _, _ in extras)
 
 
-def _entry_kink(n, entry_id, s4, flip):
-    """Jump of d/dk across k=0 (the |k| kink coefficient times two)."""
-    jump = 0.0
-    for side in (1, -1):
-        for rate, coeff in _side_terms(n, entry_id, s4, flip, side):
-            jump += coeff * rate / 4.0
-    return jump
-
-
 class KernelSystem:
     """Assembled kernel system for n = 4 or 5.
 
@@ -390,7 +381,6 @@ class KernelSystem:
         core = {}  # (i, j) -> (coreid matrix, flip matrix)
         for (i, j), mat in _BLOCKS[n].items():
             core[(i, j)] = (np.array(mat), False)
-        transcribed = set(core)
 
         def reflected(i, j):
             # K_{i,j}[p,q] = y^{sandwich} * core_{n-j,n-i}[dj-1-q, di-1-p]
@@ -415,8 +405,6 @@ class KernelSystem:
         for (i, j), how in order:
             core[(i, j)] = reflected(i, j) if how == "R" else hermitian(i, j)
 
-        self.block_core = core
-        self.transcribed = transcribed
         positions = np.empty((self.dim, self.dim, 3), dtype=int)
         for i in range(1, nrep + 1):
             for j in range(1, nrep + 1):
@@ -432,19 +420,16 @@ class KernelSystem:
                         positions[I, Jx] = (mat[p, q], tj[q] - ti[p], 1 if flip else 0)
         self.positions = positions
 
-    def rep_of(self, index):
-        """(representation a, inner index) of a flat function index."""
-        a = int(np.searchsorted(self.offsets, index, side="right"))
-        return a, index - self.offsets[a - 1]
-
     def max_growth(self):
         """Largest surviving exponential rate (units of |k|/4) over positions.
 
         Raw catalogue entries can blow up like e^{3|k|/2}; the shift-matrix
-        sandwich cancels that symbolically.  A small positive leftover rate
-        (e^{|k|/4} for n = 5) is inherent to the shifted formulation and is
-        compensated by the strip analyticity of the convolved functions; a
-        large one would mean a transcription error, so it is rejected.
+        sandwich cancels that symbolically: no assembled position of the
+        n = 4 and n = 5 systems grows (some tend to a constant on one side,
+        rate 0).  The FFT convolutions multiply each transform mode by these
+        entries unfiltered, so a positive leftover rate would amplify
+        roundoff without bound: it means a transcription error and is
+        rejected.
         """
         worst = -10**9
         for I in range(self.dim):
@@ -454,7 +439,7 @@ class KernelSystem:
                     terms = _side_terms(self.n, e, s4, bool(fl), side)
                     top = max((r for r, _ in terms), default=-10**9)
                     worst = max(worst, top)
-        if worst > 1:
+        if worst > 0:
             raise InconsistencyError(
                 f"kernel of n={self.n} grows like e^{{{worst}|k|/4}}; "
                 "transcription inconsistent"
@@ -484,15 +469,6 @@ class KernelSystem:
         for I in range(self.dim):
             for Jx in range(self.dim):
                 out[I, Jx] = _entry_at_zero(self.n, self.positions[I, Jx, 0])
-        return out
-
-    def kink(self):
-        """Matrix of d/dk jumps across k = 0 (position-space 1/x^2 tails)."""
-        out = np.empty((self.dim, self.dim))
-        for I in range(self.dim):
-            for Jx in range(self.dim):
-                e, s4, fl = self.positions[I, Jx]
-                out[I, Jx] = _entry_kink(self.n, e, s4, bool(fl))
         return out
 
     # -- driving -------------------------------------------------------

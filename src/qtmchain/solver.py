@@ -79,10 +79,6 @@ class Grid:
     def k(self):
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
-    @property
-    def index_origin(self):
-        return self.points // 2
-
 
 def default_grid(T, points=4096):
     """Default window: driving decays like exp(-2 pi x / n), but the kernel
@@ -159,22 +155,6 @@ class _GridSystem:
         # exact high-temperature slope f + T log n -> J/n)
         phase = np.exp(-1j * k * grid.half_width)
         self.d_x = 2.0 * np.pi * np.fft.ifft(self.dhat * phase, axis=1) / grid.dx
-        # per-column growth rates (units |k|/4) for the junk filter
-        growth = np.zeros(sys.dim, dtype=int)
-        from .kernels import _side_terms  # local import: private helper
-
-        for J in range(sys.dim):
-            g = -(10**9)
-            for I in range(sys.dim):
-                e, s4, fl = sys.positions[I, J]
-                for side in (1, -1):
-                    terms = _side_terms(n, e, s4, bool(fl), side)
-                    g = max(g, max((r for r, _ in terms), default=-(10**9)))
-            growth[J] = max(g, 0)
-        self.col_growth = growth
-        self.growth_weight = np.exp(
-            0.25 * growth[:, None] * np.abs(k)[None, :]
-        )  # (F, M)
 
 
 @lru_cache(maxsize=8)
@@ -182,28 +162,25 @@ def _grid_system(n, half_width, points):
     return _GridSystem(n, Grid(half_width=half_width, points=points))
 
 
-def _filtered_fft(gsys, g):
-    """fft of the decaying part, with the columns hit by exponentially
-    growing kernel entries truncated at their roundoff floor.
+def _convolve(khat, khat0, logB, logB_inf):
+    """(K * log B)(x) for kernel rows khat (R, F, M) with zero mode khat0 (R, F).
 
-    Smooth decaying inputs have transforms falling below machine noise well
-    inside the k window; whatever survives there is junk and must not be
-    multiplied by e^{|k|/4}.  Modes below 1e-14 of the per-function peak are
-    zeroed for growing columns only; the discarded true contribution decays
-    like e^{-|k|/4} and is negligible."""
-    ghat = np.fft.fft(g, axis=1)
-    if gsys.col_growth.max() <= 0:
-        return ghat
-    scale = np.max(np.abs(ghat), axis=1, keepdims=True) + 1e-300
-    keep = (np.abs(ghat) > 1e-14 * scale) | (gsys.col_growth[:, None] <= 0)
-    return np.where(keep, ghat, 0.0)
+    The decaying part log B - log Binf is convolved by FFT, contracting per
+    Fourier mode; the constant asymptote contributes khat0 . log Binf.
+    Every mode is used as is, which needs no kernel entry to grow in |k|
+    (KernelSystem.max_growth): a growing one would amplify the roundoff of
+    the high modes.  Returns (R, M)."""
+    ghat = np.fft.fft(logB - logB_inf[:, None], axis=1)
+    prod = np.einsum("ijk,jk->ik", khat, ghat)
+    return np.fft.ifft(prod, axis=1) + (khat0 @ logB_inf)[:, None]
 
 
-def _convolve_matrix(gsys, logB, logB_inf):
+def _edge_tail(logB, logB_inf):
+    """Largest |log B - log Binf| over the outer 1/64 of the window at
+    either edge: how far the decaying part is from its asymptote there."""
     g = logB - logB_inf[:, None]
-    ghat = _filtered_fft(gsys, g)
-    prod = np.einsum("ijk,jk->ik", gsys.Kmat, ghat)
-    return np.fft.ifft(prod, axis=1) + (gsys.K0 @ logB_inf)[:, None]
+    edge = max(1, g.shape[1] // 64)
+    return float(max(np.max(np.abs(g[:, :edge])), np.max(np.abs(g[:, -edge:]))))
 
 
 def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10):
@@ -217,36 +194,26 @@ def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10
     kernel_row_hat = np.atleast_2d(kernel_row_hat)
     logB = np.atleast_2d(logB)
     logB_inf = np.atleast_1d(logB_inf)
-    g = logB - logB_inf[:, None]
-    edge = max(1, grid.points // 64)
-    tail = max(
-        np.max(np.abs(g[:, :edge])),
-        np.max(np.abs(g[:, -edge:])),
-    )
+    tail = _edge_tail(logB, logB_inf)
     if tail > tail_tol:
         raise GridTooSmallError(tail, tail_tol)
-    ghat = np.fft.fft(g, axis=1)
-    prod = (kernel_row_hat * ghat).sum(axis=0)
     k0 = kernel_row_hat[:, 0]  # k-grid starts at k = 0
-    return np.fft.ifft(prod) + np.dot(k0, logB_inf)
+    return _convolve(kernel_row_hat[None], k0[None], logB, logB_inf)[0]
 
 
 # ----------------------------------------------------------------------
 
-def _linearized_start(gsys, grid, betaJ, logb_inf):
+def _linearized_start(gsys, grid, betaJ, Ainv):
     """Exact solution of the NLIE linearized around the constant asymptote.
 
     With log b = log binf + u and log B ~ log Binf + W u, W = b/(1+b) at
     the asymptote, the linear system u = -betaJ*d - K*(W u) solves per
-    Fourier mode as u-hat = -betaJ (I + K-hat W)^-1 D-hat.  Used as the
-    iteration start; exact up to O((betaJ u)^2)."""
-    W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
-    F = gsys.sys.dim
-    M = grid.points
+    Fourier mode as u-hat = -betaJ (I + K-hat W)^-1 D-hat, given as Ainv
+    (shape (M, F, F)).  Used as the iteration start; exact up to
+    O((betaJ u)^2)."""
     # plain-transform driving: position d(x) = int e^{ikx} d-hat dk
     Dhat = 2.0 * np.pi * gsys.dhat  # (F, M)
-    A = np.transpose(gsys.Kmat, (2, 0, 1)) * W[None, None, :] + np.eye(F)[None, :, :]
-    uhat = -betaJ * np.linalg.solve(A, np.transpose(Dhat)[:, :, None])[:, :, 0].T
+    uhat = -betaJ * np.einsum("kij,jk->ik", Ainv, Dhat)
     phase = np.exp(-1j * grid.k * grid.half_width)
     return np.fft.ifft(uhat * phase, axis=1) / grid.dx
 
@@ -289,6 +256,8 @@ def solve_nlie(
 
     Returns a converged NlieState; raises ConvergenceError on NaNs or on
     sustained residual growth (after one automatic retry with theta = 0.5).
+    iterations and residual_history count every step, those before the
+    retry included, and max_iter bounds their total.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
@@ -314,14 +283,6 @@ def solve_nlie(
     c = gsys.sys.constants(mu, beta)
     drive = c[:, None] + beta * J * gsys.d_x
 
-    theta = damping
-    if logb0 is not None:
-        logb = np.array(logb0, dtype=complex)
-    else:
-        logb = logb_inf[:, None] + _linearized_start(
-            gsys, grid, beta * J, logb_inf
-        )
-
     # Richardson step preconditioned by the exact linearization at the
     # asymptote: per Fourier mode, apply (I + K-hat W)^-1 to the update.
     # Same fixed point and stopping rule as the bare map, far fewer steps.
@@ -336,14 +297,19 @@ def solve_nlie(
         corr = np.einsum("kij,jk->ik", Ainv, Rhat)
         return np.fft.ifft(corr, axis=1)
 
+    theta = damping
+    if logb0 is not None:
+        logb = np.array(logb0, dtype=complex)
+    else:
+        logb = logb_inf[:, None] + _linearized_start(gsys, grid, beta * J, Ainv)
+
     residual = np.inf
     history = []
     restarts = 0
-    it = 0
-    while it < max_iter:
-        it += 1
+    since = 0  # history index at which the current damping took over
+    for it in range(1, max_iter + 1):
         logB = np.log1p(np.exp(logb))
-        conv = _convolve_matrix(gsys, logB, logB_inf)
+        conv = _convolve(gsys.Kmat, gsys.K0, logB, logB_inf)
         new = -(drive + conv)
         residual = float(np.max(np.abs(new - logb)))
         logb = logb + (1.0 - theta) * precondition(new - logb)
@@ -354,16 +320,15 @@ def solve_nlie(
             )
         if residual < tol:
             break
-        if len(history) > 12 and all(
+        if len(history) - since > 12 and all(
             history[-i] > history[-i - 1] for i in range(1, 11)
         ):
             if restarts == 0 and theta < 0.5:
                 log.info("residual growing; restarting with damping 0.5")
                 theta = 0.5
                 restarts += 1
-                history.clear()
+                since = len(history)
                 logb = np.zeros_like(logb) + logb_inf[:, None]
-                it = 0
             else:
                 raise ConvergenceError(
                     "NLIE iteration diverging; a larger damping may help",
@@ -377,18 +342,13 @@ def solve_nlie(
             iterations=max_iter,
         )
 
-    logB = np.log1p(np.exp(logb))
-    g = logB - logB_inf[:, None]
-    edge = max(1, grid.points // 64)
-    tail = float(max(np.max(np.abs(g[:, :edge])), np.max(np.abs(g[:, -edge:]))))
+    tail = _edge_tail(np.log1p(np.exp(logb)), logB_inf)
     if tail > 1e-6:
         warnings.warn(
             f"asymptote tail {tail:.2e} at the window edge; widen the grid",
             stacklevel=2,
         )
-    asym_resid = float(
-        np.max(np.abs(logb_inf + gsys.sys.constants(mu, beta) + gsys.K0 @ logB_inf))
-    )
+    asym_resid = float(np.max(np.abs(logb_inf + c + gsys.K0 @ logB_inf)))
     return NlieState(
         n=n,
         T=float(T),
@@ -422,20 +382,13 @@ def gamma_term(n, x):
     return val.real
 
 
-def _dagger_convolution(state, gsys):
-    """(d^dagger * log B)(x) on the grid (real part carries log Lambda)."""
-    logB = state.logB()
-    g = logB - state.logB_inf[:, None]
-    ghat = _filtered_fft(gsys, g)
-    prod = (gsys.dhat_neg * ghat).sum(axis=0)
-    conv = np.fft.ifft(prod) + np.dot(gsys.d0, state.logB_inf)
-    return conv
-
-
 def log_eigenvalue(state, x=0.0):
     """Re log Lambda_max(x) in the infinite-Trotter normalization."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
-    conv = _dagger_convolution(state, gsys).real
+    # (d^dagger * log B)(x): its real part carries log Lambda
+    conv = _convolve(
+        gsys.dhat_neg[None], gsys.d0[None], state.logB(), state.logB_inf
+    )[0].real
     xs = state.grid.x
     beta = state.beta
     base = (

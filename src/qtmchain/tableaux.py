@@ -368,11 +368,12 @@ def fused_eigenvalue(data, a, s, x, ctx=None):
 
 
 def canonical_move_tableaux(n, jvec):
-    """The four column tableaux of the restricted fusion move for j-vector jvec.
+    """The tableaux of the restricted fusion move for j-vector jvec.
 
-    Returns (top, bottom, short, tall): the identity reads
+    Returns (top, bottom, short, tall, rect): the identity reads
     top(x-i/2)*bottom(x+i/2) = short(x)*tall(x) + rect(x) with rect the
-    doubled fixed-filling rectangle.
+    doubled fixed-filling rectangle; short is None for a one-entry jvec,
+    where the identity reads top*bottom = tall + rect.
     """
     a = len(jvec)
     j = tuple(jvec)
@@ -424,13 +425,10 @@ def check_functional_relation(data, relation, x, a=None, s=None, jvec=None):
         lhs = eval_range_tableau(data, top, x, ctx) * eval_range_tableau(
             data, bottom, x, ctx
         )
-        rhs = eval_range_tableau(data, tall, x, ctx) + eval_range_tableau(
-            data, rect, x, ctx
-        )
+        rhs = eval_range_tableau(data, tall, x, ctx)
         if short is not None:
-            rhs = eval_range_tableau(data, tall, x, ctx) * eval_range_tableau(
-                data, short, x, ctx
-            ) + eval_range_tableau(data, rect, x, ctx)
+            rhs = rhs * eval_range_tableau(data, short, x, ctx)
+        rhs = rhs + eval_range_tableau(data, rect, x, ctx)
     else:
         raise DomainError(f"unknown relation {relation!r}")
     return abs(lhs - rhs) / (1.0 + abs(lhs))

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, UnreachableDensityError
+from .errors import ConvergenceError, DomainError
 from .solver import default_grid, free_energy, solve_nlie
 
 __all__ = [
     "ThermoPoint",
     "thermo_point",
     "sweep",
-    "density_tuned_sweep",
     "parse_t_range",
 ]
 
@@ -63,43 +62,51 @@ class _FreeEnergyTable:
         self.J = J
         self.grid = grid
         self.tol = tol
-        self.warm = center_state.logb if center_state is not None else None
+        self.warm = None
         self.cache = {}
+        if center_state is not None:
+            self.warm = center_state.logb
+            self.cache[(center_state.T, center_state.mu)] = free_energy(center_state)
 
-    def _solve(self, T, mu):
-        return solve_nlie(
+    def _f(self, T, mu):
+        return free_energy(solve_nlie(
             self.n, T, mu=mu, J=self.J, grid=self.grid, tol=self.tol,
             logb0=self.warm,
-        )
+        ))
 
     def request(self, points, workers=None):
-        todo = [p for p in points if p not in self.cache]
+        todo = [p for p in dict.fromkeys(points) if p not in self.cache]
         if todo:
             workers = workers or _max_workers()
             if workers > 1 and len(todo) > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for p, st in zip(todo, pool.map(lambda q: self._solve(*q), todo)):
-                        self.cache[p] = st
+                    for p, f in zip(todo, pool.map(lambda q: self._f(*q), todo)):
+                        self.cache[p] = f
             else:
                 for p in todo:
-                    self.cache[p] = self._solve(*p)
+                    self.cache[p] = self._f(*p)
 
     def f(self, T, mu):
         key = (T, tuple(mu))
         if key not in self.cache:
             self.request([key])
-        return free_energy(self.cache[key])
+        return self.cache[key]
+
+    def derivative(self, stencil):
+        """sum_p w_p f(p) / divisor, summed in stencil order."""
+        pairs, divisor = stencil
+        acc = 0.0
+        for p, w in pairs:
+            acc += w * self.f(*p)
+        return acc / divisor
 
 
-def _d1(vals, h):
-    """f'(0) from f(-2h), f(-h), f(h), f(2h), fourth order."""
-    m2, m1, p1, p2 = vals
-    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
-
-
-def _d2(vals, f0, h):
-    m2, m1, p1, p2 = vals
-    return (-m2 + 16 * m1 - 30 * f0 + 16 * p1 - p2) / (12 * h * h)
+# (step multiple, weight) of the five-point fourth-order stencils:
+# 12 h f'(0) and 12 h^2 f''(0)
+_D1 = ((-2, 1), (-1, -8), (1, 8), (2, -1))
+_D2 = ((-2, -1), (-1, 16), (0, -30), (1, 16), (2, -1))
+# ((step i, step j), weight) of the four-corner 4 h^2 d2f/dx_i dx_j
+_CORNERS = (((1, 1), 1), ((-1, -1), 1), ((1, -1), -1), ((-1, 1), -1))
 
 
 def thermo_point(
@@ -117,7 +124,9 @@ def thermo_point(
 
     fd_steps: optional (dlogT, dmu_density, dmu_chi).  The chi step is kept
     larger than the density step so second differencing stays above solver
-    noise.  Stencil failures propagate with the offending location attached.
+    noise.  Every derivative is one stencil, a list of ((T, mu), weight)
+    pairs and a divisor: the same list names the points to solve and sums
+    them.  Stencil failures propagate with the offending location attached.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
@@ -128,34 +137,37 @@ def thermo_point(
     grid = default_grid(T)
 
     center = solve_nlie(n, T, mu=mu, J=J, grid=grid, tol=tol)
-    table = _FreeEnergyTable(n, J, grid, center_state=center, tol=tol)
-    f0 = free_energy(center)
+    table = _FreeEnergyTable(n, J, grid, center, tol=tol)
 
-    points = []
-    t_pts = [(T * np.exp(s * hu), mu) for s in (-2, -1, 1, 2)]
-    points += t_pts
-    if with_densities:
-        for i in range(n):
-            for s in (-2, -1, 1, 2):
-                m = list(mu)
-                m[i] += s * hd
-                points.append((T, tuple(m)))
-    if with_chi:
-        for i in range(n):
-            for s in (-2, -1, 1, 2):
-                m = list(mu)
-                m[i] += s * hx
-                points.append((T, tuple(m)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for scale in (1.0, 0.5):
-                    for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                        m = list(mu)
-                        m[i] += si * scale * hx
-                        m[j] += sj * scale * hx
-                        points.append((T, tuple(m)))
+    def at_T(s):
+        return (T * np.exp(s * hu), mu)
+
+    def at_mu(*steps):
+        m = list(mu)
+        for i, d in steps:
+            m[i] += d
+        return (T, tuple(m))
+
+    fu_st = ([(at_T(s), w) for s, w in _D1], 12 * hu)
+    fuu_st = ([(at_T(s), w) for s, w in _D2], 12 * hu * hu)
+    dens_st = [
+        ([(at_mu((i, s * hd)), w) for s, w in _D1], 12 * hd) for i in range(n)
+    ] if with_densities else []
+    chi_st = [
+        ([(at_mu((i, s * hx)), w) for s, w in _D2], 12 * hx * hx) for i in range(n)
+    ] if with_chi else []
+    # mixed derivatives at steps hx and hx/2, combined by one Richardson level
+    mixed_st = {
+        (i, j, scale): (
+            [(at_mu((i, si * scale * hx), (j, sj * scale * hx)), w)
+             for (si, sj), w in _CORNERS],
+            4 * (scale * hx) ** 2,
+        )
+        for i in range(n) for j in range(i + 1, n) for scale in (1.0, 0.5)
+    } if with_chi else {}
+    stencils = [fu_st, fuu_st, *dens_st, *chi_st, *mixed_st.values()]
     try:
-        table.request(points, workers=workers)
+        table.request([p for pairs, _ in stencils for p, _ in pairs], workers=workers)
     except ConvergenceError as err:
         raise ConvergenceError(
             f"stencil solve failed near T={T}, mu={mu}: {err}",
@@ -163,52 +175,28 @@ def thermo_point(
             iterations=err.iterations,
         ) from err
 
-    fT = [table.f(*p) for p in t_pts]
-    fu = _d1(fT, hu)
-    fuu = _d2(fT, f0, hu)
+    fu = table.derivative(fu_st)
+    fuu = table.derivative(fuu_st)
     S = -fu / T
     C = -(fuu - fu) / T
 
     dens = None
     if with_densities:
-        dens = np.empty(n)
-        for i in range(n):
-            vals = []
-            for s in (-2, -1, 1, 2):
-                m = list(mu)
-                m[i] += s * hd
-                vals.append(table.f(T, tuple(m)))
-            dens[i] = -_d1(vals, hd)
+        dens = np.array([-table.derivative(st) for st in dens_st])
 
     chi = None
     if with_chi:
-        chi = np.empty((n, n))
-        for i in range(n):
-            vals = []
-            for s in (-2, -1, 1, 2):
-                m = list(mu)
-                m[i] += s * hx
-                vals.append(table.f(T, tuple(m)))
-            chi[i, i] = -_d2(vals, f0, hx)
+        chi = np.diag([-table.derivative(st) for st in chi_st])
         for i in range(n):
             for j in range(i + 1, n):
-                mixed = {}
-                for scale in (1.0, 0.5):
-                    acc = 0.0
-                    for si, sj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-                        m = list(mu)
-                        m[i] += si * scale * hx
-                        m[j] += sj * scale * hx
-                        sign = 1.0 if si * sj > 0 else -1.0
-                        acc += sign * table.f(T, tuple(m))
-                    mixed[scale] = acc / (4 * (scale * hx) ** 2)
-                d2 = (4 * mixed[0.5] - mixed[1.0]) / 3.0
+                d2 = (4 * table.derivative(mixed_st[i, j, 0.5])
+                      - table.derivative(mixed_st[i, j, 1.0])) / 3.0
                 chi[i, j] = chi[j, i] = -d2
 
     return ThermoPoint(
         T=float(T),
         mu=mu,
-        f=f0,
+        f=table.f(T, mu),
         S=float(S),
         C=float(C),
         n=dens,
@@ -238,78 +226,19 @@ def sweep(
     workers=None,
     tol=1e-12,
 ):
-    """Ordered series of thermo points; per-point failures are recorded and
-    the sweep continues.  Returns (points, failures)."""
+    """Thermo points in ascending T, each solved from a cold start;
+    per-point failures are recorded and the sweep continues.  Returns
+    (points, failures)."""
     if isinstance(temperatures, str):
         temperatures = parse_t_range(temperatures)
-    temps = sorted(float(t) for t in temperatures)
-    points = {}
+    points = []
     failures = []
-    for T in temps[::-1]:  # descending: warm starts flow from high T
+    for T in sorted(float(t) for t in temperatures):
         try:
-            points[T] = thermo_point(
+            points.append(thermo_point(
                 n, T, mu=mu, J=J, with_chi=with_chi,
                 with_densities=with_densities, workers=workers, tol=tol,
-            )
+            ))
         except Exception as err:  # noqa: BLE001 - recorded, sweep continues
             failures.append((T, repr(err)))
-    return [points[T] for T in temps if T in points], failures
-
-
-def density_tuned_sweep(
-    n,
-    target,
-    temperatures,
-    J=1.0,
-    workers=None,
-    mu0=None,
-    newton_tol=1e-8,
-    max_newton=40,
-):
-    """Per temperature, find mu with n_i(mu) = target_i, then record the point.
-
-    Newton iteration on the density map with the response matrix as the
-    Jacobian, reduced to the traceless mu subspace (a uniform shift of mu
-    never changes densities).  The high-temperature closed form
-    chi ~ beta (diag(n) - n n^T) seeds the first Jacobian.
-    """
-    target = np.asarray(target, dtype=float)
-    if target.size != n or abs(target.sum() - 1.0) > 1e-8 or np.any(target <= 0):
-        raise DomainError("target densities must be positive and sum to 1")
-    if isinstance(temperatures, str):
-        temperatures = parse_t_range(temperatures)
-    temps = sorted(float(t) for t in temperatures)[::-1]
-
-    out = []
-    mu = np.zeros(n) if mu0 is None else np.asarray(mu0, dtype=float)
-    for T in temps:
-        beta = 1.0 / T
-        for step in range(max_newton):
-            pt = thermo_point(
-                n, T, mu=tuple(mu), J=J, with_chi=False, workers=workers,
-                fd_steps=(1e-3, 1e-3 * max(T, 1.0), None),
-            )
-            g = pt.n - target
-            if np.max(np.abs(g)) < newton_tol:
-                break
-            # mean-field response as the Jacobian of n(mu); exact at beta->0
-            chi0 = beta * (np.diag(pt.n) - np.outer(pt.n, pt.n))
-            # reduce to the traceless subspace
-            P = np.eye(n) - np.full((n, n), 1.0 / n)
-            A = P @ chi0 @ P + np.full((n, n), 1.0 / n)
-            dmu = np.linalg.solve(A, g)
-            dmu = P @ dmu
-            limit = 2.0 * max(T, 0.2)
-            norm = np.max(np.abs(dmu))
-            if norm > limit:
-                dmu *= limit / norm
-            mu = mu - dmu
-        else:
-            raise UnreachableDensityError(
-                f"density Newton stalled at T={T}: worst residual "
-                f"{np.max(np.abs(g)):.2e} for target {target}"
-            )
-        out.append(
-            thermo_point(n, T, mu=tuple(mu), J=J, with_chi=True, workers=workers)
-        )
-    return out[::-1]
+    return points, failures

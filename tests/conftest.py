@@ -1,27 +1,7 @@
 import numpy as np
 import pytest
 
-from qtmchain import RootData
-
-
-def random_root_data(n, rng, max_roots=2, allow_mu=True, N_choices=(0, 2, 4)):
-    N = int(rng.choice(N_choices))
-    tau = float(rng.uniform(0.1, 0.8))
-    roots = tuple(
-        tuple(
-            complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.2, 0.2))
-            for _ in range(int(rng.integers(0, max_roots + 1)))
-        )
-        for _ in range(n - 1)
-    )
-    mu = tuple(float(rng.uniform(-0.4, 0.4)) if allow_mu else 0.0 for _ in range(n))
-    return RootData(n=n, N=N, tau=tau, mu=mu, beta=1.0, roots=roots)
-
-
-def random_x(rng):
-    # imaginary part keeps a safe distance from the root strip |Im| <= 0.2
-    # and from its i/2-shifted copies
-    return complex(rng.uniform(-2.0, 2.0), rng.uniform(0.85, 1.3))
+from qtmchain.cli import random_root_data, random_x  # noqa: F401 - shared with tests
 
 
 @pytest.fixture
