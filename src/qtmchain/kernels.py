@@ -447,11 +447,14 @@ class KernelSystem:
         return worst
 
     def matrix(self, k):
-        """K-hat(k) with shape (dim, dim) for scalar k, else (dim, dim, len(k))."""
+        """K-hat(k) with shape (dim, dim) for scalar k, else (dim, dim, len(k)).
+
+        The array is a view of a mode-major (len(k), dim, dim) buffer, the
+        layout the solver contracts in; transpose(2, 0, 1) recovers it."""
         k = np.asarray(k, dtype=float)
         scalar = k.ndim == 0
         karr = np.atleast_1d(k)
-        out = np.empty((self.dim, self.dim, karr.size))
+        out = np.empty((karr.size, self.dim, self.dim))
         cache = {}
         for I in range(self.dim):
             for Jx in range(self.dim):
@@ -460,8 +463,8 @@ class KernelSystem:
                     cache[key] = kernel_entry_value(
                         self.n, key[0], karr, s4=key[1], flip=bool(key[2])
                     )
-                out[I, Jx] = cache[key]
-        return out[:, :, 0] if scalar else out
+                out[:, I, Jx] = cache[key]
+        return out[0] if scalar else out.transpose(1, 2, 0)
 
     def matrix0(self):
         """Exact k -> 0 limit of the kernel matrix."""

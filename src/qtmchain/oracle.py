@@ -174,6 +174,22 @@ def _lax_site_tensors(n, tau, x):
     return odd, even
 
 
+def _thread_sites(cur, site_tensors):
+    """Contract the quantum sites into cur one at a time and trace the
+    auxiliary space.
+
+    cur[a_start, a_current, processed s'-block, pending s-block] starts
+    with a processed block of size 1; site_tensors holds one [a_out, a_in,
+    s_out, s_in] tensor per site.  Returns the traced vector."""
+    for W in site_tensors:
+        n = W.shape[2]
+        nA, _, Dout, Din = cur.shape
+        cur = cur.reshape(nA, nA, Dout, n, Din // n)
+        cur = np.einsum("aqdsr,qcps->acdpr", cur, W)
+        cur = cur.reshape(nA, nA, Dout * n, Din // n)
+    return np.einsum("aaj->j", cur[:, :, :, 0])
+
+
 def qtm_matvec(n, N, tau, beta_mu, x, v):
     """Apply the quantum transfer matrix to a vector of length n^N.
 
@@ -187,14 +203,7 @@ def qtm_matvec(n, N, tau, beta_mu, x, v):
     cur = np.zeros((n, n, 1, n**N), dtype=complex)
     for a in range(n):
         cur[a, a, 0] = twist[a] * v
-    # cur[a_start, a_current, processed s'-block, pending s-block]
-    for site in range(N):
-        W = odd if site % 2 == 0 else even
-        nA, _, Dout, Din = cur.shape
-        cur = cur.reshape(nA, nA, Dout, n, Din // n)
-        cur = np.einsum("aqdsr,qcps->acdpr", cur, W)
-        cur = cur.reshape(nA, nA, Dout * n, Din // n)
-    return np.einsum("aaj->j", cur[:, :, :, 0])
+    return _thread_sites(cur, [odd if site % 2 == 0 else even for site in range(N)])
 
 
 def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
@@ -291,12 +300,7 @@ def transfer_matrix(n, L, lam):
         X = np.zeros((n, n, 1, dim), dtype=complex)
         for a in range(n):
             X[a, a, 0] = e
-        for _ in range(L):
-            nA, _, Dout, Din = X.shape
-            X = X.reshape(nA, nA, Dout, n, Din // n)
-            X = np.einsum("aqdsr,qcps->acdpr", X, W)
-            X = X.reshape(nA, nA, Dout * n, Din // n)
-        cols[:, j] = np.einsum("aaj->j", X[:, :, :, 0])
+        cols[:, j] = _thread_sites(X, [W] * L)
     return DenseOperator(n=n, sites=L, matrix=cols)
 
 

@@ -11,8 +11,13 @@ splitting off the constant large-x asymptote:
     K * log B = K * (log B - log Binf) + K-hat(0) . log Binf.
 
 Conventions: transforms follow g-hat(k) = int e^{-ikx} g(x) dx, so the
-asymptote of a convolution is K-hat(0) times the asymptote of the input
-and the position-space driving is d(x) = (1/2pi) int e^{ikx} d-hat(k) dk.
+asymptote of a convolution is K-hat(0) times the asymptote of the input,
+(K * g)(x) = (1/2pi) int e^{ikx} K-hat(k) g-hat(k) dk, and the
+position-space driving is d(x) = int e^{ikx} d-hat(k) dk, with no 1/2pi.
+
+Per Fourier mode the kernel matrices are real; they are stored mode-major,
+(M, F, F), and applied to complex grid vectors by one real batched matmul
+(_modes_matmul).
 
 The largest quantum-transfer-matrix eigenvalue in the infinite-Trotter
 limit is reconstructed as
@@ -27,6 +32,7 @@ at beta -> 0 this reduces exactly to log sum_j e^{beta mu_j}.
 """
 
 import logging
+import time
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -111,7 +117,7 @@ class NlieState:
         return 1.0 / self.T
 
     def logB(self):
-        return np.log1p(np.exp(self.logb))
+        return _log1p_exp(self.logb)
 
     def to_dict(self):
         f = free_energy(self)
@@ -145,10 +151,11 @@ class _GridSystem:
         sys = kernel_system(n)
         self.sys = sys
         k = grid.k
-        self.Kmat = sys.matrix(k)  # (F, F, M) real
+        # matrix() fills a mode-major buffer; this is that buffer, not a copy
+        self.Kmat = np.ascontiguousarray(sys.matrix(k).transpose(2, 0, 1))  # (M, F, F)
         self.K0 = sys.matrix0()
         self.dhat = sys.driving_hat(k)  # (F, M)
-        self.dhat_neg = sys.driving_hat(-k)
+        self.dhat_neg = np.ascontiguousarray(sys.driving_hat(-k).T)[:, None, :]
         self.d0 = sys.driving0()
         # position-space driving d(x) = int e^{ikx} d-hat(k) dk; unlike the
         # convolutions this inverse transform carries no 1/2pi (pinned by the
@@ -162,8 +169,47 @@ def _grid_system(n, half_width, points):
     return _GridSystem(n, Grid(half_width=half_width, points=points))
 
 
+def _modes_matmul(mats, vec):
+    """Per-mode product out[r, m] = sum_f mats[m, r, f] vec[f, m].
+
+    mats: real (M, R, F); vec: complex (F, M).  The real and imaginary
+    parts ride along as a trailing axis of length 2, so the whole product
+    is one real batched matmul.  Returns (R, M) complex."""
+    F, M = vec.shape
+    pairs = np.ascontiguousarray(vec.T, dtype=complex).view(np.float64)
+    prod = np.matmul(mats, pairs.reshape(M, F, 2))  # (M, R, 2)
+    return prod.view(complex)[:, :, 0].T
+
+
+def _log1p_exp(z):
+    """log(1 + e^z), principal branch, for complex z in real arithmetic.
+
+    With a = Re z, b = Im z and s = e^{-|a|} (so nothing overflows),
+    1 + e^z = e^{max(a, 0)} (x + iy) with x = t cos b + u, y = t sin b,
+    where (t, u) = (1, s) for a > 0 and (s, 1) otherwise, and
+    |x + iy|^2 = 1 + s (2 cos b + s).  log1p of that keeps small s exact;
+    near a zero of 1 + e^z, where it cancels, x^2 + y^2 is used instead."""
+    a = z.real
+    b = z.imag
+    c = np.cos(b)
+    s = np.exp(-np.abs(a))
+    pos = a > 0
+    t = np.where(pos, 1.0, s)
+    x = t * c + np.where(pos, s, 1.0)
+    y = t * np.sin(b)
+    out = np.empty_like(z, dtype=complex)
+    re = out.real
+    np.log1p(s * (2.0 * c + s), out=re)
+    q = x * x + y * y
+    np.log(q, out=re, where=q < 0.5)
+    re *= 0.5
+    re += np.maximum(a, 0.0)
+    np.arctan2(y, x, out=out.imag)
+    return out
+
+
 def _convolve(khat, khat0, logB, logB_inf):
-    """(K * log B)(x) for kernel rows khat (R, F, M) with zero mode khat0 (R, F).
+    """(K * log B)(x) for kernel rows khat (M, R, F) with zero mode khat0 (R, F).
 
     The decaying part log B - log Binf is convolved by FFT, contracting per
     Fourier mode; the constant asymptote contributes khat0 . log Binf.
@@ -171,7 +217,7 @@ def _convolve(khat, khat0, logB, logB_inf):
     (KernelSystem.max_growth): a growing one would amplify the roundoff of
     the high modes.  Returns (R, M)."""
     ghat = np.fft.fft(logB - logB_inf[:, None], axis=1)
-    prod = np.einsum("ijk,jk->ik", khat, ghat)
+    prod = _modes_matmul(khat, ghat)
     return np.fft.ifft(prod, axis=1) + (khat0 @ logB_inf)[:, None]
 
 
@@ -186,19 +232,22 @@ def _edge_tail(logB, logB_inf):
 def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10):
     """(K * log B)(x) for one kernel row sampled on the grid's k values.
 
-    kernel_row_hat: (F, M) samples of the row's Fourier kernels;
+    kernel_row_hat: (F, M) real samples of the row's Fourier kernels, as
+    every KernelSystem row is (a complex row raises DomainError);
     logB: (F, M) samples; logB_inf: (F,) asymptotes.  Raises
     GridTooSmallError when the decaying part has not reached its asymptote
     at the window edge.
     """
-    kernel_row_hat = np.atleast_2d(kernel_row_hat)
+    if np.iscomplexobj(kernel_row_hat):
+        raise DomainError("kernel rows are real in Fourier space")
+    kernel_row_hat = np.atleast_2d(np.asarray(kernel_row_hat, dtype=float))
     logB = np.atleast_2d(logB)
     logB_inf = np.atleast_1d(logB_inf)
     tail = _edge_tail(logB, logB_inf)
     if tail > tail_tol:
         raise GridTooSmallError(tail, tail_tol)
     k0 = kernel_row_hat[:, 0]  # k-grid starts at k = 0
-    return _convolve(kernel_row_hat[None], k0[None], logB, logB_inf)[0]
+    return _convolve(kernel_row_hat.T[:, None, :], k0[None], logB, logB_inf)[0]
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +262,25 @@ def _linearized_start(gsys, grid, betaJ, Ainv):
     O((betaJ u)^2)."""
     # plain-transform driving: position d(x) = int e^{ikx} d-hat dk
     Dhat = 2.0 * np.pi * gsys.dhat  # (F, M)
-    uhat = -betaJ * np.einsum("kij,jk->ik", Ainv, Dhat)
+    uhat = -betaJ * _modes_matmul(Ainv, Dhat)
     phase = np.exp(-1j * grid.k * grid.half_width)
     return np.fft.ifft(uhat * phase, axis=1) / grid.dx
+
+
+def _preconditioner(Kmat, W):
+    """A(k)^-1 = (I + K-hat(k) diag(W))^-1 for every mode k, as (M, F, F).
+
+    W = b/(1+b) at the asymptote lies in (0, 1).  K-hat(-k) = K-hat(k)^T on
+    the grid, so A(-k) = W^-1 A(k)^T W and A(-k)^-1[i, j] = A(k)^-1[j, i]
+    W_j / W_i.  Only modes 0..M/2 are inverted (the Nyquist mode M/2 has no
+    partner on the grid); modes M/2+1..M-1 are filled from their partners."""
+    half = Kmat.shape[0] // 2
+    A = Kmat[: half + 1] * W + np.eye(len(W))
+    Ainv = np.empty_like(Kmat)
+    Ainv[: half + 1] = np.linalg.inv(A)
+    del A
+    Ainv[half + 1:] = np.swapaxes(Ainv[half - 1:0:-1], 1, 2) * (W / W[:, None])
+    return Ainv
 
 
 def asymptotic_constants(n, T, mu=None, J=1.0, verify=True, tol=1e-10):
@@ -284,31 +349,28 @@ def solve_nlie(
     drive = c[:, None] + beta * J * gsys.d_x
 
     # Richardson step preconditioned by the exact linearization at the
-    # asymptote: per Fourier mode, apply (I + K-hat W)^-1 to the update.
-    # Same fixed point and stopping rule as the bare map, far fewer steps.
-    W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
-    A = np.transpose(gsys.Kmat, (2, 0, 1)) * W[None, None, :] + np.eye(
-        gsys.sys.dim
-    )[None, :, :]
-    Ainv = np.linalg.inv(A)
+    # asymptote: per Fourier mode, apply A^-1 = (I + K-hat W)^-1 to the
+    # update.  Same fixed point and stopping rule as the bare map, far fewer
+    # steps.
+    t_setup = time.perf_counter()
+    Ainv = _preconditioner(gsys.Kmat, np.exp(logb_inf) / (1.0 + np.exp(logb_inf)))
 
     def precondition(R):
-        Rhat = np.fft.fft(R, axis=1)
-        corr = np.einsum("kij,jk->ik", Ainv, Rhat)
-        return np.fft.ifft(corr, axis=1)
+        return np.fft.ifft(_modes_matmul(Ainv, np.fft.fft(R, axis=1)), axis=1)
 
     theta = damping
     if logb0 is not None:
         logb = np.array(logb0, dtype=complex)
     else:
         logb = logb_inf[:, None] + _linearized_start(gsys, grid, beta * J, Ainv)
+    t_iterate = time.perf_counter()
 
     residual = np.inf
     history = []
     restarts = 0
     since = 0  # history index at which the current damping took over
     for it in range(1, max_iter + 1):
-        logB = np.log1p(np.exp(logb))
+        logB = _log1p_exp(logb)
         conv = _convolve(gsys.Kmat, gsys.K0, logB, logB_inf)
         new = -(drive + conv)
         residual = float(np.max(np.abs(new - logb)))
@@ -342,7 +404,8 @@ def solve_nlie(
             iterations=max_iter,
         )
 
-    tail = _edge_tail(np.log1p(np.exp(logb)), logB_inf)
+    t_done = time.perf_counter()
+    tail = _edge_tail(_log1p_exp(logb), logB_inf)
     if tail > 1e-6:
         warnings.warn(
             f"asymptote tail {tail:.2e} at the window edge; widen the grid",
@@ -366,6 +429,8 @@ def solve_nlie(
             "asymptote_equation_residual": asym_resid,
             "restarts": restarts,
             "residual_history": history,
+            "setup_s": t_iterate - t_setup,
+            "iterate_s": t_done - t_iterate,
         },
     )
 
@@ -386,9 +451,7 @@ def log_eigenvalue(state, x=0.0):
     """Re log Lambda_max(x) in the infinite-Trotter normalization."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
     # (d^dagger * log B)(x): its real part carries log Lambda
-    conv = _convolve(
-        gsys.dhat_neg[None], gsys.d0[None], state.logB(), state.logB_inf
-    )[0].real
+    conv = _convolve(gsys.dhat_neg, gsys.d0[None], state.logB(), state.logB_inf)[0].real
     xs = state.grid.x
     beta = state.beta
     base = (

@@ -12,6 +12,7 @@ run concurrently; results are assembled deterministically.
 """
 
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -55,24 +56,40 @@ class ThermoPoint:
 
 
 class _FreeEnergyTable:
-    """Memoized f(T, mu) evaluations sharing one warm start."""
+    """Memoized f(T, mu) evaluations sharing one warm start.
 
-    def __init__(self, n, J, grid, center_state=None, tol=1e-12):
+    solves records (iterations, residual, seconds) for every solve made."""
+
+    def __init__(self, n, J, grid, tol=1e-12):
         self.n = n
         self.J = J
         self.grid = grid
         self.tol = tol
         self.warm = None
         self.cache = {}
-        if center_state is not None:
-            self.warm = center_state.logb
-            self.cache[(center_state.T, center_state.mu)] = free_energy(center_state)
+        self.solves = []
 
-    def _f(self, T, mu):
-        return free_energy(solve_nlie(
+    def _solve(self, T, mu):
+        t0 = time.perf_counter()
+        state = solve_nlie(
             self.n, T, mu=mu, J=self.J, grid=self.grid, tol=self.tol,
             logb0=self.warm,
-        ))
+        )
+        record = (state.iterations, state.residual, time.perf_counter() - t0)
+        return state, free_energy(state), record
+
+    def _f(self, T, mu):
+        return self._solve(T, mu)[1:]  # the worker drops the state
+
+    def _add(self, point, f, record):
+        self.cache[point] = f
+        self.solves.append(record)
+
+    def center(self, T, mu):
+        """Solve (T, mu) cold and keep it as the warm start of later solves."""
+        state, f, record = self._solve(T, mu)
+        self._add((T, mu), f, record)
+        self.warm = state.logb
 
     def request(self, points, workers=None):
         todo = [p for p in dict.fromkeys(points) if p not in self.cache]
@@ -80,17 +97,28 @@ class _FreeEnergyTable:
             workers = workers or _max_workers()
             if workers > 1 and len(todo) > 1:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for p, f in zip(todo, pool.map(lambda q: self._f(*q), todo)):
-                        self.cache[p] = f
+                    for p, r in zip(todo, pool.map(lambda q: self._f(*q), todo)):
+                        self._add(p, *r)
             else:
                 for p in todo:
-                    self.cache[p] = self._f(*p)
+                    self._add(p, *self._f(*p))
 
     def f(self, T, mu):
         key = (T, tuple(mu))
         if key not in self.cache:
             self.request([key])
         return self.cache[key]
+
+    def meta(self):
+        """Totals over every solve: count, iterations, worst residual and
+        the slowest solve's wall time."""
+        its, res, secs = zip(*self.solves)
+        return {
+            "solves": len(self.solves),
+            "iterations": int(sum(its)),
+            "residual": float(max(res)),
+            "slowest_solve_s": float(max(secs)),
+        }
 
     def derivative(self, stencil):
         """sum_p w_p f(p) / divisor, summed in stencil order."""
@@ -127,6 +155,8 @@ def thermo_point(
     noise.  Every derivative is one stencil, a list of ((T, mu), weight)
     pairs and a divisor: the same list names the points to solve and sums
     them.  Stencil failures propagate with the offending location attached.
+    meta totals every solve of the point, the centre's and the stencils':
+    solves, iterations, the worst residual and slowest_solve_s.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
@@ -136,8 +166,8 @@ def thermo_point(
     hu, hd, hx = fd_steps or (1e-3, 1e-4 * max(T, 1.0), 3e-3 * max(T, 1.0))
     grid = default_grid(T)
 
-    center = solve_nlie(n, T, mu=mu, J=J, grid=grid, tol=tol)
-    table = _FreeEnergyTable(n, J, grid, center, tol=tol)
+    table = _FreeEnergyTable(n, J, grid, tol=tol)
+    table.center(T, mu)
 
     def at_T(s):
         return (T * np.exp(s * hu), mu)
@@ -201,7 +231,7 @@ def thermo_point(
         C=float(C),
         n=dens,
         chi=chi,
-        meta={"iterations": center.iterations, "residual": center.residual},
+        meta=table.meta(),
     )
 
 

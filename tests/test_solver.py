@@ -20,7 +20,9 @@ from qtmchain import (
 )
 from qtmchain.errors import DomainError
 from qtmchain.kernels import kernel_entry_value
-from qtmchain.solver import _grid_system
+from qtmchain.solver import _grid_system, _log1p_exp, _modes_matmul, _preconditioner
+
+EPS = np.finfo(float).eps
 
 
 class TestAsymptotics:
@@ -108,13 +110,21 @@ class TestConvolution:
         gsys = _grid_system(n, grid.half_width, grid.points)
         logB = state.logB()
         drive = gsys.sys.constants(state.mu, 1.0 / T)[:, None] + gsys.d_x / T
+        K = kernel_system(n).matrix(grid.k)
         worst = 0.0
         for I in range(gsys.sys.dim):
             conv = convolve_with_asymptote(
-                gsys.Kmat[I], logB, state.logB_inf, grid, tail_tol=1e-6
+                K[I], logB, state.logB_inf, grid, tail_tol=1e-6
             )
             worst = max(worst, np.max(np.abs(state.logb[I] + drive[I] + conv)))
         assert worst <= tol
+
+    def test_complex_row_raises(self):
+        grid = self.grid()
+        row = np.ones((1, grid.points), dtype=complex)
+        logB = np.zeros((1, grid.points), dtype=complex)
+        with pytest.raises(DomainError):
+            convolve_with_asymptote(row, logB, np.zeros(1), grid)
 
     def test_tail_violation_raises(self):
         grid = self.grid()
@@ -124,6 +134,70 @@ class TestConvolution:
             convolve_with_asymptote(
                 row, slow[None, :].astype(complex), np.zeros(1), grid
             )
+
+
+class TestSolverKernels:
+    """The per-mode contraction, the half-mode inverse and log(1+e^z)
+    against plain references, to float64 rounding bounds."""
+
+    @pytest.mark.parametrize("R", [1, 30])
+    def test_modes_matmul_against_einsum(self, R):
+        # each output is a sum of F = 30 products: both evaluations lie
+        # within F eps sum |a||b| of the exact sum
+        M, F = 512, 30
+        rng = np.random.default_rng(R)
+        mats = rng.standard_normal((M, R, F))
+        vec = rng.standard_normal((F, M)) + 1j * rng.standard_normal((F, M))
+        ref = np.einsum("mrf,fm->rm", mats, vec)
+        bound = 2 * F * EPS * np.einsum("mrf,fm->rm", np.abs(mats), np.abs(vec))
+        out = _modes_matmul(mats, vec)
+        assert out.shape == (R, M)
+        assert np.all(np.abs(out.real - ref.real) <= bound)
+        assert np.all(np.abs(out.imag - ref.imag) <= bound)
+
+    @pytest.mark.parametrize(
+        "n, T, mu", [(4, 1.0, None), (5, 1.0, None), (4, 2.0, (0.3, 0.0, 0.0, -0.3))]
+    )
+    def test_half_inverse_against_inv(self, n, T, mu):
+        # mode by mode, an inverse computed in float64 is within
+        # F eps cond(A) |A^-1| of the exact one; the mirrored half adds one
+        # rounding of W_j / W_i
+        grid = default_grid(T)
+        gsys = _grid_system(n, grid.half_width, grid.points)
+        logb_inf, _ = asymptotic_constants(n, T, mu)
+        W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
+        assert np.all((W > 0) & (W < 1))
+        A = gsys.Kmat * W + np.eye(len(W))
+        ref = np.linalg.inv(A)
+        out = _preconditioner(gsys.Kmat, W)
+        F = len(W)
+        scale = np.linalg.cond(A) * np.max(np.abs(ref), axis=(1, 2))
+        err = np.max(np.abs(out - ref), axis=(1, 2))
+        assert np.all(err <= 4 * F * EPS * scale)  # k = 0 and Nyquist included
+
+    def test_log1p_exp_against_long_double(self):
+        # reference: 1 + e^z in extended precision, with the modulus taken
+        # by log1p away from the zeros of 1 + e^z; tolerance: the error of
+        # rounding z and the result to float64, eps (|f| + |z f'(z)|)
+        if np.finfo(np.longdouble).eps >= EPS:
+            pytest.skip("no extended-precision long double on this platform")
+        rng = np.random.default_rng(7)
+        # Re z over the whole exp range, |Im z| up to 40 (the T = 0.05 range)
+        z = rng.uniform(-700, 700, 20000) + 1j * rng.uniform(-40, 40, 20000)
+        near_zero = (rng.uniform(-1e-6, 1e-6, 200)
+                     + 1j * (np.pi + rng.uniform(-1e-6, 1e-6, 200)))
+        edges = np.array([0, 1e-300j, 700 + 40j, -700 - 40j, 30 - 3j, -30 + 3j,
+                          -1.4 + 38.2j, 1e-9 + 5j, -1e-9 - 5j])
+        z = np.concatenate([z, near_zero, edges])
+        w = np.exp(z.astype(np.clongdouble))
+        x, y = 1 + w.real, w.imag
+        q = x * x + y * y
+        re = np.where(q < 0.5, np.log(q), np.log1p(w.real * (2 + w.real) + y * y)) / 2
+        ref = re + 1j * np.arctan2(y, x)
+        dfdz = np.abs(w / (1 + w)).astype(float)
+        bound = 4 * EPS * (np.abs(ref).astype(float) + np.abs(z) * dfdz)
+        out = _log1p_exp(z)
+        assert np.all(np.abs(out - ref).astype(float) <= bound)
 
 
 class TestSolver:
@@ -150,6 +224,8 @@ class TestSolver:
         state = solve_nlie(4, T=1.0, tol=1e-12)
         hist = state.diagnostics["residual_history"]
         assert all(b < a for a, b in zip(hist[3:], hist[4:]))
+        assert state.diagnostics["setup_s"] > 0
+        assert state.diagnostics["iterate_s"] > 0
 
     def test_parity_at_zero_mu(self):
         for n in (4, 5):

@@ -26,6 +26,14 @@ class TestThermoPoint:
         assert pt.C > 0
         assert pt.S > 0
 
+    def test_meta_counts_every_solve(self):
+        # the centre plus the four T-stencil points of S and C
+        pt = thermo_point(4, 1.0, with_chi=False, with_densities=False)
+        assert pt.meta["solves"] == 5
+        assert pt.meta["iterations"] >= 5
+        assert pt.meta["residual"] < 1e-12
+        assert pt.meta["slowest_solve_s"] > 0
+
 
 class TestSweep:
     def test_parse_range(self):
