@@ -28,7 +28,7 @@ from .oracle import (
     trotter_free_energy,
     ybe_residual,
 )
-from .solver import Grid, default_grid, solve_nlie
+from .solver import Grid, asymptotic_constants, default_grid, solve_nlie
 from .spectral import (
     adjacency_matrix,
     bae_residuals,
@@ -175,8 +175,6 @@ def _suite_kernel(seed):
             {"relation": "constants_sum_zero", "n": n, "draws": 1,
              "max_residual": float(np.max(np.abs(c_unif)))}
         )
-        from .solver import asymptotic_constants
-
         mu = tuple(float(rng.uniform(-0.3, 0.3)) for _ in range(n))
         asymptotic_constants(n, T=1.3, mu=mu)  # raises on inconsistency
         report.append(
@@ -378,12 +376,12 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (ValueError, OSError) as err:  # DomainError is a ValueError
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 2
     except QtmChainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -273,7 +273,6 @@ def trotter_free_energy(n, N, T, J=1.0, mu=None, x=0.0):
     """
     lam = qtm_eigenvalue(n, N, T=T, J=J, mu=mu, x=x)
     beta = 1.0 / T
-    mu = mu or (0.0,) * n
     return -T * (
         np.log(lam.real) - N * np.log(1.0 + beta * J / N) + beta * J
     )

@@ -399,6 +399,53 @@ def _preconditioner(Kmat, W):
     return Ainv
 
 
+def _iterate(step, x, Ainv, reset, theta, tol, max_iter):
+    """Preconditioned Richardson iteration x <- x + (1-theta) A^-1 (step(x) - x).
+
+    Stops once the residual max|step(x) - x| is below tol.  Raises
+    ConvergenceError on NaNs, on running out of max_iter steps, or on
+    sustained residual growth after one automatic restart from reset with
+    theta = 0.5.  Returns (x, iterations, residual, theta, restarts,
+    residual history); the count and history include the steps before a
+    restart."""
+    residual = np.inf
+    history = []
+    restarts = 0
+    since = 0  # history index at which the current damping took over
+    for it in range(1, max_iter + 1):
+        new = step(x)
+        residual = float(np.max(np.abs(new - x)))
+        R = np.fft.fft(new - x, axis=1)
+        x = x + (1.0 - theta) * np.fft.ifft(_modes_matmul(Ainv, R), axis=1)
+        history.append(residual)
+        if not np.isfinite(residual):
+            raise ConvergenceError(
+                "NaN encountered in NLIE iteration", residual=residual, iterations=it
+            )
+        if residual < tol:
+            return x, it, residual, theta, restarts, history
+        if len(history) - since > 12 and all(
+            history[-i] > history[-i - 1] for i in range(1, 11)
+        ):
+            if restarts == 0 and theta < 0.5:
+                log.info("residual growing; restarting with damping 0.5")
+                theta = 0.5
+                restarts += 1
+                since = len(history)
+                x = np.zeros_like(x) + reset
+            else:
+                raise ConvergenceError(
+                    "NLIE iteration diverging; a larger damping may help",
+                    residual=residual,
+                    iterations=it,
+                )
+    raise ConvergenceError(
+        "NLIE iteration did not reach tolerance",
+        residual=residual,
+        iterations=max_iter,
+    )
+
+
 def asymptotic_constants(n, T, mu=None, J=1.0, verify=True, tol=1e-10):
     """log b(+-inf) from the weighted counting limits, cross-checked against
     the constant fixed-point equation log binf = -c - K-hat(0) log Binf."""
@@ -470,55 +517,18 @@ def solve_nlie(
     # steps.
     t_setup = time.perf_counter()
     Ainv = _preconditioner(gsys.Kmat, np.exp(logb_inf) / (1.0 + np.exp(logb_inf)))
-
-    def precondition(R):
-        return np.fft.ifft(_modes_matmul(Ainv, np.fft.fft(R, axis=1)), axis=1)
-
-    theta = damping
     if logb0 is not None:
         logb = np.array(logb0, dtype=complex)
     else:
         logb = logb_inf[:, None] + _linearized_start(gsys, grid, beta * J, Ainv)
     t_iterate = time.perf_counter()
 
-    residual = np.inf
-    history = []
-    restarts = 0
-    since = 0  # history index at which the current damping took over
-    for it in range(1, max_iter + 1):
-        logB = _log1p_exp(logb)
-        conv = _convolve(gsys.Kmat, gsys.K0, logB, logB_inf)
-        new = -(drive + conv)
-        residual = float(np.max(np.abs(new - logb)))
-        logb = logb + (1.0 - theta) * precondition(new - logb)
-        history.append(residual)
-        if not np.isfinite(residual):
-            raise ConvergenceError(
-                "NaN encountered in NLIE iteration", residual=residual, iterations=it
-            )
-        if residual < tol:
-            break
-        if len(history) - since > 12 and all(
-            history[-i] > history[-i - 1] for i in range(1, 11)
-        ):
-            if restarts == 0 and theta < 0.5:
-                log.info("residual growing; restarting with damping 0.5")
-                theta = 0.5
-                restarts += 1
-                since = len(history)
-                logb = np.zeros_like(logb) + logb_inf[:, None]
-            else:
-                raise ConvergenceError(
-                    "NLIE iteration diverging; a larger damping may help",
-                    residual=residual,
-                    iterations=it,
-                )
-    else:
-        raise ConvergenceError(
-            "NLIE iteration did not reach tolerance",
-            residual=residual,
-            iterations=max_iter,
-        )
+    def step(logb):
+        return -(drive + _convolve(gsys.Kmat, gsys.K0, _log1p_exp(logb), logB_inf))
+
+    logb, it, residual, theta, restarts, history = _iterate(
+        step, logb, Ainv, logb_inf[:, None], damping, tol, max_iter
+    )
 
     t_done = time.perf_counter()
     tail = _edge_tail(_log1p_exp(logb), logB_inf)
@@ -563,22 +573,81 @@ def gamma_term(n, x):
     return val.real
 
 
+def _ell(state, g, g_inf, x=0.0):
+    """Re (d^dagger * g)(x) for g on the grid of state, with asymptote g_inf:
+    the functional that carries log Lambda (g = log B) and, through the
+    derivatives of log B, its derivatives."""
+    gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
+    conv = _convolve(gsys.dhat_neg, gsys.d0[None], g, g_inf)[0].real
+    return np.interp(x, state.grid.x, conv)
+
+
 def log_eigenvalue(state, x=0.0):
     """Re log Lambda_max(x) in the infinite-Trotter normalization."""
-    gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
-    # (d^dagger * log B)(x): its real part carries log Lambda
-    conv = _convolve(gsys.dhat_neg, gsys.d0[None], state.logB(), state.logB_inf)[0].real
-    xs = state.grid.x
+    x = np.asarray(x, dtype=float)
     beta = state.beta
     base = (
         beta * state.J * (gamma_term(state.n, x) - 1.0 / (1.0 + x * x))
         + beta * float(np.mean(state.mu))
     )
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(base + np.interp(float(x), xs, conv))
-    return base + np.interp(np.asarray(x, dtype=float), xs, conv)
+    val = base + _ell(state, state.logB(), state.logB_inf, x)
+    return float(val) if val.ndim == 0 else val
 
 
 def free_energy(state):
     """f = -T log Lambda_max(0) per lattice site."""
     return -state.T * log_eigenvalue(state, 0.0)
+
+
+def _tangent_solver(state, tol=1e-12):
+    """Solver of the tangent equations of a converged state.
+
+    The derivative u = d log b / d theta along a direction theta of
+    (beta, mu) solves the NLIE differentiated once,
+
+        u = -(dc + d(beta J) d(x) + K * (W u + s)),      W = b/(1+b),
+
+    with s = 0, and W u + s is the derivative of log B.  A second
+    derivative d2 log b / d theta d phi solves the same equation with
+    s = W(1-W) u_theta u_phi and the drive's second derivative, which is
+    zero along (beta, beta) and (mu_i, mu_j): c is bilinear in (beta, mu)
+    and beta J d(x) linear in beta.  The convolution splits off the
+    asymptote as the NLIE's does, with u_inf from the F x F system
+    (I + K-hat(0) W_inf) u_inf = -(dc + K-hat(0) s_inf).  Every solve
+    takes solve_nlie's preconditioned step, stop rule and default step
+    limit, with one preconditioner shared by all.
+
+    Returns solve(dc=None, dbetaJ=0, pair=None): dc is the derivative of c
+    (F,) and dbetaJ that of beta*J, both zero when left out, and pair =
+    (t_theta, t_phi) two of its first-order results for a second
+    derivative.  solve returns (u, u_inf, l, (iterations, residual,
+    seconds)), where l is _ell of the derivative of log B at x = 0.  It is
+    safe to call from threads."""
+    gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
+    W = np.exp(state.logb - state.logB())
+    W_inf = np.exp(state.logb_inf) / (1.0 + np.exp(state.logb_inf))
+    Ainv = _preconditioner(gsys.Kmat, W_inf)
+    A0 = np.eye(len(W_inf)) + gsys.K0 * W_inf
+
+    def solve(dc=None, dbetaJ=0.0, pair=None):
+        t0 = time.perf_counter()
+        zero = np.zeros(len(W_inf))
+        dc = zero if dc is None else dc
+        s, s_inf = 0.0, zero
+        if pair is not None:
+            (u1, u1_inf, *_), (u2, u2_inf, *_) = pair
+            s = W * (1.0 - W) * u1 * u2
+            s_inf = W_inf * (1.0 - W_inf) * u1_inf * u2_inf
+        u_inf = np.linalg.solve(A0, -(dc + gsys.K0 @ s_inf))
+        g_inf = W_inf * u_inf + s_inf
+        drive = dc[:, None] + dbetaJ * gsys.d_x
+
+        def step(u):
+            return -(drive + _convolve(gsys.Kmat, gsys.K0, W * u + s, g_inf))
+
+        u0 = np.zeros_like(W) + u_inf[:, None]
+        u, it, residual, *_ = _iterate(step, u0, Ainv, u_inf[:, None], 0.0, tol, 2000)
+        ell = float(_ell(state, W * u + s, g_inf))
+        return u, u_inf, ell, (it, residual, time.perf_counter() - t0)
+
+    return solve

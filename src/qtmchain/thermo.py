@@ -1,14 +1,34 @@
-"""Observables from free-energy evaluations: S, C, densities, susceptibilities.
+"""Observables from the free energy and its derivatives: S, C, densities,
+susceptibilities.
 
-Everything is finite differences on top of the integral-equation solver.
-Temperature derivatives act in log T so relative steps are uniform across
-decades; S = -(1/T) f_u and C = -(1/T)(f_uu - f_u) with u = log T.  Species
-densities are n_i = -df/dmu_i and the response matrix chi_ij = dn_j/dmu_i
-= -d2f/dmu_i dmu_j collects the compressibility on the diagonal and minus
-the convertibility off it.  All stencils are five-point (fourth order); the
-mixed second derivatives use the four-corner formula with one Richardson
-level.  Stencil solves share the center solution as a warm start and can
-run concurrently; results are assembled deterministically.
+With beta = 1/T and F = log Lambda(0) = -beta f, where
+
+    F = beta J (G_n(0) - 1) + beta mean(mu) + l(log B),
+    l(g) = Re (d^dagger * g)(0),
+
+the observables are derivatives of F along beta and the mu_i:
+
+    S = F - beta F_beta,   C = beta^2 F_beta,beta,
+    n_i = T F_mu_i,        chi_ij = T F_mu_i,mu_j,
+
+so the densities are n_i = -df/dmu_i and the response matrix
+chi_ij = dn_j/dmu_i = -d2f/dmu_i dmu_j collects the compressibility on the
+diagonal and minus the convertibility off it.  No derivative is a finite
+difference: each comes from the tangent equations of the converged NLIE
+state (solver._tangent_solver).  Along a direction theta the derivative
+u_theta of log b solves the linear equation
+
+    u_theta = -(dc + d(beta J) d(x) + K * (W u_theta)),      W = b/(1+b),
+
+and F_theta = d_theta(beta J (G_n(0) - 1) + beta mean(mu)) + l(W u_theta).
+A second derivative solves the same equation for w_theta,phi with zero
+drive and source s = W(1-W) u_theta u_phi inside the convolution, and
+F_theta,phi = l(W w_theta,phi + s): c is bilinear in (beta, mu) and
+beta J d(x) linear in beta, so no second derivative of the drive or of the
+explicit beta and mu terms enters S, C, n_i or chi.  One point takes one
+nonlinear solve and linear solves: 2 for S and C, n more for the
+densities, and n(n+1)/2 more for chi.  The solves at one level are
+independent and run on up to `workers` threads.
 """
 
 import os
@@ -19,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .solver import default_grid, free_energy, solve_nlie
+from .kernels import kernel_system
+from .solver import _tangent_solver, free_energy, gamma_term, solve_nlie
 
 __all__ = [
     "ThermoPoint",
@@ -27,13 +48,6 @@ __all__ = [
     "sweep",
     "parse_t_range",
 ]
-
-
-def _max_workers():
-    env = os.environ.get("QTM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -55,94 +69,11 @@ class ThermoPoint:
         return out
 
 
-class _FreeEnergyTable:
-    """Memoized f(T, mu) evaluations sharing one warm start.
-
-    solves records (iterations, residual, seconds) for every solve made."""
-
-    def __init__(self, n, J, grid, tol=1e-12):
-        self.n = n
-        self.J = J
-        self.grid = grid
-        self.tol = tol
-        self.warm = None
-        self.cache = {}
-        self.solves = []
-
-    def _solve(self, T, mu):
-        t0 = time.perf_counter()
-        state = solve_nlie(
-            self.n, T, mu=mu, J=self.J, grid=self.grid, tol=self.tol,
-            logb0=self.warm,
-        )
-        record = (state.iterations, state.residual, time.perf_counter() - t0)
-        return state, free_energy(state), record
-
-    def _f(self, T, mu):
-        return self._solve(T, mu)[1:]  # the worker drops the state
-
-    def _add(self, point, f, record):
-        self.cache[point] = f
-        self.solves.append(record)
-
-    def center(self, T, mu):
-        """Solve (T, mu) cold and keep it as the warm start of later solves."""
-        state, f, record = self._solve(T, mu)
-        self._add((T, mu), f, record)
-        self.warm = state.logb
-
-    def request(self, points, workers=None):
-        todo = [p for p in dict.fromkeys(points) if p not in self.cache]
-        if todo:
-            workers = workers or _max_workers()
-            if workers > 1 and len(todo) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for p, r in zip(todo, pool.map(lambda q: self._f(*q), todo)):
-                        self._add(p, *r)
-            else:
-                for p in todo:
-                    self._add(p, *self._f(*p))
-
-    def f(self, T, mu):
-        key = (T, tuple(mu))
-        if key not in self.cache:
-            self.request([key])
-        return self.cache[key]
-
-    def meta(self):
-        """Totals over every solve: count, iterations, worst residual and
-        the slowest solve's wall time."""
-        its, res, secs = zip(*self.solves)
-        return {
-            "solves": len(self.solves),
-            "iterations": int(sum(its)),
-            "residual": float(max(res)),
-            "slowest_solve_s": float(max(secs)),
-        }
-
-    def derivative(self, stencil):
-        """sum_p w_p f(p) / divisor, summed in stencil order."""
-        pairs, divisor = stencil
-        acc = 0.0
-        for p, w in pairs:
-            acc += w * self.f(*p)
-        return acc / divisor
-
-
-# (step multiple, weight) of the five-point fourth-order stencils:
-# 12 h f'(0) and 12 h^2 f''(0)
-_D1 = ((-2, 1), (-1, -8), (1, 8), (2, -1))
-_D2 = ((-2, -1), (-1, 16), (0, -30), (1, 16), (2, -1))
-# ((step i, step j), weight) of the four-corner 4 h^2 d2f/dx_i dx_j
-_CORNERS = (((1, 1), 1), ((-1, -1), 1), ((1, -1), -1), ((-1, 1), -1))
-
-
 def thermo_point(
     n,
     T,
     mu=None,
     J=1.0,
-    fd_steps=None,
     with_chi=True,
     with_densities=True,
     workers=None,
@@ -150,88 +81,79 @@ def thermo_point(
 ):
     """One (T, mu) record of f, S, C, n_i and the response matrix.
 
-    fd_steps: optional (dlogT, dmu_density, dmu_chi).  The chi step is kept
-    larger than the density step so second differencing stays above solver
-    noise.  Every derivative is one stencil, a list of ((T, mu), weight)
-    pairs and a divisor: the same list names the points to solve and sums
-    them.  Stencil failures propagate with the offending location attached.
-    meta totals every solve of the point, the centre's and the stencils':
-    solves, iterations, the worst residual and slowest_solve_s.
+    One nonlinear solve at (T, mu) on the default grid, then the tangent
+    solves of the module docstring, each to the same tol; workers threads
+    (default: one per CPU) share the independent ones.  A failed tangent
+    solve raises ConvergenceError with the location attached.  meta totals
+    every solve of the point, nonlinear and tangent: solves, iterations,
+    the worst residual and slowest_solve_s.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
     if mu is None:
         mu = (0.0,) * n
     mu = tuple(float(v) for v in mu)
-    hu, hd, hx = fd_steps or (1e-3, 1e-4 * max(T, 1.0), 3e-3 * max(T, 1.0))
-    grid = default_grid(T)
+    beta = 1.0 / T
 
-    table = _FreeEnergyTable(n, J, grid, tol=tol)
-    table.center(T, mu)
+    t0 = time.perf_counter()
+    state = solve_nlie(n, T, mu=mu, J=J, tol=tol)
+    records = [(state.iterations, state.residual, time.perf_counter() - t0)]
+    f = free_energy(state)
 
-    def at_T(s):
-        return (T * np.exp(s * hu), mu)
+    c_of = kernel_system(n).constants
+    solve = _tangent_solver(state, tol=tol)
+    dirs = ["beta"]
+    if with_densities or with_chi:
+        dirs += list(range(n))
+    pairs = [("beta", "beta")]
+    if with_chi:
+        pairs += [(i, j) for i in range(n) for j in range(i, n)]
 
-    def at_mu(*steps):
-        m = list(mu)
-        for i, d in steps:
-            m[i] += d
-        return (T, tuple(m))
+    def first(theta):
+        if theta == "beta":
+            return solve(c_of(mu, 1.0), J)
+        return solve(c_of(np.eye(n)[theta], beta))
 
-    fu_st = ([(at_T(s), w) for s, w in _D1], 12 * hu)
-    fuu_st = ([(at_T(s), w) for s, w in _D2], 12 * hu * hu)
-    dens_st = [
-        ([(at_mu((i, s * hd)), w) for s, w in _D1], 12 * hd) for i in range(n)
-    ] if with_densities else []
-    chi_st = [
-        ([(at_mu((i, s * hx)), w) for s, w in _D2], 12 * hx * hx) for i in range(n)
-    ] if with_chi else []
-    # mixed derivatives at steps hx and hx/2, combined by one Richardson level
-    mixed_st = {
-        (i, j, scale): (
-            [(at_mu((i, si * scale * hx), (j, sj * scale * hx)), w)
-             for (si, sj), w in _CORNERS],
-            4 * (scale * hx) ** 2,
-        )
-        for i in range(n) for j in range(i + 1, n) for scale in (1.0, 0.5)
-    } if with_chi else {}
-    stencils = [fu_st, fuu_st, *dens_st, *chi_st, *mixed_st.values()]
     try:
-        table.request([p for pairs, _ in stencils for p, _ in pairs], workers=workers)
+        with ThreadPoolExecutor(max_workers=workers or os.cpu_count()) as pool:
+            t1 = dict(zip(dirs, pool.map(first, dirs)))
+            t2 = dict(zip(pairs, pool.map(
+                lambda p: solve(pair=(t1[p[0]], t1[p[1]])), pairs)))
     except ConvergenceError as err:
         raise ConvergenceError(
-            f"stencil solve failed near T={T}, mu={mu}: {err}",
+            f"tangent solve failed at T={T}, mu={mu}: {err}",
             residual=err.residual,
             iterations=err.iterations,
         ) from err
+    tangents = {**t1, **t2}
+    records += [t[3] for t in tangents.values()]
+    ell = {key: t[2] for key, t in tangents.items()}
 
-    fu = table.derivative(fu_st)
-    fuu = table.derivative(fuu_st)
-    S = -fu / T
-    C = -(fuu - fu) / T
-
+    F_beta = J * (gamma_term(n, 0.0) - 1.0) + float(np.mean(mu)) + ell["beta"]
     dens = None
     if with_densities:
-        dens = np.array([-table.derivative(st) for st in dens_st])
-
+        dens = T * np.array([beta / n + ell[i] for i in range(n)])
     chi = None
     if with_chi:
-        chi = np.diag([-table.derivative(st) for st in chi_st])
-        for i in range(n):
-            for j in range(i + 1, n):
-                d2 = (4 * table.derivative(mixed_st[i, j, 0.5])
-                      - table.derivative(mixed_st[i, j, 1.0])) / 3.0
-                chi[i, j] = chi[j, i] = -d2
+        chi = np.empty((n, n))
+        for i, j in pairs[1:]:
+            chi[i, j] = chi[j, i] = T * ell[i, j]
 
+    its, res, secs = zip(*records)
     return ThermoPoint(
         T=float(T),
         mu=mu,
-        f=table.f(T, mu),
-        S=float(S),
-        C=float(C),
+        f=f,
+        S=float(-beta * f - beta * F_beta),
+        C=float(beta * beta * ell["beta", "beta"]),
         n=dens,
         chi=chi,
-        meta=table.meta(),
+        meta={
+            "solves": len(records),
+            "iterations": int(sum(its)),
+            "residual": float(max(res)),
+            "slowest_solve_s": float(max(secs)),
+        },
     )
 
 

@@ -207,20 +207,8 @@ def test_criterion_07_susceptibility_symmetry():
     )
 
     # temperature derivative of the densities at fixed equal mu
-    from qtmchain.solver import default_grid
-    from qtmchain.thermo import _FreeEnergyTable
-
-    def densities(Tv, dmu=1e-2):
-        tab = _FreeEnergyTable(5, 1.0, default_grid(Tv))
-        out = np.empty(5)
-        for i in range(5):
-            vals = []
-            for s in (-2, -1, 1, 2):
-                mu = [0.0] * 5
-                mu[i] += s * dmu
-                vals.append(tab.f(Tv, tuple(mu)))
-            out[i] = -(vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * dmu)
-        return out
+    def densities(Tv):
+        return thermo_point(5, Tv, with_chi=False).n
 
     dT = 1e-3 * T
     dndT = np.max(np.abs(densities(T + dT) - densities(T - dT)) / (2 * dT))

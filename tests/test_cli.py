@@ -53,6 +53,13 @@ class TestSolve:
     def test_bad_config_exit_code(self, capsys):
         assert run(["solve", "--n", "3", "--temp", "1.0"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--temp", "1", "--points", "1000"],  # not a power of two
+        ["--temp", "-1"],
+    ])
+    def test_domain_error_exit_code(self, args, capsys):
+        assert run(["solve", "--n", "4", *args]) == 2
+
 
 class TestSweep:
     def test_csv_and_determinism(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ the expensive sweeps live in the acceptance suite)."""
 import numpy as np
 import pytest
 
-from qtmchain import thermo_point
+from qtmchain import free_energy, solve_nlie, thermo_point
 from qtmchain.thermo import parse_t_range, sweep
 
 
@@ -27,12 +27,67 @@ class TestThermoPoint:
         assert pt.S > 0
 
     def test_meta_counts_every_solve(self):
-        # the centre plus the four T-stencil points of S and C
+        # the nonlinear solve plus the tangent solves of S and of C
         pt = thermo_point(4, 1.0, with_chi=False, with_densities=False)
-        assert pt.meta["solves"] == 5
+        assert pt.meta["solves"] == 3
         assert pt.meta["iterations"] >= 5
         assert pt.meta["residual"] < 1e-12
         assert pt.meta["slowest_solve_s"] > 0
+
+
+class TestTangentPath:
+    """S, C, n_i and chi from the tangent equations, at n = 4, T = 2 and
+    unequal mu."""
+
+    T = 2.0
+    MU = (0.3, 0.0, 0.0, -0.3)
+
+    @pytest.fixture(scope="class")
+    def point(self):
+        return thermo_point(4, self.T, mu=self.MU, with_chi=True)
+
+    def test_density_sum_rule(self, point):
+        # f(mu + c 1) = f(mu) - c exactly, so sum_i n_i = 1
+        assert abs(point.n.sum() - 1.0) <= 1e-12
+
+    def test_chi_rows_sum_to_zero(self, point):
+        # and every row of chi_ij = dn_j/dmu_i sums to d(sum_j n_j)/dmu_i = 0
+        assert np.max(np.abs(point.chi.sum(axis=1))) <= 1e-12
+
+    def test_against_central_differences(self, point):
+        # Five-point central differences of f = free_energy(solve_nlie(...)),
+        # in u = log T for S = -f_u/T and C = -(f_uu - f_u)/T and in mu_i for
+        # n_i = -f_mu_i, all with step h = 1e-3.  Noise model: every solve
+        # stops at residual tol, which leaves f a noise of about T tol; the
+        # stencil weights sum to 18 in magnitude for a first derivative
+        # (over 12 h) and 64 for a second (over 12 h^2).  So S carries
+        # 18 tol/(12 h), C carries 64 tol/(12 h^2) plus that of S, and n_i
+        # carries 18 T tol/(12 h).  The truncation, of order h^4 times a
+        # fifth derivative, is far below these.
+        tol, h, T, mu = 1e-12, 1e-3, self.T, self.MU
+        d1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+        d2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
+
+        def f(Tv, m=mu):
+            return free_energy(solve_nlie(4, Tv, mu=m, tol=tol))
+
+        fT = {s: f(T * np.exp(s * h)) for s in (-2, -1, 1, 2)}
+        fT[0] = point.f
+        f_u = sum(w * fT[s] for s, w in d1) / (12 * h)
+        f_uu = sum(w * fT[s] for s, w in d2) / (12 * h * h)
+        noise_S = 18 * tol / (12 * h)
+        noise_C = 64 * tol / (12 * h * h) + noise_S
+        assert abs(point.S - (-f_u / T)) <= noise_S
+        assert abs(point.C - (-(f_uu - f_u) / T)) <= noise_C
+
+        for i in range(4):
+            fm = {}
+            for s, _ in d1:
+                m = list(mu)
+                m[i] += s * h
+                fm[s] = f(T, tuple(m))
+            n_i = -sum(w * fm[s] for s, w in d1) / (12 * h)
+            assert abs(point.n[i] - n_i) <= 18 * T * tol / (12 * h)
 
 
 class TestSweep:
