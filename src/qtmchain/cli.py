@@ -256,7 +256,21 @@ def cmd_sweep(args):
         sys.stdout.write(text)
     for T, err in failures:
         print(f"FAILED at T={T}: {err}", file=sys.stderr)
+    print(_sweep_summary(points), file=sys.stderr)
     return 0 if not failures else 1
+
+
+def _sweep_summary(points):
+    """One line totalled from the points' meta: points, solves, iterations,
+    the worst residual and the slowest solve."""
+    metas = [pt.meta for pt in points]
+    worst = max((m["residual"] for m in metas), default=0.0)
+    slowest = max((m["slowest_solve_s"] for m in metas), default=0.0)
+    return (
+        f"sweep: {len(metas)} points, {sum(m['solves'] for m in metas)} solves, "
+        f"{sum(m['iterations'] for m in metas)} iterations, "
+        f"worst residual {worst:.2e}, slowest solve {slowest:.3f} s"
+    )
 
 
 def cmd_oracle(args):

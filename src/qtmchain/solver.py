@@ -1,4 +1,5 @@
-"""Damped fixed-point solver for the nonlinear integral equations.
+"""Preconditioned, Anderson-mixed fixed-point solver for the nonlinear
+integral equations.
 
 The system solved on a uniform grid over [-L, L) is
 
@@ -9,6 +10,11 @@ analytically in Fourier space and the convolution done by FFT after
 splitting off the constant large-x asymptote:
 
     K * log B = K * (log B - log Binf) + K-hat(0) . log Binf.
+
+The iteration (_iterate) preconditions the step of this map with its exact
+linearization at the asymptote, A(k)^-1 = (I + K-hat(k) W)^-1 per Fourier
+mode, and mixes it with the last two steps (Anderson mixing); the tangent
+equations of a converged state take the same iteration.
 
 The FFT product is circular: with the plain samples K-hat(k_m) it would
 convolve with the periodized kernel sum_n K(u + 2nL).  The kernel
@@ -45,8 +51,10 @@ at beta -> 0 this reduces exactly to log sum_j e^{beta mu_j}.
 """
 
 import logging
+import threading
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
@@ -368,6 +376,14 @@ def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10
 
 # ----------------------------------------------------------------------
 
+# Modes per block of the preconditioner's inverse.
+_INVERSE_CHUNK = 256
+# Anderson mixing keeps the last _MIX_DEPTH differences; a scaled Gram
+# eigenvalue below _MIX_RCOND of the largest is dropped.
+_MIX_DEPTH = 2
+_MIX_RCOND = 1e-10
+
+
 def _linearized_start(gsys, grid, betaJ, Ainv):
     """Exact solution of the NLIE linearized around the constant asymptote.
 
@@ -389,39 +405,129 @@ def _preconditioner(Kmat, W):
     W = b/(1+b) at the asymptote lies in (0, 1).  K-hat(-k) = K-hat(k)^T on
     the grid, so A(-k) = W^-1 A(k)^T W and A(-k)^-1[i, j] = A(k)^-1[j, i]
     W_j / W_i.  Only modes 0..M/2 are inverted (the Nyquist mode M/2 has no
-    partner on the grid); modes M/2+1..M-1 are filled from their partners."""
+    partner on the grid), in blocks of _INVERSE_CHUNK modes so that no
+    temporary approaches the size of the result; modes M/2+1..M-1 are
+    filled from their partners in place."""
     half = Kmat.shape[0] // 2
-    A = Kmat[: half + 1] * W + np.eye(len(W))
+    eye = np.eye(len(W))
     Ainv = np.empty_like(Kmat)
-    Ainv[: half + 1] = np.linalg.inv(A)
-    del A
-    Ainv[half + 1:] = np.swapaxes(Ainv[half - 1:0:-1], 1, 2) * (W / W[:, None])
+    for start in range(0, half + 1, _INVERSE_CHUNK):
+        stop = min(start + _INVERSE_CHUNK, half + 1)
+        Ainv[start:stop] = np.linalg.inv(Kmat[start:stop] * W + eye)
+    np.multiply(
+        np.swapaxes(Ainv[half - 1:0:-1], 1, 2), W / W[:, None], out=Ainv[half + 1:]
+    )
     return Ainv
 
 
-def _iterate(step, x, Ainv, reset, theta, tol, max_iter):
-    """Preconditioned Richardson iteration x <- x + (1-theta) A^-1 (step(x) - x).
+# Inside _sharing_preconditioner(), the preconditioner last built on this
+# thread, keyed by (n, grid, asymptote).
+_shared = threading.local()
 
-    Stops once the residual max|step(x) - x| is below tol.  Raises
-    ConvergenceError on NaNs, on running out of max_iter steps, or on
-    sustained residual growth after one automatic restart from reset with
-    theta = 0.5.  Returns (x, iterations, residual, theta, restarts,
-    residual history); the count and history include the steps before a
-    restart."""
+
+@contextmanager
+def _sharing_preconditioner():
+    """Within the block, the _tangent_solver of a state reuses the
+    preconditioner that solve_nlie built for it on this thread, in place of
+    inverting it again: one inverse per thermo point.  The kept array is
+    dropped when the block ends."""
+    _shared.kept = {}
+    try:
+        yield
+    finally:
+        del _shared.kept
+
+
+def _asymptote_preconditioner(gsys, logb_inf):
+    """_preconditioner at W = b/(1+b) of the asymptote logb_inf.  Inside
+    _sharing_preconditioner() the one last built on this thread for the
+    same (n, grid, logb_inf) is reused, and a new one is kept."""
+    kept = getattr(_shared, "kept", None)
+    key = (gsys.n, gsys.grid, logb_inf.tobytes())
+    if kept is not None and key in kept:
+        return kept[key]
+    Ainv = _preconditioner(gsys.Kmat, np.exp(logb_inf) / (1.0 + np.exp(logb_inf)))
+    if kept is not None:
+        kept.clear()
+        kept[key] = Ainv
+    return Ainv
+
+
+def _mixing_coefficients(gram, rhs):
+    """gamma minimizing |r - dR gamma| from the Gram matrix dR^T dR and
+    rhs = dR^T r.  The columns are scaled to unit norm first, and
+    directions whose scaled Gram eigenvalue falls below _MIX_RCOND of the
+    largest (near-parallel differences) are dropped, so that a degenerate
+    history gives a bounded step."""
+    d = np.sqrt(np.diag(gram))
+    d[d == 0] = 1.0
+    gamma = np.linalg.lstsq(gram / np.outer(d, d), rhs / d, rcond=_MIX_RCOND)[0]
+    return gamma / d
+
+
+def _iterate(step, x, Ainv, reset, theta, tol, max_iter):
+    """Anderson-mixed preconditioned iteration for the fixed point x = step(x).
+
+    With the preconditioned residual r = A^-1 (step(x) - x), the mixing
+    weight beta = 1 - theta, and the differences dX, dR of the last
+    _MIX_DEPTH iterates and of their r, each step moves to
+
+        x + beta r - (dX + beta dR) gamma,    gamma = argmin |r - dR gamma|,
+
+    the Anderson update (Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715)
+    of the Richardson step x + beta r; with no history it is that step.
+    The grid vectors are read as real vectors (real and imaginary parts
+    side by side), so gamma is real.  The differences live in a ring of
+    _MIX_DEPTH + 1 slots per kind, updated in place: the newest slot holds
+    the last step and the last r until the next r turns them into
+    differences, and one row of the small Gram matrix dR^T dR is renewed
+    per step.
+
+    x is the complex start and is updated in place; step(x) must return a
+    new array.  Stops once the residual max|step(x) - x| is below tol.
+    Raises ConvergenceError on NaNs, on running out of max_iter steps, or
+    on sustained residual growth after one automatic restart from reset
+    with theta = 0.5, which also clears the history.  Returns (x,
+    iterations, residual, theta, restarts, residual history); the count
+    and history include the steps before a restart."""
+    slots = _MIX_DEPTH + 1
+    dX = np.zeros((slots,) + x.shape, dtype=complex)
+    dR = np.zeros_like(dX)
+    flat_dR = dR.reshape(slots, -1).view(np.float64)
+    gram = np.zeros((slots, slots))
+    newest, depth, pending = 0, 0, False
     residual = np.inf
     history = []
     restarts = 0
     since = 0  # history index at which the current damping took over
     for it in range(1, max_iter + 1):
-        new = step(x)
-        residual = float(np.max(np.abs(new - x)))
-        R = np.fft.fft(new - x, axis=1)
-        x = x + (1.0 - theta) * np.fft.ifft(_modes_matmul(Ainv, R), axis=1)
+        diff = step(x)
+        diff -= x
+        residual = float(np.max(np.abs(diff)))
         history.append(residual)
         if not np.isfinite(residual):
             raise ConvergenceError(
                 "NaN encountered in NLIE iteration", residual=residual, iterations=it
             )
+        # the oldest slot leaves the history and takes this step's r
+        nxt = (newest + 1) % slots
+        r = dR[nxt]
+        r[...] = np.fft.ifft(_modes_matmul(Ainv, np.fft.fft(diff, axis=1)), axis=1)
+        if pending:
+            np.subtract(r, dR[newest], out=dR[newest])
+            gram[newest] = gram[:, newest] = flat_dR @ flat_dR[newest]
+            depth = min(depth + 1, _MIX_DEPTH)
+        beta = 1.0 - theta
+        upd = np.multiply(r, beta, out=dX[nxt])
+        if depth:
+            use = [(newest - i) % slots for i in range(depth)]
+            rhs = (flat_dR @ flat_dR[nxt])[use]
+            gamma = _mixing_coefficients(gram[np.ix_(use, use)], rhs)
+            for g, i in zip(gamma, use):
+                upd -= g * dX[i]
+                upd -= (g * beta) * dR[i]
+        x += upd
+        newest, pending = nxt, True
         if residual < tol:
             return x, it, residual, theta, restarts, history
         if len(history) - since > 12 and all(
@@ -432,7 +538,8 @@ def _iterate(step, x, Ainv, reset, theta, tol, max_iter):
                 theta = 0.5
                 restarts += 1
                 since = len(history)
-                x = np.zeros_like(x) + reset
+                x[...] = reset
+                depth, pending = 0, False
             else:
                 raise ConvergenceError(
                     "NLIE iteration diverging; a larger damping may help",
@@ -480,12 +587,16 @@ def solve_nlie(
     max_iter=2000,
     logb0=None,
 ):
-    """Iterate log b <- (1-theta)[-(c + beta J d) - K*log B] + theta log b.
+    """Solve the NLIE for log b from the linearized start (or logb0).
 
-    Returns a converged NlieState; raises ConvergenceError on NaNs or on
-    sustained residual growth (after one automatic retry with theta = 0.5).
-    iterations and residual_history count every step, those before the
-    retry included, and max_iter bounds their total.
+    The iteration is _iterate on the map log b -> -(c + beta J d) - K*log B:
+    the step of that map, preconditioned by the exact linearization at the
+    asymptote and weighted by 1 - damping, is Anderson-mixed with the last
+    two steps, until max|map(log b) - log b| < tol.  Returns a converged
+    NlieState; raises ConvergenceError on NaNs or on sustained residual
+    growth (after one automatic retry with damping 0.5).  iterations and
+    residual_history count every step, those before the retry included,
+    and max_iter bounds their total.
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
@@ -511,12 +622,10 @@ def solve_nlie(
     c = gsys.sys.constants(mu, beta)
     drive = c[:, None] + beta * J * gsys.d_x
 
-    # Richardson step preconditioned by the exact linearization at the
-    # asymptote: per Fourier mode, apply A^-1 = (I + K-hat W)^-1 to the
-    # update.  Same fixed point and stopping rule as the bare map, far fewer
-    # steps.
+    # the step is preconditioned by the exact linearization at the
+    # asymptote: per Fourier mode, A^-1 = (I + K-hat W)^-1 applied to it
     t_setup = time.perf_counter()
-    Ainv = _preconditioner(gsys.Kmat, np.exp(logb_inf) / (1.0 + np.exp(logb_inf)))
+    Ainv = _asymptote_preconditioner(gsys, logb_inf)
     if logb0 is not None:
         logb = np.array(logb0, dtype=complex)
     else:
@@ -614,8 +723,10 @@ def _tangent_solver(state, tol=1e-12):
     and beta J d(x) linear in beta.  The convolution splits off the
     asymptote as the NLIE's does, with u_inf from the F x F system
     (I + K-hat(0) W_inf) u_inf = -(dc + K-hat(0) s_inf).  Every solve
-    takes solve_nlie's preconditioned step, stop rule and default step
-    limit, with one preconditioner shared by all.
+    takes solve_nlie's iteration (_iterate: the preconditioned, Anderson-
+    mixed step and its stop rule) and default step limit, with one
+    preconditioner shared by all; inside _sharing_preconditioner() it is
+    the one solve_nlie built for state.
 
     Returns solve(dc=None, dbetaJ=0, pair=None): dc is the derivative of c
     (F,) and dbetaJ that of beta*J, both zero when left out, and pair =
@@ -626,7 +737,7 @@ def _tangent_solver(state, tol=1e-12):
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
     W = np.exp(state.logb - state.logB())
     W_inf = np.exp(state.logb_inf) / (1.0 + np.exp(state.logb_inf))
-    Ainv = _preconditioner(gsys.Kmat, W_inf)
+    Ainv = _asymptote_preconditioner(gsys, state.logb_inf)
     A0 = np.eye(len(W_inf)) + gsys.K0 * W_inf
 
     def solve(dc=None, dbetaJ=0.0, pair=None):

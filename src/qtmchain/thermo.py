@@ -27,7 +27,9 @@ F_theta,phi = l(W w_theta,phi + s): c is bilinear in (beta, mu) and
 beta J d(x) linear in beta, so no second derivative of the drive or of the
 explicit beta and mu terms enters S, C, n_i or chi.  One point takes one
 nonlinear solve and linear solves: 2 for S and C, n more for the
-densities, and n(n+1)/2 more for chi.  The solves at one level are
+densities, and n(n+1)/2 more for chi.  All of them take the solver's one
+iteration (solver._iterate, preconditioned and Anderson-mixed) with the
+one preconditioner the nonlinear solve built.  The solves at one level are
 independent and run on up to `workers` threads.
 """
 
@@ -40,7 +42,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .kernels import kernel_system
-from .solver import _tangent_solver, free_energy, gamma_term, solve_nlie
+from .solver import (
+    _sharing_preconditioner,
+    _tangent_solver,
+    free_energy,
+    gamma_term,
+    solve_nlie,
+)
 
 __all__ = [
     "ThermoPoint",
@@ -96,12 +104,13 @@ def thermo_point(
     beta = 1.0 / T
 
     t0 = time.perf_counter()
-    state = solve_nlie(n, T, mu=mu, J=J, tol=tol)
-    records = [(state.iterations, state.residual, time.perf_counter() - t0)]
+    with _sharing_preconditioner():
+        state = solve_nlie(n, T, mu=mu, J=J, tol=tol)
+        records = [(state.iterations, state.residual, time.perf_counter() - t0)]
+        solve = _tangent_solver(state, tol=tol)
     f = free_energy(state)
 
     c_of = kernel_system(n).constants
-    solve = _tangent_solver(state, tol=tol)
     dirs = ["beta"]
     if with_densities or with_chi:
         dirs += list(range(n))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, determinism, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestSweep:
         assert len(lines) == 4
         S = [float(l.split(",")[6]) for l in lines[1:]]
         assert S == sorted(S)
+
+    def test_summary_line(self, capsys):
+        assert run(["sweep", "--n", "4", "--temp", "1:2:2log"]) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        m = re.fullmatch(
+            r"sweep: 2 points, 6 solves, (\d+) iterations, "
+            r"worst residual (\S+), slowest solve (\S+) s",
+            err[-1],
+        )
+        assert m, err
+        assert int(m[1]) >= 6
+        assert 0 < float(m[2]) < 1e-12
+        assert float(m[3]) > 0
 
 
 class TestOracle:

@@ -4,7 +4,7 @@ the expensive sweeps live in the acceptance suite)."""
 import numpy as np
 import pytest
 
-from qtmchain import free_energy, solve_nlie, thermo_point
+from qtmchain import free_energy, solve_nlie, solver, thermo_point
 from qtmchain.thermo import parse_t_range, sweep
 
 
@@ -33,6 +33,25 @@ class TestThermoPoint:
         assert pt.meta["iterations"] >= 5
         assert pt.meta["residual"] < 1e-12
         assert pt.meta["slowest_solve_s"] > 0
+
+    def test_one_preconditioner_per_point(self, monkeypatch):
+        # the tangent solves reuse the centre solve's preconditioner
+        built = []
+        orig = solver._preconditioner
+        monkeypatch.setattr(
+            solver, "_preconditioner", lambda *a: built.append(1) or orig(*a)
+        )
+        thermo_point(4, 1.0, with_chi=False, with_densities=False)
+        assert len(built) == 1
+        solver._tangent_solver(solve_nlie(4, 1.0))  # outside a point: no sharing
+        assert len(built) == 3
+
+    def test_low_temperature_iteration_budget(self):
+        # Anderson mixing: 93 iterations over the three solves, where the
+        # unmixed preconditioned update took 183 (69 + 64 + 50)
+        pt = thermo_point(5, 0.05, with_chi=False, with_densities=False)
+        assert pt.meta["solves"] == 3
+        assert pt.meta["iterations"] <= 110
 
 
 class TestTangentPath:
