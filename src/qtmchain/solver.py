@@ -34,9 +34,25 @@ asymptote of a convolution is K-hat(0) times the asymptote of the input,
 (K * g)(x) = (1/2pi) int e^{ikx} K-hat(k) g-hat(k) dk, and the
 position-space driving is d(x) = int e^{ikx} d-hat(k) dk, with no 1/2pi.
 
-Per Fourier mode the kernel matrices are real; they are stored mode-major,
-(M, F, F), and applied to complex grid vectors by one real batched matmul
-(_modes_matmul).
+Half space.  The kernel matrices and the driving are real per Fourier
+mode, so the solution keeps the symmetry log b(-x) = conj(log b(x)) for
+any real mu, and every grid spectrum is real.  The solver therefore works
+on the M/2+1 points x_j = -L + j dx, j = 0..M/2 (x <= 0), and reads the
+rest of the grid as g_{M-j} = conj(g_j); the iteration, its residual and
+its Anderson history all live on that half.  The forward transform
+np.fft.hfft(g, n=M) gives the real spectrum on all M modes (the imaginary
+parts of g at x = -L and x = 0, which the symmetry makes zero, are not
+read), and np.fft.ihfft brings a real spectrum back to the half.  Every
+kernel table is kept for the modes m = 0..M/2 only, mode-major
+(M/2+1, F, F): K-hat(-k) = K-hat(k)^T, so a mode m > M/2 applies the
+transpose of mode M-m (_contract).  The Nyquist mode M/2 has no partner
+on the grid and is not its own transpose (entries that tend to 2 theta(k)
+read 0 at k = -pi/dx against 2 at +pi/dx), so it is stored as sampled, at
+k = -pi/dx, and never mirrored.  The state is expanded to the full grid
+once, when a solve ends (NlieState.logb stays (F, M)).  The public
+convolve_with_asymptote takes any input: it splits log B into its two
+conjugate-symmetric parts, log B = P + iQ with P and Q each satisfying
+the symmetry, and sends both through the solver's one convolution routine.
 
 The largest quantum-transfer-matrix eigenvalue in the infinite-Trotter
 limit is reconstructed as
@@ -56,7 +72,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 import numpy as np
@@ -181,24 +197,28 @@ class _GridSystem:
         self.grid = grid
         sys = kernel_system(n)
         self.sys = sys
-        k = grid.k
+        M = grid.points
+        k = grid.k[: M // 2 + 1]  # modes 0..M/2, the Nyquist one at -pi/dx
         # matrix() fills a mode-major buffer; this is that buffer, not a copy
         self.Kmat = _remove_images(
             np.ascontiguousarray(sys.matrix(k).transpose(2, 0, 1)), grid
-        )  # (M, F, F)
+        )  # (M/2+1, F, F)
         self.K0 = sys.matrix0()
-        self.dhat = sys.driving_hat(k)  # (F, M)
-        # d-hat is analytic at k = 0 (a ratio of sinh), so its fitted jumps
-        # are fit noise and move f by under 1e-13; it takes the same path
-        self.dhat_neg = _remove_images(
-            np.ascontiguousarray(sys.driving_hat(-k).T)[:, None, :], grid
-        )  # (M, 1, F)
+        # the row d-hat(-k) of _ell for the modes 0..M/2, and for the modes
+        # M-m the column d-hat(k_m) whose transpose is their row; d-hat is
+        # analytic at k = 0 (a ratio of sinh), so its fitted jumps are fit
+        # noise and move f by under 1e-13; it takes the same path
+        self.dhat_neg = np.ascontiguousarray(sys.driving_hat(-k).T)[:, None, :]
+        self.dhat_pos = np.ascontiguousarray(sys.driving_hat(k).T)[:, :, None]
+        _remove_images(self.dhat_neg, grid, self.dhat_pos)
         self.d0 = sys.driving0()
-        # position-space driving d(x) = int e^{ikx} d-hat(k) dk; unlike the
-        # convolutions this inverse transform carries no 1/2pi (pinned by the
-        # exact high-temperature slope f + T log n -> J/n)
-        phase = np.exp(-1j * k * grid.half_width)
-        self.d_x = 2.0 * np.pi * np.fft.ifft(self.dhat * phase, axis=1) / grid.dx
+        # position-space driving d(x) = int e^{ikx} d-hat(k) dk on the half;
+        # unlike the convolutions this inverse transform carries no 1/2pi
+        # (pinned by the exact high-temperature slope f + T log n -> J/n),
+        # and e^{-ik_m L} = (-1)^m keeps the spectrum real
+        phase = (-1.0) ** np.arange(M)
+        dhat = sys.driving_hat(grid.k)
+        self.d_x = 2.0 * np.pi * np.fft.ihfft(dhat * phase, axis=1) / grid.dx
 
 
 @lru_cache(maxsize=8)
@@ -249,10 +269,13 @@ def _image_basis(points, half_width):
     return basis, fit
 
 
-def _remove_images(khat, grid):
-    """Correct Fourier kernel samples, in place, for the periodic images.
+def _remove_images(khat, grid, neg=None):
+    """Correct a half kernel table, in place, for the periodic images.
 
-    khat: C-contiguous, mode-major (M, ...), sampled at grid.k.  The
+    khat: C-contiguous (M/2+1, R, F), the samples at the modes 0..M/2 of
+    grid.k; the modes M-m take neg[m]^T, with neg (M/2+1, F, R) as in
+    _contract (default khat itself: K-hat(-k) = K-hat(k)^T, whose
+    correction keeps that symmetry, so only khat is corrected).  The
     circular FFT convolution with khat uses the kernel sum_n K(u + 2nL) on
     the lags u in [-L, L); subtracting the transform of the image sum
     R(u) = sum_{n != 0} K(u + 2nL) leaves K itself, so _convolve computes
@@ -267,33 +290,60 @@ def _remove_images(khat, grid):
     L = 40 and 4.9e-12 at L = 100 (the images were 3.4e-4 and 5.4e-5).
     The error left is the truncated tail, 1/X^5 and beyond, and it grows
     as the window shrinks (up to 5.6e-5 at L = 10 on the entries tried).
-    Returns khat."""
-    M = khat.shape[0]
+    The samples at k = -t dk are read from neg[t]^T.  Returns khat."""
+    M = grid.points
     if M < 2 * _FIT_SAMPLES:
         raise DomainError(
             f"the image correction needs at least {2 * _FIT_SAMPLES} grid points"
         )
     basis, fit = _image_basis(M, grid.half_width)
-    flat = khat.reshape(M, -1)
+    half, R, F = khat.shape
+    flat = khat.reshape(half, -1)
     N = _FIT_SAMPLES
-    samples = np.concatenate([flat[:N], flat[:1], flat[: M - N: -1]])
+    mirrored = (khat if neg is None else neg)[1:N].swapaxes(1, 2).reshape(N - 1, -1)
+    samples = np.concatenate([flat[:N], flat[:1], mirrored])
     jumps = fit @ samples  # (P, entries)
     chunk = 256
-    for start in range(0, M, chunk):
-        flat[start: start + chunk] -= basis[start: start + chunk] @ jumps
+    for start in range(0, half, chunk):
+        stop = min(start + chunk, half)
+        flat[start:stop] -= basis[start:stop] @ jumps
+    if neg is not None:
+        # mode M-m, m = 1..M/2-1, holds neg[m]^T
+        corr = (basis[M - 1: M // 2: -1] @ jumps).reshape(-1, R, F)
+        neg[1: M // 2] -= corr.swapaxes(1, 2)
     return khat
 
 
-def _modes_matmul(mats, vec):
-    """Per-mode product out[r, m] = sum_f mats[m, r, f] vec[f, m].
+# Modes per block of _contract: a block of an n = 5 table (30 x 30) is
+# 0.9 MB, so it is still in cache when the mirrored modes read it.
+_CONTRACT_BLOCK = 128
 
-    mats: real (M, R, F); vec: complex (F, M).  The real and imaginary
-    parts ride along as a trailing axis of length 2, so the whole product
-    is one real batched matmul.  Returns (R, M) complex."""
-    F, M = vec.shape
-    pairs = np.ascontiguousarray(vec.T, dtype=complex).view(np.float64)
-    prod = np.matmul(mats, pairs.reshape(M, F, 2))  # (M, R, 2)
-    return prod.view(complex)[:, :, 0].T
+
+def _contract(table, ghat, neg=None):
+    """Per-mode product out[:, m] = T(k_m) ghat[:, m] of a half table with a
+    real spectrum, on all M modes.
+
+    table: real (M/2+1, R, F), T(k_m) for the modes m = 0..M/2; a mode
+    M-m, m = 1..M/2-1, applies neg[m]^T, where neg (M/2+1, F, R) defaults
+    to table (a table with T(-k) = T(k)^T).  ghat: real (F, M).  The table
+    is read in blocks of _CONTRACT_BLOCK modes, each serving both signs of
+    k, by real batched matmuls.  Returns real (R, M)."""
+    half, R, F = table.shape
+    neg = table if neg is None else neg
+    M = ghat.shape[1]
+    out = np.empty((M, R))
+    plus = np.ascontiguousarray(ghat[:, :half].T)[:, :, None]  # (M/2+1, F, 1)
+    minus = np.ascontiguousarray(ghat[:, : M // 2: -1].T)[:, None, :]  # mode M-m at m-1
+    out_plus = out[:half, :, None]
+    out_minus = np.empty((half - 2, 1, R))
+    for start in range(0, half, _CONTRACT_BLOCK):
+        stop = min(start + _CONTRACT_BLOCK, half)
+        np.matmul(table[start:stop], plus[start:stop], out=out_plus[start:stop])
+        lo, hi = max(start, 1), min(stop, half - 1)
+        if lo < hi:
+            np.matmul(minus[lo - 1: hi - 1], neg[lo:hi], out=out_minus[lo - 1: hi - 1])
+    out[: M // 2: -1] = out_minus[:, 0]
+    return out.T
 
 
 def _log1p_exp(z):
@@ -323,25 +373,32 @@ def _log1p_exp(z):
     return out
 
 
-def _convolve(khat, khat0, logB, logB_inf):
-    """(K * log B)(x) for kernel rows khat (M, R, F) with zero mode khat0 (R, F).
+def _convolve(khat, khat0, g, g_inf, neg=None):
+    """(K * g)(x) on the half space for the half table khat (M/2+1, R, F),
+    with its modes M-m from neg as in _contract, and zero mode khat0 (R, F).
 
-    The decaying part log B - log Binf is convolved by FFT, contracting per
-    Fourier mode; the constant asymptote contributes khat0 . log Binf.
-    Every mode is used as is, which needs no kernel entry to grow in |k|
-    (KernelSystem.max_growth): a growing one would amplify the roundoff of
-    the high modes.  Returns (R, M)."""
-    ghat = np.fft.fft(logB - logB_inf[:, None], axis=1)
-    prod = _modes_matmul(khat, ghat)
-    return np.fft.ifft(prod, axis=1) + (khat0 @ logB_inf)[:, None]
+    g: (F, M/2+1) half-space samples with asymptote g_inf (F,).  The
+    decaying part g - g_inf is convolved through its real spectrum,
+    contracting per Fourier mode; the constant asymptote contributes
+    khat0 . g_inf.  Every mode is used as is, which needs no kernel entry
+    to grow in |k| (KernelSystem.max_growth): a growing one would amplify
+    the roundoff of the high modes.  Returns (R, M/2+1)."""
+    M = 2 * (g.shape[1] - 1)
+    ghat = np.fft.hfft(g - g_inf[:, None], n=M, axis=1)
+    return np.fft.ihfft(_contract(khat, ghat, neg), axis=1) + (khat0 @ g_inf)[:, None]
 
 
-def _edge_tail(logB, logB_inf):
-    """Largest |log B - log Binf| over the outer 1/64 of the window at
-    either edge: how far the decaying part is from its asymptote there."""
-    g = logB - logB_inf[:, None]
-    edge = max(1, g.shape[1] // 64)
-    return float(max(np.max(np.abs(g[:, :edge])), np.max(np.abs(g[:, -edge:]))))
+def _expand(g):
+    """The full grid (F, M) of half-space samples g: g_{M-j} = conj(g_j)."""
+    return np.concatenate([g, np.conj(g[:, -2:0:-1])], axis=1)
+
+
+def _edge_tail(g):
+    """Largest |g| within M/64 points of the window edge, for the decaying
+    part g (F, M/2+1) on the half space: how far it is from its asymptote
+    there.  The points near x = -L stand for their mirror images near +L."""
+    edge = max(1, (g.shape[1] - 1) // 32)
+    return float(np.max(np.abs(g[:, : edge + 1])))
 
 
 def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10):
@@ -353,25 +410,37 @@ def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10
     GridTooSmallError when the decaying part has not reached its asymptote
     at the window edge.
 
-    The decaying part is convolved with K over the window, with K's
-    periodic images removed (_remove_images, the path the solver takes):
-    the tail is corrected through X^-4 with coefficients fitted to the
-    samples at k = 0, and a Gaussian input matches quadrature of the
+    log B need not have the solver's symmetry: it is split as
+    log B = P + iQ, P = (log B + conj log B(-x))/2 and
+    Q = (log B - conj log B(-x))/2i, both conjugate-symmetric, and each
+    part takes the solver's convolution (_convolve) with the row's half
+    table.  The decaying part is convolved with K over the window, with
+    K's periodic images removed (_remove_images, the path the solver
+    takes): the tail is corrected through X^-4 with coefficients fitted to
+    the samples at k = 0, and a Gaussian input matches quadrature of the
     real-line integral to 1.1e-10 at L = 40 for kernel_system(4) entry
     [0, 1] (2e-9 over all entries).  The asymptote takes the k = 0
-    sample.
+    sample.  Returns (M,) complex.
     """
     if np.iscomplexobj(kernel_row_hat):
         raise DomainError("kernel rows are real in Fourier space")
     kernel_row_hat = np.atleast_2d(np.asarray(kernel_row_hat, dtype=float))
     logB = np.atleast_2d(logB)
     logB_inf = np.atleast_1d(logB_inf)
-    tail = _edge_tail(logB, logB_inf)
+    M = grid.points
+    mirror = -np.arange(M // 2 + 1) % M  # the point -x_j of each x_j <= 0
+    g = np.abs(logB - logB_inf[:, None])
+    tail = _edge_tail(np.maximum(g[:, : M // 2 + 1], g[:, mirror]))
     if tail > tail_tol:
         raise GridTooSmallError(tail, tail_tol)
-    k0 = kernel_row_hat[:, 0]  # k-grid starts at k = 0
-    khat = _remove_images(kernel_row_hat.T.copy()[:, None, :], grid)
-    return _convolve(khat, k0[None], logB, logB_inf)[0]
+    k0 = kernel_row_hat[:, :1].T  # k-grid starts at k = 0
+    row = np.ascontiguousarray(kernel_row_hat[:, : M // 2 + 1].T)[:, None, :]
+    neg = np.ascontiguousarray(kernel_row_hat[:, mirror].T)[:, :, None]
+    _remove_images(row, grid, neg)
+    left, flip = logB[:, : M // 2 + 1], np.conj(logB[:, mirror])
+    P = _convolve(row, k0, (left + flip) / 2, logB_inf.real, neg)
+    Q = _convolve(row, k0, (left - flip) / 2j, logB_inf.imag, neg)
+    return (_expand(P) + 1j * _expand(Q))[0]
 
 
 # ----------------------------------------------------------------------
@@ -384,40 +453,34 @@ _MIX_DEPTH = 2
 _MIX_RCOND = 1e-10
 
 
-def _linearized_start(gsys, grid, betaJ, Ainv):
-    """Exact solution of the NLIE linearized around the constant asymptote.
-
-    With log b = log binf + u and log B ~ log Binf + W u, W = b/(1+b) at
-    the asymptote, the linear system u = -betaJ*d - K*(W u) solves per
-    Fourier mode as u-hat = -betaJ (I + K-hat W)^-1 D-hat, given as Ainv
-    (shape (M, F, F)).  Used as the iteration start; exact up to
-    O((betaJ u)^2)."""
-    # plain-transform driving: position d(x) = int e^{ikx} d-hat dk
-    Dhat = 2.0 * np.pi * gsys.dhat  # (F, M)
-    uhat = -betaJ * _modes_matmul(Ainv, Dhat)
-    phase = np.exp(-1j * grid.k * grid.half_width)
-    return np.fft.ifft(uhat * phase, axis=1) / grid.dx
-
-
 def _preconditioner(Kmat, W):
-    """A(k)^-1 = (I + K-hat(k) diag(W))^-1 for every mode k, as (M, F, F).
+    """The half table P(k) = W A(k)^-1 of the modes 0..M/2 (the shape of
+    Kmat), where A(k) = I + K-hat(k) diag(W) is the map's linearization at
+    the asymptote and W = b/(1+b) there lies in (0, 1).
 
-    W = b/(1+b) at the asymptote lies in (0, 1).  K-hat(-k) = K-hat(k)^T on
-    the grid, so A(-k) = W^-1 A(k)^T W and A(-k)^-1[i, j] = A(k)^-1[j, i]
-    W_j / W_i.  Only modes 0..M/2 are inverted (the Nyquist mode M/2 has no
-    partner on the grid), in blocks of _INVERSE_CHUNK modes so that no
-    temporary approaches the size of the result; modes M/2+1..M-1 are
-    filled from their partners in place."""
-    half = Kmat.shape[0] // 2
+    P(k) = (W^-1 + K-hat(k))^-1, so K-hat(-k) = K-hat(k)^T gives
+    P(-k) = P(k)^T: _contract applies P on every mode, and W^-1 P gives
+    A(k)^-1 on the modes 0..M/2 and A(-k)^-1 = W^-1 (A(k)^-1)^T W on
+    their partners (_precondition); the mirror needs no table of its own.
+    The Nyquist mode is inverted as sampled.  A is inverted in blocks of
+    _INVERSE_CHUNK modes, so that no temporary approaches the size of the
+    result, and its rows are scaled by W in place."""
     eye = np.eye(len(W))
-    Ainv = np.empty_like(Kmat)
-    for start in range(0, half + 1, _INVERSE_CHUNK):
-        stop = min(start + _INVERSE_CHUNK, half + 1)
-        Ainv[start:stop] = np.linalg.inv(Kmat[start:stop] * W + eye)
-    np.multiply(
-        np.swapaxes(Ainv[half - 1:0:-1], 1, 2), W / W[:, None], out=Ainv[half + 1:]
-    )
-    return Ainv
+    P = np.empty_like(Kmat)
+    for start in range(0, len(Kmat), _INVERSE_CHUNK):
+        block = P[start: start + _INVERSE_CHUNK]
+        block[...] = np.linalg.inv(Kmat[start: start + _INVERSE_CHUNK] * W + eye)
+        block *= W[:, None]
+    return P
+
+
+def _precondition(P, W, v):
+    """A^-1 v for a half-space grid vector v (F, M/2+1), mode by mode:
+    W^-1 (P * v) with the table P of _preconditioner."""
+    M = 2 * (v.shape[1] - 1)
+    out = np.fft.ihfft(_contract(P, np.fft.hfft(v, n=M, axis=1)), axis=1)
+    out /= W[:, None]
+    return out
 
 
 # Inside _sharing_preconditioner(), the preconditioner last built on this
@@ -429,7 +492,7 @@ _shared = threading.local()
 def _sharing_preconditioner():
     """Within the block, the _tangent_solver of a state reuses the
     preconditioner that solve_nlie built for it on this thread, in place of
-    inverting it again: one inverse per thermo point.  The kept array is
+    inverting it again: one inverse per thermo point.  The kept map is
     dropped when the block ends."""
     _shared.kept = {}
     try:
@@ -439,18 +502,20 @@ def _sharing_preconditioner():
 
 
 def _asymptote_preconditioner(gsys, logb_inf):
-    """_preconditioner at W = b/(1+b) of the asymptote logb_inf.  Inside
-    _sharing_preconditioner() the one last built on this thread for the
-    same (n, grid, logb_inf) is reused, and a new one is kept."""
+    """The preconditioning map v -> A^-1 v (_precondition) at W = b/(1+b)
+    of the asymptote logb_inf.  Inside _sharing_preconditioner() the one
+    last built on this thread for the same (n, grid, logb_inf) is reused,
+    and a new one is kept."""
     kept = getattr(_shared, "kept", None)
     key = (gsys.n, gsys.grid, logb_inf.tobytes())
     if kept is not None and key in kept:
         return kept[key]
-    Ainv = _preconditioner(gsys.Kmat, np.exp(logb_inf) / (1.0 + np.exp(logb_inf)))
+    W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
+    precondition = partial(_precondition, _preconditioner(gsys.Kmat, W), W)
     if kept is not None:
         kept.clear()
-        kept[key] = Ainv
-    return Ainv
+        kept[key] = precondition
+    return precondition
 
 
 def _mixing_coefficients(gram, rhs):
@@ -465,23 +530,23 @@ def _mixing_coefficients(gram, rhs):
     return gamma / d
 
 
-def _iterate(step, x, Ainv, reset, theta, tol, max_iter):
+def _iterate(step, x, precondition, reset, theta, tol, max_iter):
     """Anderson-mixed preconditioned iteration for the fixed point x = step(x).
 
-    With the preconditioned residual r = A^-1 (step(x) - x), the mixing
-    weight beta = 1 - theta, and the differences dX, dR of the last
+    With the preconditioned residual r = precondition(step(x) - x), the
+    mixing weight beta = 1 - theta, and the differences dX, dR of the last
     _MIX_DEPTH iterates and of their r, each step moves to
 
         x + beta r - (dX + beta dR) gamma,    gamma = argmin |r - dR gamma|,
 
     the Anderson update (Walker & Ni, SIAM J. Numer. Anal. 49 (2011) 1715)
     of the Richardson step x + beta r; with no history it is that step.
-    The grid vectors are read as real vectors (real and imaginary parts
-    side by side), so gamma is real.  The differences live in a ring of
-    _MIX_DEPTH + 1 slots per kind, updated in place: the newest slot holds
-    the last step and the last r until the next r turns them into
-    differences, and one row of the small Gram matrix dR^T dR is renewed
-    per step.
+    The grid vectors (for the solver, the half space) are read as real
+    vectors (real and imaginary parts side by side), so gamma is real.
+    The differences live in a ring of _MIX_DEPTH + 1 slots per kind,
+    updated in place: the newest slot holds the last step and the last r
+    until the next r turns them into differences, and one row of the small
+    Gram matrix dR^T dR is renewed per step.
 
     x is the complex start and is updated in place; step(x) must return a
     new array.  Stops once the residual max|step(x) - x| is below tol.
@@ -512,7 +577,7 @@ def _iterate(step, x, Ainv, reset, theta, tol, max_iter):
         # the oldest slot leaves the history and takes this step's r
         nxt = (newest + 1) % slots
         r = dR[nxt]
-        r[...] = np.fft.ifft(_modes_matmul(Ainv, np.fft.fft(diff, axis=1)), axis=1)
+        r[...] = precondition(diff)
         if pending:
             np.subtract(r, dR[newest], out=dR[newest])
             gram[newest] = gram[:, newest] = flat_dR @ flat_dR[newest]
@@ -625,22 +690,26 @@ def solve_nlie(
     # the step is preconditioned by the exact linearization at the
     # asymptote: per Fourier mode, A^-1 = (I + K-hat W)^-1 applied to it
     t_setup = time.perf_counter()
-    Ainv = _asymptote_preconditioner(gsys, logb_inf)
+    precondition = _asymptote_preconditioner(gsys, logb_inf)
     if logb0 is not None:
-        logb = np.array(logb0, dtype=complex)
+        # the half x <= 0; the symmetry makes log b real at x = -L and 0
+        logb = np.array(np.asarray(logb0)[:, : grid.points // 2 + 1], dtype=complex)
+        logb.imag[:, [0, -1]] = 0.0
     else:
-        logb = logb_inf[:, None] + _linearized_start(gsys, grid, beta * J, Ainv)
+        # the NLIE linearized at the asymptote, log b = log binf + u and
+        # log B ~ log Binf + W u, solves exactly as u = -beta J A^-1 d
+        logb = logb_inf[:, None] - beta * J * precondition(gsys.d_x)
     t_iterate = time.perf_counter()
 
     def step(logb):
         return -(drive + _convolve(gsys.Kmat, gsys.K0, _log1p_exp(logb), logB_inf))
 
     logb, it, residual, theta, restarts, history = _iterate(
-        step, logb, Ainv, logb_inf[:, None], damping, tol, max_iter
+        step, logb, precondition, logb_inf[:, None], damping, tol, max_iter
     )
 
     t_done = time.perf_counter()
-    tail = _edge_tail(_log1p_exp(logb), logB_inf)
+    tail = _edge_tail(_log1p_exp(logb) - logB_inf[:, None])
     if tail > 1e-6:
         warnings.warn(
             f"asymptote tail {tail:.2e} at the window edge; widen the grid",
@@ -653,7 +722,7 @@ def solve_nlie(
         mu=mu,
         J=float(J),
         grid=grid,
-        logb=logb,
+        logb=_expand(logb),
         logb_inf=logb_inf,
         logB_inf=logB_inf,
         iterations=it,
@@ -683,12 +752,14 @@ def gamma_term(n, x):
 
 
 def _ell(state, g, g_inf, x=0.0):
-    """Re (d^dagger * g)(x) for g on the grid of state, with asymptote g_inf:
-    the functional that carries log Lambda (g = log B) and, through the
-    derivatives of log B, its derivatives."""
+    """Re (d^dagger * g)(x) for g on the half space of the grid of state,
+    with asymptote g_inf: the functional that carries log Lambda
+    (g = log B) and, through the derivatives of log B, its derivatives.
+    The convolution keeps the symmetry, so its real part is even in x and
+    is read at -|x|."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
-    conv = _convolve(gsys.dhat_neg, gsys.d0[None], g, g_inf)[0].real
-    return np.interp(x, state.grid.x, conv)
+    conv = _convolve(gsys.dhat_neg, gsys.d0[None], g, g_inf, gsys.dhat_pos)[0].real
+    return np.interp(-np.abs(x), state.grid.x[: len(conv)], conv)
 
 
 def log_eigenvalue(state, x=0.0):
@@ -699,7 +770,8 @@ def log_eigenvalue(state, x=0.0):
         beta * state.J * (gamma_term(state.n, x) - 1.0 / (1.0 + x * x))
         + beta * float(np.mean(state.mu))
     )
-    val = base + _ell(state, state.logB(), state.logB_inf, x)
+    logb = state.logb[:, : state.grid.points // 2 + 1]
+    val = base + _ell(state, _log1p_exp(logb), state.logB_inf, x)
     return float(val) if val.ndim == 0 else val
 
 
@@ -726,18 +798,21 @@ def _tangent_solver(state, tol=1e-12):
     takes solve_nlie's iteration (_iterate: the preconditioned, Anderson-
     mixed step and its stop rule) and default step limit, with one
     preconditioner shared by all; inside _sharing_preconditioner() it is
-    the one solve_nlie built for state.
+    the one solve_nlie built for state.  Like the NLIE, the solves run on
+    the half space x <= 0: W, the drives and s keep the symmetry, and so
+    do u_theta and every second derivative.
 
     Returns solve(dc=None, dbetaJ=0, pair=None): dc is the derivative of c
     (F,) and dbetaJ that of beta*J, both zero when left out, and pair =
     (t_theta, t_phi) two of its first-order results for a second
     derivative.  solve returns (u, u_inf, l, (iterations, residual,
-    seconds)), where l is _ell of the derivative of log B at x = 0.  It is
-    safe to call from threads."""
+    seconds)), where u (F, M/2+1) is on the half space and l is _ell of
+    the derivative of log B at x = 0.  It is safe to call from threads."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
-    W = np.exp(state.logb - state.logB())
+    logb = state.logb[:, : state.grid.points // 2 + 1]
+    W = np.exp(logb - _log1p_exp(logb))
     W_inf = np.exp(state.logb_inf) / (1.0 + np.exp(state.logb_inf))
-    Ainv = _asymptote_preconditioner(gsys, state.logb_inf)
+    precondition = _asymptote_preconditioner(gsys, state.logb_inf)
     A0 = np.eye(len(W_inf)) + gsys.K0 * W_inf
 
     def solve(dc=None, dbetaJ=0.0, pair=None):
@@ -757,7 +832,9 @@ def _tangent_solver(state, tol=1e-12):
             return -(drive + _convolve(gsys.Kmat, gsys.K0, W * u + s, g_inf))
 
         u0 = np.zeros_like(W) + u_inf[:, None]
-        u, it, residual, *_ = _iterate(step, u0, Ainv, u_inf[:, None], 0.0, tol, 2000)
+        u, it, residual, *_ = _iterate(
+            step, u0, precondition, u_inf[:, None], 0.0, tol, 2000
+        )
         ell = float(_ell(state, W * u + s, g_inf))
         return u, u_inf, ell, (it, residual, time.perf_counter() - t0)
 

@@ -29,7 +29,9 @@ explicit beta and mu terms enters S, C, n_i or chi.  One point takes one
 nonlinear solve and linear solves: 2 for S and C, n more for the
 densities, and n(n+1)/2 more for chi.  All of them take the solver's one
 iteration (solver._iterate, preconditioned and Anderson-mixed) with the
-one preconditioner the nonlinear solve built.  The solves at one level are
+one preconditioner the nonlinear solve built, and like it they run on the
+half space x <= 0: W, every drive and every source keep the symmetry
+u(-x) = conj(u(x)) of the converged state.  The solves at one level are
 independent and run on up to `workers` threads.
 """
 
@@ -94,7 +96,8 @@ def thermo_point(
     (default: one per CPU) share the independent ones.  A failed tangent
     solve raises ConvergenceError with the location attached.  meta totals
     every solve of the point, nonlinear and tangent: solves, iterations,
-    the worst residual and slowest_solve_s.
+    the worst residual and slowest_solve_s; edge_tail is the nonlinear
+    solve's |log B - log Binf| at the window edge (its diagnostics).
     """
     if T <= 0:
         raise DomainError("temperature must be positive")
@@ -162,6 +165,7 @@ def thermo_point(
             "iterations": int(sum(its)),
             "residual": float(max(res)),
             "slowest_solve_s": float(max(secs)),
+            "edge_tail": float(state.diagnostics["edge_tail"]),
         },
     )
 

@@ -80,13 +80,14 @@ class TestSweep:
         err = capsys.readouterr().err.strip().split("\n")
         m = re.fullmatch(
             r"sweep: 2 points, 6 solves, (\d+) iterations, "
-            r"worst residual (\S+), slowest solve (\S+) s",
+            r"worst residual (\S+), slowest solve (\S+) s, worst edge tail (\S+)",
             err[-1],
         )
         assert m, err
         assert int(m[1]) >= 6
         assert 0 < float(m[2]) < 1e-12
         assert float(m[3]) > 0
+        assert 0 < float(m[4]) < 1e-6  # 1.8e-7 at T = 1, L = 100
 
 
 class TestOracle:

@@ -21,11 +21,12 @@ from qtmchain import (
 from qtmchain.errors import DomainError
 from qtmchain.kernels import kernel_entry_value
 from qtmchain.solver import (
+    _contract,
     _grid_system,
     _iterate,
     _log1p_exp,
-    _modes_matmul,
     _preconditioner,
+    _remove_images,
 )
 
 EPS = np.finfo(float).eps
@@ -107,23 +108,35 @@ class TestConvolution:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_reproduces_solver_fixed_point(self, n):
-        # the public convolution, row by row, against the solver's own
-        # iteration: log b = -(c + beta J d + K * log B) at convergence, to
-        # the stop rule's tolerance (measured 2.3e-13 for n = 4, 7.9e-14 for 5)
-        T, tol = 1.0, 1e-12
-        state = solve_nlie(n, T=T, tol=tol)
-        grid = state.grid
-        gsys = _grid_system(n, grid.half_width, grid.points)
-        logB = state.logB()
-        drive = gsys.sys.constants(state.mu, 1.0 / T)[:, None] + gsys.d_x / T
-        K = kernel_system(n).matrix(grid.k)
-        worst = 0.0
-        for I in range(gsys.sys.dim):
-            conv = convolve_with_asymptote(
-                K[I], logB, state.logB_inf, grid, tail_tol=1e-6
-            )
-            worst = max(worst, np.max(np.abs(state.logb[I] + drive[I] + conv)))
-        assert worst <= tol
+        # the public convolution, row by row on the full grid, against the
+        # solver's own half-space iteration: the expanded state satisfies
+        # log b = -(c + beta J d + K * log B) at convergence, to the stop
+        # rule's tolerance, at mu = 0 and at unequal mu (measured 7.8e-14,
+        # 4.4e-14 for n = 4 and 5.0e-14, 5.1e-14 for n = 5)
+        mu_cases = {
+            4: [(1.0, None), (2.0, (0.3, 0.0, 0.0, -0.3))],
+            5: [(1.0, None), (1.0, (0.1, 0.05, 0.0, -0.02, -0.13))],
+        }
+        tol = 1e-12
+        K = None
+        for T, mu in mu_cases[n]:
+            state = solve_nlie(n, T=T, mu=mu, tol=tol)
+            grid = state.grid
+            if K is None:
+                K = kernel_system(n).matrix(grid.k)
+            d_x = np.fft.ifft(
+                2 * np.pi * kernel_system(n).driving_hat(grid.k)
+                * np.exp(-1j * grid.k * grid.half_width), axis=1
+            ) / grid.dx
+            drive = kernel_system(n).constants(state.mu, 1.0 / T)[:, None] + d_x / T
+            logB = state.logB()
+            worst = 0.0
+            for I in range(len(K)):
+                conv = convolve_with_asymptote(
+                    K[I], logB, state.logB_inf, grid, tail_tol=1e-6
+                )
+                worst = max(worst, np.max(np.abs(state.logb[I] + drive[I] + conv)))
+            assert worst <= tol, (T, mu)
 
     def test_complex_row_raises(self):
         grid = self.grid()
@@ -154,37 +167,87 @@ class TestSolverKernels:
     """The per-mode contraction, the half-mode inverse and log(1+e^z)
     against plain references, to float64 rounding bounds."""
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_half_table_transpose_identity(self, n):
+        # K-hat(-k_m) = K-hat(k_m)^T, on which the half table rests, holds
+        # to rounding (measured: bitwise) for every m != M/2 on the default
+        # grids; the Nyquist mode, sampled at k = -pi/dx, has no partner and
+        # is not its own transpose: entries that tend to 2 theta(k) read 0
+        # against 2
+        sys = kernel_system(n)
+        for T in (0.05, 1.0):
+            grid = default_grid(T)
+            M = grid.points
+            K = sys.matrix(grid.k).transpose(2, 0, 1)
+            m = np.arange(1, M // 2)
+            mirror = np.abs(K[M - m] - K[m].swapaxes(1, 2))
+            assert np.max(mirror) <= 4 * EPS * np.max(np.abs(K))
+            nyq = K[M // 2]
+            split = np.abs(nyq - nyq.T) > 1.0
+            assert split.any()
+            assert set(np.round(nyq[split], 12)) == {0.0, 2.0}
+            assert np.allclose(nyq[split] + nyq.T[split], 2.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_half_table_image_correction(self, n):
+        # the solver's half table, its k < 0 fit samples read as
+        # transposes, against the correction of the sampled k < 0 modes
+        # themselves: the same table, and the corrected modes M-m remain
+        # the transposes of the modes m to rounding (4.4e-16 measured)
+        grid = default_grid(1.0)
+        M, half = grid.points, grid.points // 2 + 1
+        K = kernel_system(n).matrix(grid.k).transpose(2, 0, 1)
+        pos = K[:half].copy()
+        neg = K[-np.arange(half) % M].swapaxes(1, 2).copy()
+        _remove_images(pos, grid, neg)
+        table = _grid_system(n, grid.half_width, M).Kmat
+        assert np.array_equal(pos, table)
+        assert np.max(np.abs(neg[1:-1] - table[1:-1])) <= 4 * EPS * np.max(np.abs(table))
+
     @pytest.mark.parametrize("R", [1, 30])
-    def test_modes_matmul_against_einsum(self, R):
-        # each output is a sum of F = 30 products: both evaluations lie
-        # within F eps sum |a||b| of the exact sum
+    def test_contract_against_einsum(self, R):
+        # the half-table product against einsum over the full (M, R, F)
+        # table, Nyquist mode included: each output is a sum of F = 30
+        # products, so both lie within F eps sum |a||b| of the exact sum.
+        # R = 30 is a table with T(-k) = T(k)^T, R = 1 a row with its own
+        # k < 0 samples
         M, F = 512, 30
+        half = M // 2 + 1
         rng = np.random.default_rng(R)
-        mats = rng.standard_normal((M, R, F))
-        vec = rng.standard_normal((F, M)) + 1j * rng.standard_normal((F, M))
-        ref = np.einsum("mrf,fm->rm", mats, vec)
-        bound = 2 * F * EPS * np.einsum("mrf,fm->rm", np.abs(mats), np.abs(vec))
-        out = _modes_matmul(mats, vec)
+        table = rng.standard_normal((half, R, F))
+        neg = table if R == F else rng.standard_normal((half, F, R))
+        full = np.concatenate([table, neg[half - 2: 0: -1].swapaxes(1, 2)])
+        ghat = rng.standard_normal((F, M))
+        ref = np.einsum("mrf,fm->rm", full, ghat)
+        bound = 2 * F * EPS * np.einsum("mrf,fm->rm", np.abs(full), np.abs(ghat))
+        out = _contract(table, ghat, None if R == F else neg)
         assert out.shape == (R, M)
-        assert np.all(np.abs(out.real - ref.real) <= bound)
-        assert np.all(np.abs(out.imag - ref.imag) <= bound)
+        assert np.all(np.abs(out - ref) <= bound)
 
     @pytest.mark.parametrize(
         "n, T, mu", [(4, 1.0, None), (5, 1.0, None), (4, 2.0, (0.3, 0.0, 0.0, -0.3))]
     )
     def test_half_inverse_against_inv(self, n, T, mu):
-        # mode by mode, an inverse computed in float64 is within
-        # F eps cond(A) |A^-1| of the exact one; the mirrored half adds one
-        # rounding of W_j / W_i
+        # the applied inverse W^-1 P on every mode (P = W A^-1 stored for
+        # the modes 0..M/2, its transposes for the rest, as _precondition
+        # applies it) against np.linalg.inv of the full A, mode by mode: an
+        # inverse computed in float64 is within F eps cond(A) |A^-1| of the
+        # exact one, and the scalings by W add two roundings
         grid = default_grid(T)
         gsys = _grid_system(n, grid.half_width, grid.points)
         logb_inf, _ = asymptotic_constants(n, T, mu)
         W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
         assert np.all((W > 0) & (W < 1))
-        A = gsys.Kmat * W + np.eye(len(W))
+        K, M, F = gsys.Kmat, grid.points, len(W)
+        full = np.concatenate([K, K[M // 2 - 1: 0: -1].swapaxes(1, 2)])
+        A = full * W + np.eye(F)
         ref = np.linalg.inv(A)
-        out = _preconditioner(gsys.Kmat, W)
-        F = len(W)
+        P = _preconditioner(K, W)
+        assert P.shape == K.shape  # the half table only
+        # column f of every mode's inverse, from the spectrum e_f on all modes
+        out = np.stack(
+            [_contract(P, np.outer(np.eye(F)[f], np.ones(M))) for f in range(F)], axis=2
+        ).transpose(1, 0, 2) / W[:, None]
         scale = np.linalg.cond(A) * np.max(np.abs(ref), axis=(1, 2))
         err = np.max(np.abs(out - ref), axis=(1, 2))
         assert np.all(err <= 4 * F * EPS * scale)  # k = 0 and Nyquist included
@@ -234,10 +297,9 @@ class TestIterate:
         x, plain = np.zeros((F, M), dtype=complex), 0
         while np.max(np.abs(step(x) - x)) >= tol:
             x, plain = step(x), plain + 1
-        identity = np.tile(np.eye(F), (M, 1, 1))  # A^-1 = I on every mode
         x, it, residual, theta, restarts, hist = _iterate(
-            step, np.zeros((F, M), dtype=complex), identity, 0.0, 0.0, tol, 1000
-        )
+            step, np.zeros((F, M), dtype=complex), lambda v: v, 0.0, 0.0, tol, 1000
+        )  # A^-1 = I
         assert residual < tol and restarts == 0 and len(hist) == it
         # the iterate whose residual met tol is within
         # |(I - B)^-1| |r|_2 <= 10 sqrt(N) tol of x*; the returned one, a
@@ -309,6 +371,15 @@ class TestSolver:
         state = solve_nlie(4, T=1.1)
         again = solve_nlie(4, T=1.1, logb0=state.logb)
         assert again.iterations <= 3
+
+    def test_warm_start_without_the_symmetry(self):
+        # a start with log b(-x) != conj(log b(x)) is read on x <= 0, and
+        # its imaginary parts at x = -L and x = 0, which the iteration
+        # cannot move, are dropped: it converges to the same state
+        state = solve_nlie(4, T=1.1)
+        again = solve_nlie(4, T=1.1, logb0=state.logb + 0.01j)
+        assert again.residual < 1e-12
+        assert np.max(np.abs(again.logb - state.logb)) <= 1e-11
 
     def test_restart_keeps_the_whole_record(self):
         # damping -5 (a mixing weight of 6) overshoots and diverges even

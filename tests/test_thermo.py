@@ -33,6 +33,9 @@ class TestThermoPoint:
         assert pt.meta["iterations"] >= 5
         assert pt.meta["residual"] < 1e-12
         assert pt.meta["slowest_solve_s"] > 0
+        # the nonlinear solve's edge tail (1.8e-7 at L = 100), as recorded
+        assert pt.meta["edge_tail"] == solve_nlie(4, 1.0).diagnostics["edge_tail"]
+        assert 0 < pt.meta["edge_tail"] < 1e-6
 
     def test_one_preconditioner_per_point(self, monkeypatch):
         # the tangent solves reuse the centre solve's preconditioner
@@ -47,7 +50,7 @@ class TestThermoPoint:
         assert len(built) == 3
 
     def test_low_temperature_iteration_budget(self):
-        # Anderson mixing: 93 iterations over the three solves, where the
+        # Anderson mixing: 94 iterations over the three solves, where the
         # unmixed preconditioned update took 183 (69 + 64 + 50)
         pt = thermo_point(5, 0.05, with_chi=False, with_densities=False)
         assert pt.meta["solves"] == 3
