@@ -52,9 +52,7 @@ from .spectral import (
 from .kernels import (
     KernelSystem,
     common_kernel,
-    driving_vector,
     integration_constants,
-    kernel_matrix,
     kernel_system,
 )
 from .solver import (

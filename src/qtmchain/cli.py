@@ -217,7 +217,7 @@ def cmd_verify(args):
 
 def cmd_solve(args):
     mu = tuple(float(v) for v in args.mu.split(",")) if args.mu else None
-    grid = Grid(half_width=args.half_width, points=args.points) if args.half_width else default_grid(args.temp, points=args.points)
+    grid = Grid(half_width=args.half_width, points=args.points) if args.half_width is not None else default_grid(args.temp, points=args.points)
     state = solve_nlie(
         args.n, args.temp, mu=mu, J=args.J, grid=grid,
         damping=args.damping, tol=args.tol,

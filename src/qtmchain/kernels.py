@@ -33,8 +33,6 @@ from .errors import DomainError, InconsistencyError
 __all__ = [
     "common_kernel",
     "KernelSystem",
-    "kernel_matrix",
-    "driving_vector",
     "integration_constants",
     "kernel_entry_value",
     "REP_DIMS",
@@ -504,13 +502,3 @@ class KernelSystem:
 @lru_cache(maxsize=None)
 def kernel_system(n):
     return KernelSystem(n)
-
-
-def kernel_matrix(n, k):
-    """Full Fourier-space kernel matrix at real k (14x14 or 30x30)."""
-    return kernel_system(n).matrix(k)
-
-
-def driving_vector(n, k):
-    """Driving-term vector d-hat(k) (length 14 or 30)."""
-    return kernel_system(n).driving_hat(k)

@@ -48,22 +48,24 @@ kernel table is kept for the modes m = 0..M/2 only, mode-major
 transpose of mode M-m (_contract).  The Nyquist mode M/2 has no partner
 on the grid and is not its own transpose (entries that tend to 2 theta(k)
 read 0 at k = -pi/dx against 2 at +pi/dx), so it is stored as sampled, at
-k = -pi/dx, and never mirrored.  The state is expanded to the full grid
-once, when a solve ends (NlieState.logb stays (F, M)).  The public
-convolve_with_asymptote takes any input: it splits log B into its two
-conjugate-symmetric parts, log B = P + iQ with P and Q each satisfying
-the symmetry, and sends both through the solver's one convolution routine.
+k = -pi/dx, and never mirrored.  Every table of the module is of this one
+kind.  The state is expanded to the full grid once, when a solve ends
+(NlieState.logb stays (F, M)).  The public convolve_with_asymptote takes
+any input: it splits log B into its two conjugate-symmetric parts,
+log B = P + iQ with P and Q each satisfying the symmetry, and sends both
+through the solver's one convolution routine and its own kernel table.
 
 The largest quantum-transfer-matrix eigenvalue in the infinite-Trotter
 limit is reconstructed as
 
     log Lambda(x) = beta*J*(G_n(x) - 1/(1+x^2)) + beta*mean(mu)
-                    + Re (d(x))^dagger * log B,
+                    + Re (d^dagger * log B)(x),
 
 where G_n is the digamma combination
 (1/n)[psi(1+ix/n) + psi(1-ix/n) - psi(1/n+ix/n) - psi(1/n-ix/n)] and the
 -beta*J/(1+x^2) piece is the finite remainder of the Phi normalization;
-at beta -> 0 this reduces exactly to log sum_j e^{beta mu_j}.
+at beta -> 0 this reduces exactly to log sum_j e^{beta mu_j}.  The last
+term is one sum over the M Fourier modes (_ell), with no convolution.
 """
 
 import logging
@@ -204,13 +206,10 @@ class _GridSystem:
             np.ascontiguousarray(sys.matrix(k).transpose(2, 0, 1)), grid
         )  # (M/2+1, F, F)
         self.K0 = sys.matrix0()
-        # the row d-hat(-k) of _ell for the modes 0..M/2, and for the modes
-        # M-m the column d-hat(k_m) whose transpose is their row; d-hat is
-        # analytic at k = 0 (a ratio of sinh), so its fitted jumps are fit
-        # noise and move f by under 1e-13; it takes the same path
-        self.dhat_neg = np.ascontiguousarray(sys.driving_hat(-k).T)[:, None, :]
-        self.dhat_pos = np.ascontiguousarray(sys.driving_hat(k).T)[:, :, None]
-        _remove_images(self.dhat_neg, grid, self.dhat_pos)
+        # the weights d-hat(-k_m)/M of _ell on all M modes; d-hat is analytic
+        # at k = 0 (a ratio of sinh), so it has no algebraic tail and no
+        # periodic images to remove
+        self.ell_weights = sys.driving_hat(-grid.k) / M
         self.d0 = sys.driving0()
         # position-space driving d(x) = int e^{ikx} d-hat(k) dk on the half;
         # unlike the convolutions this inverse transform carries no 1/2pi
@@ -269,48 +268,44 @@ def _image_basis(points, half_width):
     return basis, fit
 
 
-def _remove_images(khat, grid, neg=None):
+def _remove_images(khat, grid):
     """Correct a half kernel table, in place, for the periodic images.
 
-    khat: C-contiguous (M/2+1, R, F), the samples at the modes 0..M/2 of
-    grid.k; the modes M-m take neg[m]^T, with neg (M/2+1, F, R) as in
-    _contract (default khat itself: K-hat(-k) = K-hat(k)^T, whose
-    correction keeps that symmetry, so only khat is corrected).  The
-    circular FFT convolution with khat uses the kernel sum_n K(u + 2nL) on
-    the lags u in [-L, L); subtracting the transform of the image sum
-    R(u) = sum_{n != 0} K(u + 2nL) leaves K itself, so _convolve computes
-    the linear convolution over the window.  R comes from the algebraic
-    tail K(X) ~ sum_p (p!/2pi) [a_p^+ (-iX)^{-p-1} + (-1)^p a_p^- (iX)^{-p-1}],
+    khat: C-contiguous (M/2+1, F, F), the samples at the modes 0..M/2 of
+    grid.k of a table with K-hat(-k) = K-hat(k)^T, whose modes M-m are the
+    transposes (as in _contract); the correction keeps that symmetry, so
+    only khat is corrected.  The circular FFT convolution with khat uses
+    the kernel sum_n K(u + 2nL) on the lags u in [-L, L); subtracting the
+    transform of the image sum R(u) = sum_{n != 0} K(u + 2nL) leaves K
+    itself, so _convolve computes the linear convolution over the window.
+    R comes from the algebraic tail
+    K(X) ~ sum_p (p!/2pi) [a_p^+ (-iX)^{-p-1} + (-1)^p a_p^- (iX)^{-p-1}],
     p = 1..3 (through X^-4), with the one-sided coefficients fitted to the
-    samples themselves at k = 0; the analytic part of K-hat (a_p^+ = a_p^-)
-    leaves no tail.  This assumes K-hat is smooth away from k = 0 and
-    analytic on either side within the N dk of the fit.  Measured on a
-    Gaussian input (integral 3.4) against quadrature of the real-line
-    integral, worst over every distinct entry of n = 4 and 5: 1.9e-9 at
-    L = 40 and 4.9e-12 at L = 100 (the images were 3.4e-4 and 5.4e-5).
-    The error left is the truncated tail, 1/X^5 and beyond, and it grows
-    as the window shrinks (up to 5.6e-5 at L = 10 on the entries tried).
-    The samples at k = -t dk are read from neg[t]^T.  Returns khat."""
+    samples themselves at k = 0 (those at k = -t dk read as khat[t]^T); the
+    analytic part of K-hat (a_p^+ = a_p^-) leaves no tail.  This assumes
+    K-hat is smooth away from k = 0 and analytic on either side within the
+    N dk of the fit.  Measured on a Gaussian input (integral 3.4) against
+    quadrature of the real-line integral, worst over every distinct entry
+    of n = 4 and 5: 1.9e-9 at L = 40 and 4.9e-12 at L = 100 (the images
+    were 3.4e-4 and 5.4e-5).  The error left is the truncated tail, 1/X^5
+    and beyond, and it grows as the window shrinks (up to 5.6e-5 at L = 10
+    on the entries tried).  Returns khat."""
     M = grid.points
     if M < 2 * _FIT_SAMPLES:
         raise DomainError(
             f"the image correction needs at least {2 * _FIT_SAMPLES} grid points"
         )
     basis, fit = _image_basis(M, grid.half_width)
-    half, R, F = khat.shape
+    half = len(khat)
     flat = khat.reshape(half, -1)
     N = _FIT_SAMPLES
-    mirrored = (khat if neg is None else neg)[1:N].swapaxes(1, 2).reshape(N - 1, -1)
+    mirrored = khat[1:N].swapaxes(1, 2).reshape(N - 1, -1)
     samples = np.concatenate([flat[:N], flat[:1], mirrored])
     jumps = fit @ samples  # (P, entries)
     chunk = 256
     for start in range(0, half, chunk):
         stop = min(start + chunk, half)
         flat[start:stop] -= basis[start:stop] @ jumps
-    if neg is not None:
-        # mode M-m, m = 1..M/2-1, holds neg[m]^T
-        corr = (basis[M - 1: M // 2: -1] @ jumps).reshape(-1, R, F)
-        neg[1: M // 2] -= corr.swapaxes(1, 2)
     return khat
 
 
@@ -319,29 +314,28 @@ def _remove_images(khat, grid, neg=None):
 _CONTRACT_BLOCK = 128
 
 
-def _contract(table, ghat, neg=None):
+def _contract(table, ghat):
     """Per-mode product out[:, m] = T(k_m) ghat[:, m] of a half table with a
     real spectrum, on all M modes.
 
-    table: real (M/2+1, R, F), T(k_m) for the modes m = 0..M/2; a mode
-    M-m, m = 1..M/2-1, applies neg[m]^T, where neg (M/2+1, F, R) defaults
-    to table (a table with T(-k) = T(k)^T).  ghat: real (F, M).  The table
-    is read in blocks of _CONTRACT_BLOCK modes, each serving both signs of
-    k, by real batched matmuls.  Returns real (R, M)."""
-    half, R, F = table.shape
-    neg = table if neg is None else neg
+    table: real (M/2+1, F, F), T(k_m) for the modes m = 0..M/2 of a table
+    with T(-k) = T(k)^T, so a mode M-m, m = 1..M/2-1, applies table[m]^T.
+    ghat: real (F, M).  The table is read in blocks of _CONTRACT_BLOCK
+    modes, each serving both signs of k, by real batched matmuls.  Returns
+    real (F, M)."""
+    half, F, _ = table.shape
     M = ghat.shape[1]
-    out = np.empty((M, R))
+    out = np.empty((M, F))
     plus = np.ascontiguousarray(ghat[:, :half].T)[:, :, None]  # (M/2+1, F, 1)
     minus = np.ascontiguousarray(ghat[:, : M // 2: -1].T)[:, None, :]  # mode M-m at m-1
     out_plus = out[:half, :, None]
-    out_minus = np.empty((half - 2, 1, R))
+    out_minus = np.empty((half - 2, 1, F))
     for start in range(0, half, _CONTRACT_BLOCK):
         stop = min(start + _CONTRACT_BLOCK, half)
         np.matmul(table[start:stop], plus[start:stop], out=out_plus[start:stop])
         lo, hi = max(start, 1), min(stop, half - 1)
         if lo < hi:
-            np.matmul(minus[lo - 1: hi - 1], neg[lo:hi], out=out_minus[lo - 1: hi - 1])
+            np.matmul(minus[lo - 1: hi - 1], table[lo:hi], out=out_minus[lo - 1: hi - 1])
     out[: M // 2: -1] = out_minus[:, 0]
     return out.T
 
@@ -373,19 +367,19 @@ def _log1p_exp(z):
     return out
 
 
-def _convolve(khat, khat0, g, g_inf, neg=None):
-    """(K * g)(x) on the half space for the half table khat (M/2+1, R, F),
-    with its modes M-m from neg as in _contract, and zero mode khat0 (R, F).
+def _convolve(khat, khat0, g, g_inf):
+    """(K * g)(x) on the half space for the half table khat (M/2+1, F, F),
+    applied as in _contract, and its zero mode khat0 (F, F).
 
     g: (F, M/2+1) half-space samples with asymptote g_inf (F,).  The
     decaying part g - g_inf is convolved through its real spectrum,
     contracting per Fourier mode; the constant asymptote contributes
     khat0 . g_inf.  Every mode is used as is, which needs no kernel entry
     to grow in |k| (KernelSystem.max_growth): a growing one would amplify
-    the roundoff of the high modes.  Returns (R, M/2+1)."""
+    the roundoff of the high modes.  Returns (F, M/2+1)."""
     M = 2 * (g.shape[1] - 1)
     ghat = np.fft.hfft(g - g_inf[:, None], n=M, axis=1)
-    return np.fft.ihfft(_contract(khat, ghat, neg), axis=1) + (khat0 @ g_inf)[:, None]
+    return np.fft.ihfft(_contract(khat, ghat), axis=1) + (khat0 @ g_inf)[:, None]
 
 
 def _expand(g):
@@ -401,11 +395,10 @@ def _edge_tail(g):
     return float(np.max(np.abs(g[:, : edge + 1])))
 
 
-def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10):
-    """(K * log B)(x) for one kernel row sampled on the grid's k values.
+def convolve_with_asymptote(n, logB, logB_inf, grid, tail_tol=1e-10):
+    """(K * log B)(x) on the grid for every row of the kernel matrix of
+    kernel_system(n).
 
-    kernel_row_hat: (F, M) real samples of the row's Fourier kernels, as
-    every KernelSystem row is (a complex row raises DomainError);
     logB: (F, M) samples; logB_inf: (F,) asymptotes.  Raises
     GridTooSmallError when the decaying part has not reached its asymptote
     at the window edge.
@@ -413,34 +406,26 @@ def convolve_with_asymptote(kernel_row_hat, logB, logB_inf, grid, tail_tol=1e-10
     log B need not have the solver's symmetry: it is split as
     log B = P + iQ, P = (log B + conj log B(-x))/2 and
     Q = (log B - conj log B(-x))/2i, both conjugate-symmetric, and each
-    part takes the solver's convolution (_convolve) with the row's half
-    table.  The decaying part is convolved with K over the window, with
-    K's periodic images removed (_remove_images, the path the solver
-    takes): the tail is corrected through X^-4 with coefficients fitted to
-    the samples at k = 0, and a Gaussian input matches quadrature of the
-    real-line integral to 1.1e-10 at L = 40 for kernel_system(4) entry
-    [0, 1] (2e-9 over all entries).  The asymptote takes the k = 0
-    sample.  Returns (M,) complex.
+    part takes the solver's convolution (_convolve) with the solver's own
+    kernel table, K's periodic images removed (_remove_images): the tail
+    is corrected through X^-4 with coefficients fitted to the samples at
+    k = 0, and a Gaussian input matches quadrature of the real-line
+    integral to 1.1e-10 at L = 40 for entry [0, 1] of kernel_system(4)
+    (2e-9 over all entries).  The asymptote takes K-hat(0).  Returns
+    (F, M) complex.
     """
-    if np.iscomplexobj(kernel_row_hat):
-        raise DomainError("kernel rows are real in Fourier space")
-    kernel_row_hat = np.atleast_2d(np.asarray(kernel_row_hat, dtype=float))
-    logB = np.atleast_2d(logB)
-    logB_inf = np.atleast_1d(logB_inf)
+    logB, logB_inf = np.asarray(logB), np.asarray(logB_inf)
     M = grid.points
     mirror = -np.arange(M // 2 + 1) % M  # the point -x_j of each x_j <= 0
     g = np.abs(logB - logB_inf[:, None])
     tail = _edge_tail(np.maximum(g[:, : M // 2 + 1], g[:, mirror]))
     if tail > tail_tol:
         raise GridTooSmallError(tail, tail_tol)
-    k0 = kernel_row_hat[:, :1].T  # k-grid starts at k = 0
-    row = np.ascontiguousarray(kernel_row_hat[:, : M // 2 + 1].T)[:, None, :]
-    neg = np.ascontiguousarray(kernel_row_hat[:, mirror].T)[:, :, None]
-    _remove_images(row, grid, neg)
+    gsys = _grid_system(n, grid.half_width, M)
     left, flip = logB[:, : M // 2 + 1], np.conj(logB[:, mirror])
-    P = _convolve(row, k0, (left + flip) / 2, logB_inf.real, neg)
-    Q = _convolve(row, k0, (left - flip) / 2j, logB_inf.imag, neg)
-    return (_expand(P) + 1j * _expand(Q))[0]
+    P = _convolve(gsys.Kmat, gsys.K0, (left + flip) / 2, logB_inf.real)
+    Q = _convolve(gsys.Kmat, gsys.K0, (left - flip) / 2j, logB_inf.imag)
+    return _expand(P) + 1j * _expand(Q)
 
 
 # ----------------------------------------------------------------------
@@ -618,9 +603,10 @@ def _iterate(step, x, precondition, reset, theta, tol, max_iter):
     )
 
 
-def asymptotic_constants(n, T, mu=None, J=1.0, verify=True, tol=1e-10):
+def asymptotic_constants(n, T, mu=None):
     """log b(+-inf) from the weighted counting limits, cross-checked against
-    the constant fixed-point equation log binf = -c - K-hat(0) log Binf."""
+    the constant fixed-point equation log binf = -c - K-hat(0) log Binf
+    (InconsistencyError beyond 1e-10)."""
     if n not in (4, 5):
         raise DomainError("NLIE systems are tabulated for n in {4, 5}")
     if mu is None:
@@ -629,15 +615,14 @@ def asymptotic_constants(n, T, mu=None, J=1.0, verify=True, tol=1e-10):
     binf, Binf = counting_values(n, beta=beta, mu=mu)
     logb_inf = np.log(binf)
     logB_inf = np.log(Binf)
-    if verify:
-        sys = kernel_system(n)
-        c = sys.constants(mu, beta)
-        resid = np.max(np.abs(logb_inf + c + sys.matrix0() @ logB_inf))
-        if resid > tol:
-            raise InconsistencyError(
-                f"asymptotic fixed-point equation violated by {resid:.3e}; "
-                "kernel/constant transcription inconsistent"
-            )
+    sys = kernel_system(n)
+    c = sys.constants(mu, beta)
+    resid = np.max(np.abs(logb_inf + c + sys.matrix0() @ logB_inf))
+    if resid > 1e-10:
+        raise InconsistencyError(
+            f"asymptotic fixed-point equation violated by {resid:.3e}; "
+            "kernel/constant transcription inconsistent"
+        )
     return logb_inf, logB_inf
 
 
@@ -683,7 +668,7 @@ def solve_nlie(
     if grid is None:
         grid = default_grid(T)
     gsys = _grid_system(n, grid.half_width, grid.points)
-    logb_inf, logB_inf = asymptotic_constants(n, T, mu, J)
+    logb_inf, logB_inf = asymptotic_constants(n, T, mu)
     c = gsys.sys.constants(mu, beta)
     drive = c[:, None] + beta * J * gsys.d_x
 
@@ -755,16 +740,30 @@ def _ell(state, g, g_inf, x=0.0):
     """Re (d^dagger * g)(x) for g on the half space of the grid of state,
     with asymptote g_inf: the functional that carries log Lambda
     (g = log B) and, through the derivatives of log B, its derivatives.
-    The convolution keeps the symmetry, so its real part is even in x and
-    is read at -|x|."""
+
+    It is one sum over the M modes k_m of the grid,
+
+        Re sum_m d-hat(-k_m) g-hat(k_m) e^{i k_m (x + L)} / M + d-hat(0) g_inf,
+
+    with g-hat the real spectrum of g - g_inf: the trigonometric
+    interpolant of the grid convolution, which it equals at the grid
+    points, read at any x (an array too).  k_m L is a multiple of pi, so
+    the sum is even in x."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
-    conv = _convolve(gsys.dhat_neg, gsys.d0[None], g, g_inf, gsys.dhat_pos)[0].real
-    return np.interp(-np.abs(x), state.grid.x[: len(conv)], conv)
+    ghat = np.fft.hfft(g - g_inf[:, None], n=state.grid.points, axis=1)
+    amplitude = np.einsum("fm,fm->m", gsys.ell_weights, ghat)
+    phase = np.multiply.outer(np.asarray(x) + state.grid.half_width, state.grid.k)
+    return np.cos(phase) @ amplitude + gsys.d0 @ g_inf
 
 
 def log_eigenvalue(state, x=0.0):
-    """Re log Lambda_max(x) in the infinite-Trotter normalization."""
+    """Re log Lambda_max(x) in the infinite-Trotter normalization, for x
+    (a number or an array) in the window [-L, L] of the state's grid;
+    DomainError outside it."""
     x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > state.grid.half_width):
+        raise DomainError(f"x lies outside the window [-{state.grid.half_width}, "
+                          f"{state.grid.half_width}] of the solution")
     beta = state.beta
     base = (
         beta * state.J * (gamma_term(state.n, x) - 1.0 / (1.0 + x * x))

@@ -57,6 +57,7 @@ class TestSolve:
     @pytest.mark.parametrize("args", [
         ["--temp", "1", "--points", "1000"],  # not a power of two
         ["--temp", "-1"],
+        ["--temp", "2", "--half-width", "0"],  # zero is a width, not absent
     ])
     def test_domain_error_exit_code(self, args, capsys):
         assert run(["solve", "--n", "4", *args]) == 2

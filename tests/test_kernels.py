@@ -5,9 +5,7 @@ import pytest
 
 from qtmchain import (
     common_kernel,
-    driving_vector,
     integration_constants,
-    kernel_matrix,
     kernel_system,
 )
 from qtmchain.kernels import REP_DIMS, kernel_entry_value, _tpow4
@@ -69,7 +67,7 @@ class TestStructuralDifferences:
 class TestAssembledMatrix:
     @pytest.mark.parametrize("n", [4, 5])
     def test_dimensions(self, n):
-        K = kernel_matrix(n, 0.37)
+        K = kernel_system(n).matrix(0.37)
         dim = sum(REP_DIMS[n])
         assert K.shape == (dim, dim)
         assert dim == {4: 14, 5: 30}[n]
@@ -134,18 +132,18 @@ class TestAssembledMatrix:
 
 class TestDriving:
     def test_zero_mode(self):
-        d4 = driving_vector(4, 0.0)
+        d4 = kernel_system(4).driving_hat(0.0)
         assert d4[0] == pytest.approx(0.75)
         assert d4[4] == pytest.approx(0.5)
         assert d4[-1] == pytest.approx(0.25)
-        d5 = driving_vector(5, 0.0)
+        d5 = kernel_system(5).driving_hat(0.0)
         assert d5[-1] == pytest.approx(0.2)
 
     def test_shift_matrix_factors(self):
         # n=4: only T_2 differs from identity, diag(1/y, 1,1,1,1, y)
         k = 0.83
         y = np.exp(k / 2)
-        d = driving_vector(4, k)
+        d = kernel_system(4).driving_hat(k)
         ratio = np.sinh((4 - 2) * k / 2) / np.sinh(4 * k / 2)
         rep2 = d[4:10]
         assert rep2[0] == pytest.approx(ratio * y)        # (T_2^-1)_11 = y
@@ -156,8 +154,8 @@ class TestDriving:
 
     def test_decay(self):
         for n in (4, 5):
-            assert np.max(np.abs(driving_vector(n, 220.0))) < 1e-8
-            assert np.max(np.abs(driving_vector(n, -220.0))) < 1e-8
+            assert np.max(np.abs(kernel_system(n).driving_hat(220.0))) < 1e-8
+            assert np.max(np.abs(kernel_system(n).driving_hat(-220.0))) < 1e-8
 
 
 class TestConstants:

@@ -21,12 +21,13 @@ from qtmchain import (
 from qtmchain.errors import DomainError
 from qtmchain.kernels import kernel_entry_value
 from qtmchain.solver import (
+    _FIT_SAMPLES,
     _contract,
     _grid_system,
+    _image_basis,
     _iterate,
     _log1p_exp,
     _preconditioner,
-    _remove_images,
 )
 
 EPS = np.finfo(float).eps
@@ -60,25 +61,19 @@ class TestConvolution:
 
     def test_constant_input(self):
         grid = self.grid()
-        sys = kernel_system(4)
-        row = sys.matrix(grid.k)[2]  # (F, M)
         logB_inf = np.linspace(0.1, 0.4, 14)
         logB = np.tile(logB_inf[:, None], (1, grid.points)).astype(complex)
-        out = convolve_with_asymptote(row, logB, logB_inf, grid)
-        expect = float(row[:, 0] @ logB_inf)
-        assert np.max(np.abs(out - expect)) < 1e-12
-
-    def test_zero_kernel_row(self):
-        grid = self.grid()
-        row = np.zeros((3, grid.points))
-        logB = np.exp(-grid.x[None, :] ** 2 / 8.0) * np.ones((3, 1))
-        out = convolve_with_asymptote(row, logB.astype(complex), np.zeros(3), grid)
-        assert np.max(np.abs(out)) == 0.0
+        out = convolve_with_asymptote(4, logB, logB_inf, grid)
+        expect = kernel_system(4).matrix0() @ logB_inf
+        assert out.shape == (14, grid.points)
+        assert np.max(np.abs(out - expect[:, None])) < 1e-12
 
     def test_gaussian_against_quadrature(self):
         # trapezoid quadrature of the transform integral on an independent k
         # mesh, Richardson-extrapolated in dk: the |k| kink at k = 0 leaves
-        # the plain rule an O(dk^2) error of 1.1e-8 at dk = 1e-3
+        # the plain rule an O(dk^2) error of 1.1e-8 at dk = 1e-3.  The
+        # Gaussian is component 1 of n = 4, every other component zero, so
+        # row 0 of the output is the convolution with entry [0, 1] alone
         grid = self.grid()
         sys = kernel_system(4)
         e, s4, flip = sys.positions[0, 1]
@@ -86,12 +81,13 @@ class TestConvolution:
         def entry(k):
             return kernel_entry_value(4, e, k, s4=s4, flip=bool(flip))
 
-        row = np.zeros((2, grid.points))
-        row[1] = entry(grid.k)
         sigma, amp, c_inf = 1.7, 0.8, 0.31
         g = amp * np.exp(-grid.x**2 / (2 * sigma**2))
-        logB = np.vstack([np.zeros(grid.points), g + c_inf]).astype(complex)
-        out = convolve_with_asymptote(row, logB, np.array([0.0, c_inf]), grid)
+        logB = np.zeros((14, grid.points), dtype=complex)
+        logB[1] = g + c_inf
+        logB_inf = np.zeros(14)
+        logB_inf[1] = c_inf
+        out = convolve_with_asymptote(4, logB, logB_inf, grid)[0]
 
         def trapezoid(x, dk):
             kq = np.linspace(-60.0, 60.0, int(round(120.0 / dk)) + 1)
@@ -108,59 +104,43 @@ class TestConvolution:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_reproduces_solver_fixed_point(self, n):
-        # the public convolution, row by row on the full grid, against the
-        # solver's own half-space iteration: the expanded state satisfies
+        # the public convolution on the full grid against the solver's own
+        # half-space iteration: the expanded state satisfies
         # log b = -(c + beta J d + K * log B) at convergence, to the stop
-        # rule's tolerance, at mu = 0 and at unequal mu (measured 7.8e-14,
-        # 4.4e-14 for n = 4 and 5.0e-14, 5.1e-14 for n = 5)
+        # rule's tolerance, at mu = 0 and at unequal mu (measured 7.9e-14,
+        # 4.4e-14 for n = 4 and 4.9e-14, 5.1e-14 for n = 5)
         mu_cases = {
             4: [(1.0, None), (2.0, (0.3, 0.0, 0.0, -0.3))],
             5: [(1.0, None), (1.0, (0.1, 0.05, 0.0, -0.02, -0.13))],
         }
         tol = 1e-12
-        K = None
         for T, mu in mu_cases[n]:
             state = solve_nlie(n, T=T, mu=mu, tol=tol)
             grid = state.grid
-            if K is None:
-                K = kernel_system(n).matrix(grid.k)
             d_x = np.fft.ifft(
                 2 * np.pi * kernel_system(n).driving_hat(grid.k)
                 * np.exp(-1j * grid.k * grid.half_width), axis=1
             ) / grid.dx
             drive = kernel_system(n).constants(state.mu, 1.0 / T)[:, None] + d_x / T
-            logB = state.logB()
-            worst = 0.0
-            for I in range(len(K)):
-                conv = convolve_with_asymptote(
-                    K[I], logB, state.logB_inf, grid, tail_tol=1e-6
-                )
-                worst = max(worst, np.max(np.abs(state.logb[I] + drive[I] + conv)))
+            conv = convolve_with_asymptote(
+                n, state.logB(), state.logB_inf, grid, tail_tol=1e-6
+            )
+            worst = np.max(np.abs(state.logb + drive + conv))
             assert worst <= tol, (T, mu)
-
-    def test_complex_row_raises(self):
-        grid = self.grid()
-        row = np.ones((1, grid.points), dtype=complex)
-        logB = np.zeros((1, grid.points), dtype=complex)
-        with pytest.raises(DomainError):
-            convolve_with_asymptote(row, logB, np.zeros(1), grid)
 
     def test_too_few_points_raises(self):
         # 16 points hold 8 modes a side, short of the 9-sample fit at k = 0
         grid = Grid(half_width=10.0, points=16)
-        row = np.ones((1, grid.points))
-        logB = np.zeros((1, grid.points), dtype=complex)
+        logB = np.zeros((14, grid.points), dtype=complex)
         with pytest.raises(DomainError):
-            convolve_with_asymptote(row, logB, np.zeros(1), grid)
+            convolve_with_asymptote(4, logB, np.zeros(14), grid)
 
     def test_tail_violation_raises(self):
         grid = self.grid()
-        row = np.zeros((1, grid.points))
         slow = 1.0 / (1.0 + grid.x**2)  # 1e-3 at the window edge
+        logB = np.tile(slow, (14, 1)).astype(complex)
         with pytest.raises(GridTooSmallError):
-            convolve_with_asymptote(
-                row, slow[None, :].astype(complex), np.zeros(1), grid
-            )
+            convolve_with_asymptote(4, logB, np.zeros(14), grid)
 
 
 class TestSolverKernels:
@@ -191,37 +171,39 @@ class TestSolverKernels:
     @pytest.mark.parametrize("n", [4, 5])
     def test_half_table_image_correction(self, n):
         # the solver's half table, its k < 0 fit samples read as
-        # transposes, against the correction of the sampled k < 0 modes
-        # themselves: the same table, and the corrected modes M-m remain
-        # the transposes of the modes m to rounding (4.4e-16 measured)
+        # transposes, against the correction of the full table built here,
+        # its k < 0 fit samples read from the modes M - t themselves: the
+        # same table, and the corrected modes M-m remain the transposes of
+        # the modes m to rounding (4.4e-16 measured)
         grid = default_grid(1.0)
-        M, half = grid.points, grid.points // 2 + 1
+        M, half, N = grid.points, grid.points // 2 + 1, _FIT_SAMPLES
         K = kernel_system(n).matrix(grid.k).transpose(2, 0, 1)
-        pos = K[:half].copy()
-        neg = K[-np.arange(half) % M].swapaxes(1, 2).copy()
-        _remove_images(pos, grid, neg)
+        flat = K.reshape(M, -1)
+        basis, fit = _image_basis(M, grid.half_width)
+        samples = np.concatenate([flat[:N], flat[:1], flat[M - np.arange(1, N)]])
+        full = (flat - basis @ (fit @ samples)).reshape(K.shape)
         table = _grid_system(n, grid.half_width, M).Kmat
-        assert np.array_equal(pos, table)
-        assert np.max(np.abs(neg[1:-1] - table[1:-1])) <= 4 * EPS * np.max(np.abs(table))
+        bound = 4 * EPS * np.max(np.abs(table))
+        assert np.max(np.abs(full[:half] - table)) <= bound
+        mirror = full[M - np.arange(1, M // 2)] - table[1: M // 2].swapaxes(1, 2)
+        assert np.max(np.abs(mirror)) <= bound
 
-    @pytest.mark.parametrize("R", [1, 30])
-    def test_contract_against_einsum(self, R):
-        # the half-table product against einsum over the full (M, R, F)
-        # table, Nyquist mode included: each output is a sum of F = 30
-        # products, so both lie within F eps sum |a||b| of the exact sum.
-        # R = 30 is a table with T(-k) = T(k)^T, R = 1 a row with its own
-        # k < 0 samples
-        M, F = 512, 30
+    @pytest.mark.parametrize("F", [14, 30])
+    def test_contract_against_einsum(self, F):
+        # the half-table product against einsum over the full (M, F, F)
+        # table, Nyquist mode included, for the sizes F of n = 4 and 5: each
+        # output is a sum of F products, so both lie within F eps sum |a||b|
+        # of the exact sum
+        M = 512
         half = M // 2 + 1
-        rng = np.random.default_rng(R)
-        table = rng.standard_normal((half, R, F))
-        neg = table if R == F else rng.standard_normal((half, F, R))
-        full = np.concatenate([table, neg[half - 2: 0: -1].swapaxes(1, 2)])
+        rng = np.random.default_rng(F)
+        table = rng.standard_normal((half, F, F))
+        full = np.concatenate([table, table[half - 2: 0: -1].swapaxes(1, 2)])
         ghat = rng.standard_normal((F, M))
         ref = np.einsum("mrf,fm->rm", full, ghat)
         bound = 2 * F * EPS * np.einsum("mrf,fm->rm", np.abs(full), np.abs(ghat))
-        out = _contract(table, ghat, None if R == F else neg)
-        assert out.shape == (R, M)
+        out = _contract(table, ghat)
+        assert out.shape == (F, M)
         assert np.all(np.abs(out - ref) <= bound)
 
     @pytest.mark.parametrize(
@@ -434,6 +416,38 @@ class TestEigenvalue:
             state = solve_nlie(5, T=T, mu=mu, J=J)
             expect = np.log(w.sum()) - J / T * np.sum(rho**2)
             assert log_eigenvalue(state, 0.0) == pytest.approx(expect, abs=bound)
+
+    def test_off_origin_against_full_grid(self):
+        # log Lambda(x) at grid points 0 < |x| < L/2 against the convolution
+        # d^dagger * log B done here by the complex FFT of the full grid,
+        # and even in x, on the grid and off it, at unequal mu
+        mu = (0.3, 0.0, 0.0, -0.3)
+        state = solve_nlie(4, T=2.0, mu=mu)
+        grid, beta = state.grid, 0.5
+        sys = kernel_system(4)
+        ghat = np.fft.fft(state.logB() - state.logB_inf[:, None], axis=1)
+        conv = np.fft.ifft(np.sum(sys.driving_hat(-grid.k) * ghat, axis=0))
+        conv = conv.real + sys.driving0() @ state.logB_inf
+        for x_near in (-17.3, 2.2, 41.0):
+            j = int(round((x_near + grid.half_width) / grid.dx))
+            x = grid.x[j]
+            expect = (
+                beta * (gamma_term(4, x) - 1.0 / (1.0 + x * x))
+                + beta * np.mean(mu) + conv[j]
+            )
+            value = log_eigenvalue(state, x)
+            assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect)), x
+            for y in (x, x + grid.dx / 3):
+                both = log_eigenvalue(state, np.array([y, -y]))
+                assert abs(both[0] - both[1]) <= 1e-12 * max(1.0, abs(both[0])), y
+
+    def test_outside_window_raises(self):
+        state = solve_nlie(4, T=2.0)
+        L = state.grid.half_width
+        assert np.all(np.isfinite(log_eigenvalue(state, np.array([-L, L]))))
+        for x in (L + 1.0, np.array([0.0, -1.5 * L])):
+            with pytest.raises(DomainError):
+                log_eigenvalue(state, x)
 
     def test_two_site_trace_limit(self):
         state = solve_nlie(5, T=100.0)
