@@ -8,9 +8,12 @@ number N is the staggered product
                  ... over N/2 pairs ],   tau = beta J / N,
 
 acting on N quantum sites; its dominant eigenvalue at x = 0 carries the
-finite-Trotter free energy -T log Lambda(0).  Everything here is dense or
-a straightforward tensor contraction with explicit dimension caps; these
-routines are oracles, clarity beats scale.
+finite-Trotter free energy -T log Lambda(0).  Odd sites carry
+(ix - tau) Id + P and even sites (-ix - tau) Id + P^{t_Q}; on a state
+with open auxiliary indices, P traces the auxiliary index against the
+site and P^{t_Q} swaps the two, so a site costs O(n^2) per state and no
+site tensor is stored.  The exact-diagonalization and dense-matrix paths
+carry explicit dimension caps.
 """
 
 from dataclasses import dataclass
@@ -155,55 +158,45 @@ def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
 # ----------------------------------------------------------------------
 # quantum transfer matrix
 
-def _lax_site_tensors(n, tau, x):
-    """Per-site Q-matrices of operators, indices [a_out, a_in, s_out, s_in].
+def _thread_sites(twist, v, sites):
+    """tr_Q[diag(twist) L_1 ... L_N] v for the Lax operators of sites.
 
-    Odd sites carry L(-tau, -ix), even sites L^{t_Q}(-ix, tau); the
-    permutation has <a' s'|P|a s> = delta_{a',s} delta_{s',a}."""
-    odd = np.zeros((n, n, n, n), dtype=complex)
-    even = np.zeros((n, n, n, n), dtype=complex)
-    for ap in range(n):
-        for a in range(n):
-            for sp in range(n):
-                for s in range(n):
-                    perm = 1.0 if (ap == s and sp == a) else 0.0
-                    permt = 1.0 if (a == s and sp == ap) else 0.0
-                    iden = 1.0 if (ap == a and sp == s) else 0.0
-                    odd[ap, a, sp, s] = (-tau + 1j * x) * iden + perm
-                    even[ap, a, sp, s] = (-1j * x - tau) * iden + permt
-    return odd, even
-
-
-def _thread_sites(cur, site_tensors):
-    """Contract the quantum sites into cur one at a time and trace the
-    auxiliary space.
-
-    cur[a_start, a_current, processed s'-block, pending s-block] starts
-    with a processed block of size 1; site_tensors holds one [a_out, a_in,
-    s_out, s_in] tensor per site.  Returns the traced vector."""
-    for W in site_tensors:
-        n = W.shape[2]
-        nA, _, Dout, Din = cur.shape
-        cur = cur.reshape(nA, nA, Dout, n, Din // n)
-        cur = np.einsum("aqdsr,qcps->acdpr", cur, W)
-        cur = cur.reshape(nA, nA, Dout * n, Din // n)
+    sites holds one (lam, transposed) pair per quantum site: lam I + P, or
+    lam I + P^{t_Q} when transposed.  The state cur[a_start, a_current,
+    processed s'-block, pending s-block] carries the auxiliary space as a
+    pair of open indices, so memory stays at n^2 times the Hilbert
+    dimension, and each site costs O(n^2) per state: lam cur plus, for P,
+    the trace of a_current against the pending site written on the
+    diagonal a_current = s', or, for P^{t_Q}, the swap of a_current with
+    that site."""
+    n = len(twist)
+    cur = (np.diag(twist)[:, :, None] * v)[:, :, None, :]
+    for lam, transposed in sites:
+        _, _, Dout, Din = cur.shape
+        cur = cur.reshape(n, n, Dout, n, Din // n)
+        new = lam * cur
+        if transposed:
+            new += cur.transpose(0, 3, 2, 1, 4)
+        else:
+            trace = np.einsum("aqdqr->adr", cur)
+            for c in range(n):
+                new[:, c, :, c] += trace
+        cur = new.reshape(n, n, Dout * n, Din // n)
     return np.einsum("aaj->j", cur[:, :, :, 0])
 
 
 def qtm_matvec(n, N, tau, beta_mu, x, v):
     """Apply the quantum transfer matrix to a vector of length n^N.
 
-    The auxiliary space is threaded through as a pair of open indices while
-    quantum sites are contracted one at a time; memory stays at n^2 times
-    the Hilbert dimension.  beta_mu are the products beta * mu_j."""
+    Site 1, 3, ... carries L(-tau, -ix) = (ix - tau) I + P and site 2,
+    4, ... carries L^{t_Q}(-ix, tau) = (-ix - tau) I + P^{t_Q}, threaded
+    through v one at a time (_thread_sites); the twist e^{beta mu} acts
+    on the auxiliary space.  beta_mu are the products beta * mu_j."""
     if N % 2 or N <= 0:
         raise DomainError("Trotter number must be positive and even")
-    odd, even = _lax_site_tensors(n, tau, x)
     twist = np.exp(np.asarray(beta_mu, dtype=float))
-    cur = np.zeros((n, n, 1, n**N), dtype=complex)
-    for a in range(n):
-        cur[a, a, 0] = twist[a] * v
-    return _thread_sites(cur, [odd if site % 2 == 0 else even for site in range(N)])
+    sites = [(1j * x - tau, False), (-1j * x - tau, True)] * (N // 2)
+    return _thread_sites(twist, v, sites)
 
 
 def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
@@ -284,40 +277,20 @@ def transfer_matrix(n, L, lam):
     dim = n**L
     if dim > 2048:
         raise DomainError("dense transfer matrix capped at dimension 2048")
-    W = np.zeros((n, n, n, n), dtype=complex)  # [a', a, s', s]
-    for ap in range(n):
-        for a in range(n):
-            for sp in range(n):
-                for s in range(n):
-                    perm = 1.0 if (ap == s and sp == a) else 0.0
-                    iden = 1.0 if (ap == a and sp == s) else 0.0
-                    W[ap, a, sp, s] = lam * iden + perm
-    cols = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1.0
-        X = np.zeros((n, n, 1, dim), dtype=complex)
-        for a in range(n):
-            X[a, a, 0] = e
-        cols[:, j] = _thread_sites(X, [W] * L)
-    return DenseOperator(n=n, sites=L, matrix=cols)
+    sites = [(lam, False)] * L
+    cols = np.array(
+        [_thread_sites(np.ones(n), e, sites) for e in np.eye(dim, dtype=complex)]
+    )
+    return DenseOperator(n=n, sites=L, matrix=cols.T)
 
 
 # ----------------------------------------------------------------------
 # structural identities
 
-def _embed(n, M, legs, total=3):
-    """Embed a two-site operator into legs (i, j) of a 3-site space."""
-    M4 = M.reshape(n, n, n, n)  # [i' j' ; i j]
-    out = np.zeros((n,) * (2 * total))
-    idx = np.eye(n)
-    i, j = legs
-    k = ({0, 1, 2} - {i, j}).pop()
-    for args in np.ndindex(n, n, n, n, n, n):
-        outs, ins = args[:3], args[3:]
-        val = M4[outs[i], outs[j], ins[i], ins[j]] * idx[outs[k], ins[k]]
-        out[args] = val
-    return out.reshape(n**3, n**3)
+def _swap(n):
+    """The permutation P of two n-state sites, <a' s'|P|a s> =
+    delta_{a',s} delta_{s',a}, as an n^2 x n^2 matrix."""
+    return np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
 
 
 def ybe_residual(n, trials=10, seed=7, perturb=1.0):
@@ -328,20 +301,18 @@ def ybe_residual(n, trials=10, seed=7, perturb=1.0):
     rescales the spectral parameters), so the negative control must break
     one factor."""
     rng = np.random.default_rng(seed)
+    P, I = _swap(n), np.eye(n)
+    S = np.kron(I, P)  # swaps sites 2 and 3, carrying legs (1, 2) to (1, 3)
+
+    def lax(a, b, scale=1.0):
+        return (a - b) * np.eye(n * n) + scale * P
+
     worst = 0.0
     for _ in range(trials):
         lam, mu_, gam = rng.uniform(-2, 2, size=3)
-
-        def lax(a, b, scale=1.0):
-            P = np.zeros((n * n, n * n))
-            for p in range(n):
-                for s in range(n):
-                    P[s * n + p, p * n + s] = 1.0
-            return (a - b) * np.eye(n * n) + scale * P
-
-        L12 = _embed(n, lax(lam, mu_), (0, 1))
-        L13 = _embed(n, lax(lam, gam, perturb), (0, 2))
-        L23 = _embed(n, lax(mu_, gam), (1, 2))
+        L12 = np.kron(lax(lam, mu_), I)
+        L13 = S @ np.kron(lax(lam, gam, perturb), I) @ S
+        L23 = np.kron(I, lax(mu_, gam))
         lhs = L12 @ L13 @ L23
         rhs = L23 @ L13 @ L12
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -378,10 +349,7 @@ def spin2_identity_residual(coeffs=(-2.5, -13.0 / 36.0, 1.0 / 6.0, 1.0 / 36.0)):
         + coeffs[2] * ss @ ss @ ss
         + coeffs[3] * ss @ ss @ ss @ ss
     )
-    P = np.zeros((25, 25))
-    for a in range(5):
-        for b in range(5):
-            P[b * 5 + a, a * 5 + b] = 1.0
+    P = _swap(5)
     const = np.trace(P - M) / 25.0
     residual = float(np.max(np.abs(M + const * np.eye(25) - P)))
     return residual, float(const)

@@ -127,21 +127,22 @@ class Grid:
 
 
 def default_grid(T, points=4096):
-    """Default window: the driving decays like exp(-2 pi x / n), but the
-    kernel kinks at k = 0 give the solutions a slow power-law approach to
-    their asymptotes, so the window is kept generous; 6/T widens it once
-    the driving itself spreads at low temperature.
+    """Default window: L = 100 at every T (dx = 0.049 at M = 4096).
 
-    The floor of 100 is where the edge tail |log B - log Binf| of the
-    windowed equation stays below the solver's 1e-6 warning at mu = 0.  At
-    T = 0.1 it falls roughly as L^-2.7: 1.17e-6, 0.85e-6, 0.64e-6 at
-    L = 80, 90, 100 for n = 4, and it is 1.26e-6 / 1.34e-6 (n = 4 / 5) at
-    L = 80, T = 0.075.  At L = 100 the mu = 0 tails stay below 8e-7 (the
-    largest near T = 0.06, where 6/T meets the floor), and for
-    T in [0.05, 100] the free energy is within 1.3e-11 of L = 320,
-    M = 16384.  Below T ~ 0.04 the spacing dx, not L, limits the tail."""
-    half = min(max(100.0, 6.0 / T), 200.0)
-    return Grid(half_width=half, points=points)
+    T is not read; callers pass it so that the rule may depend on it.  With
+    the kernels' periodic images removed (_remove_images) the window need
+    not grow with 1/T, and below T ~ 0.06 widening it at fixed M only
+    coarsens dx: at T = 0.03, L = 200 leaves an n = 5 edge tail of 1.44e-5
+    where L = 100 leaves 9.3e-7 (8.5e-7 for n = 4) in as many iterations,
+    and f at L = 100 is 3.9e-9 closer to L = 200, M = 16384.
+
+    100 is where the mu = 0 edge tail |log B - log Binf| stays below
+    _EDGE_TAIL_TOL: at T = 0.1 it falls roughly as L^-2.7 (1.17e-6,
+    0.85e-6, 0.64e-6 at L = 80, 90, 100 for n = 4), and it is
+    1.26e-6 / 1.34e-6 (n = 4 / 5) at L = 80, T = 0.075.  For T in
+    [0.05, 100] the free energy is within 1.3e-11 of L = 320, M = 16384.
+    The n = 5 tail crosses the threshold near T = 0.014."""
+    return Grid(half_width=100.0, points=points)
 
 
 @dataclass
@@ -387,6 +388,11 @@ def _expand(g):
     return np.concatenate([g, np.conj(g[:, -2:0:-1])], axis=1)
 
 
+# The largest edge tail a grid solution may keep: solve_nlie warns above it
+# and convolve_with_asymptote raises GridTooSmallError.
+_EDGE_TAIL_TOL = 1e-6
+
+
 def _edge_tail(g):
     """Largest |g| within M/64 points of the window edge, for the decaying
     part g (F, M/2+1) on the half space: how far it is from its asymptote
@@ -395,13 +401,13 @@ def _edge_tail(g):
     return float(np.max(np.abs(g[:, : edge + 1])))
 
 
-def convolve_with_asymptote(n, logB, logB_inf, grid, tail_tol=1e-10):
+def convolve_with_asymptote(n, logB, logB_inf, grid):
     """(K * log B)(x) on the grid for every row of the kernel matrix of
     kernel_system(n).
 
     logB: (F, M) samples; logB_inf: (F,) asymptotes.  Raises
-    GridTooSmallError when the decaying part has not reached its asymptote
-    at the window edge.
+    GridTooSmallError when the decaying part is above _EDGE_TAIL_TOL at the
+    window edge, the threshold at which solve_nlie warns.
 
     log B need not have the solver's symmetry: it is split as
     log B = P + iQ, P = (log B + conj log B(-x))/2 and
@@ -419,8 +425,8 @@ def convolve_with_asymptote(n, logB, logB_inf, grid, tail_tol=1e-10):
     mirror = -np.arange(M // 2 + 1) % M  # the point -x_j of each x_j <= 0
     g = np.abs(logB - logB_inf[:, None])
     tail = _edge_tail(np.maximum(g[:, : M // 2 + 1], g[:, mirror]))
-    if tail > tail_tol:
-        raise GridTooSmallError(tail, tail_tol)
+    if tail > _EDGE_TAIL_TOL:
+        raise GridTooSmallError(tail, _EDGE_TAIL_TOL)
     gsys = _grid_system(n, grid.half_width, M)
     left, flip = logB[:, : M // 2 + 1], np.conj(logB[:, mirror])
     P = _convolve(gsys.Kmat, gsys.K0, (left + flip) / 2, logB_inf.real)
@@ -695,7 +701,7 @@ def solve_nlie(
 
     t_done = time.perf_counter()
     tail = _edge_tail(_log1p_exp(logb) - logB_inf[:, None])
-    if tail > 1e-6:
+    if tail > _EDGE_TAIL_TOL:
         warnings.warn(
             f"asymptote tail {tail:.2e} at the window edge; widen the grid",
             stacklevel=2,

@@ -121,6 +121,61 @@ class TestQtm:
         Q2 = qtm_matrix(3, 2, T=2.0, x=-0.8).matrix
         assert np.max(np.abs(Q1 @ Q2 - Q2 @ Q1)) <= 1e-12
 
+    @staticmethod
+    def kron_trace(n, N, laxes, twist):
+        """tr_Q[diag(twist)_Q L_{Q,1} ... L_{Q,N}] on N sites, densely:
+        each n^2 x n^2 Lax matrix (aux index first) is split into its aux
+        blocks, L = sum_ab E_ab (x) L_ab, and placed on its site by kron."""
+        dim = n**N
+        prod = np.kron(np.diag(twist), np.eye(dim)).astype(complex)
+        for i, lax in enumerate(laxes):
+            blocks = lax.reshape(n, n, n, n)  # [a', s', a, s]
+            site = sum(
+                np.kron(
+                    np.outer(np.eye(n)[a], np.eye(n)[b]),
+                    np.kron(np.kron(np.eye(n**i), blocks[a, :, b, :]),
+                            np.eye(n ** (N - i - 1))),
+                )
+                for a in range(n)
+                for b in range(n)
+            )
+            prod = prod @ site
+        return np.einsum("aiaj->ij", prod.reshape(n, dim, n, dim))
+
+    @staticmethod
+    def lax(n, lam, transposed=False):
+        """lam I + P on aux (x) site, or its partial transpose in aux."""
+        P = np.zeros((n * n, n * n))
+        for a in range(n):
+            for s in range(n):
+                P[s * n + a, a * n + s] = 1.0
+        if transposed:
+            P = P.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n)
+        return lam * np.eye(n * n) + P
+
+    @pytest.mark.parametrize(
+        "n, N, mu", [(3, 2, (0.2, -0.1, 0.05)), (4, 2, (0.3, 0.0, -0.1, 0.15)),
+                     (3, 4, (0.1, 0.0, -0.25))]
+    )
+    def test_qtm_matches_kron_reference(self, n, N, mu):
+        # odd sites carry L(ix - tau), even sites L^{t_Q}(-ix - tau), and
+        # the e^{beta mu} twist sits on the auxiliary space
+        T, x = 1.3, 0.4
+        tau = 1.0 / (T * N)
+        laxes = [
+            self.lax(n, 1j * x - tau) if i % 2 == 0 else self.lax(n, -1j * x - tau, True)
+            for i in range(N)
+        ]
+        ref = self.kron_trace(n, N, laxes, np.exp(np.array(mu) / T))
+        got = qtm_matrix(n, N, T=T, mu=mu, x=x).matrix
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_transfer_matrix_matches_kron_reference(self):
+        lam = 0.63
+        ref = self.kron_trace(3, 3, [self.lax(3, lam)] * 3, np.ones(3))
+        got = transfer_matrix(3, 3, lam).matrix
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_row_to_row_commutativity(self):
         T1 = transfer_matrix(3, 4, 0.63).matrix
         T2 = transfer_matrix(3, 4, -0.41).matrix

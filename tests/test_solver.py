@@ -122,9 +122,7 @@ class TestConvolution:
                 * np.exp(-1j * grid.k * grid.half_width), axis=1
             ) / grid.dx
             drive = kernel_system(n).constants(state.mu, 1.0 / T)[:, None] + d_x / T
-            conv = convolve_with_asymptote(
-                n, state.logB(), state.logB_inf, grid, tail_tol=1e-6
-            )
+            conv = convolve_with_asymptote(n, state.logB(), state.logB_inf, grid)
             worst = np.max(np.abs(state.logb + drive + conv))
             assert worst <= tol, (T, mu)
 
@@ -319,12 +317,17 @@ class TestSolver:
         assert state.diagnostics["setup_s"] > 0
         assert state.diagnostics["iterate_s"] > 0
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_default_grid_edge_tail(self, n):
-        # the windowed solution's tail at T = 0.075, among the largest of
-        # the default grids at mu = 0: measured 6.9e-7 / 7.3e-7 (n = 4 / 5)
-        # at L = 100, and 1.27e-6 / 1.34e-6 at L = 80
-        state = solve_nlie(n, T=0.075)
+    @pytest.mark.parametrize("n, T", [
+        pytest.param(4, 0.075, id="4"), pytest.param(5, 0.075, id="5"),
+        pytest.param(4, 0.03, id="4-0.03"), pytest.param(5, 0.03, id="5-0.03"),
+    ])
+    def test_default_grid_edge_tail(self, n, T):
+        # the windowed solution's tail at mu = 0 on the one default grid,
+        # L = 100: measured 6.9e-7 / 7.3e-7 (n = 4 / 5) at T = 0.075, where
+        # L = 80 gave 1.27e-6 / 1.34e-6, and 8.5e-7 / 9.3e-7 at T = 0.03,
+        # where the former L = 200 gave 1.44e-5 for n = 5
+        state = solve_nlie(n, T=T)
+        assert state.grid.half_width == 100.0
         assert state.diagnostics["edge_tail"] < 1e-6
 
     def test_parity_at_zero_mu(self):
