@@ -25,7 +25,6 @@ __all__ = [
     "EafFactorization",
     "adjacency_matrix",
     "eaf_factorization",
-    "eval_partial_sum",
     "eval_eaf_polynomial",
     "solve_bethe_roots",
     "bae_residuals",
@@ -174,15 +173,10 @@ def eaf_factorization(n, a, subset):
     )
 
 
-def eval_partial_sum(fact, data, x, ctx=None):
-    """The raw tableau sum of the factorization's range column."""
-    return eval_range_tableau(data, fact.tableau(), x, ctx)
-
-
 def eval_eaf_polynomial(fact, data, x, ctx=None):
-    """p(x) = (prod unremoved q / prod common Phi) * partial sum."""
+    """p(x) = (prod unremoved q / prod common Phi) * the range-column sum."""
     x = complex(x)
-    val = eval_partial_sum(fact, data, x, ctx)
+    val = eval_range_tableau(data, fact.tableau(), x, ctx)
     for lvl, dh in fact.unremoved_poles:
         val *= eval_q(data, lvl, x + 0.5j * dh)
     for sign, dh in fact.common_zeros:

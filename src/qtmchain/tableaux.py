@@ -13,14 +13,19 @@ the box in row r (from the top) and column m sitting at
 
 summed over all fillings that increase weakly along rows and strictly down
 columns.  Cells may carry index ranges [lo, hi]; the sum then runs over all
-admissible fillings with each cell inside its range.
+admissible fillings with each cell inside its range.  It is evaluated
+column by column: a column's states are its strictly increasing fillings,
+D_c is the diagonal of their box products and C_{c,c+1} the 0/1 transfer
+between states whose rows weakly increase, so the sum is
+1^T D_1 C_12 D_2 ... D_s 1.
 
 All types are immutable and every evaluation is a pure function, so
 everything here is safe to call concurrently.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +40,6 @@ __all__ = [
     "eval_range_tableau",
     "eval_range_tableau_naive",
     "fused_eigenvalue",
-    "admissible_fillings",
     "check_functional_relation",
     "conjugate_data",
     "conjugate_tableau",
@@ -149,10 +153,11 @@ def _lambda_scalar(data, species, x, qcache):
 class EvalContext:
     """Box-value cache shared between tableau evaluations at common data.
 
-    Box values are memoized per (species, shifted argument); filling
-    enumeration reuses them heavily.  All tableau shifts are half-integer
-    multiples of i, hence exact in binary floating point and safe to use
-    as dictionary keys.
+    Box values are memoized per shifted argument, one lambda vector over
+    all species; a tableau sum over fillings takes, for each column, the
+    products of these values over its states' rows.  All tableau shifts
+    are half-integer multiples of i, hence exact in binary floating point
+    and safe to use as dictionary keys.
     """
 
     def __init__(self, data):
@@ -246,77 +251,66 @@ class RangeTableau:
             )
 
 
-@lru_cache(maxsize=4096)
-def _fillings_cached(cells, height, width):
-    """Admissible fillings in lexicographic column-major order.
+@lru_cache(maxsize=1024)
+def _transfer_form(cells, n):
+    """Column states and 0/1 row transfers of a tableau's cells at rank n.
 
-    Cells are visited column by column, top to bottom, values ascending;
-    branches violating the strict-column or weak-row rule are pruned as
-    early as possible.  Returns an int array of shape (count, height*width)
-    with cell index c = col*height + row.
+    Returns None when no filling is admissible, else (index, bounds, links):
+    rows bounds[c]:bounds[c+1] of index are column c's strictly increasing
+    fillings, as positions in the flat (cell, species) table of lambda
+    vectors, cells column-major; links[c][i, j] = 1 when every row weakly
+    increases from state i of column c to state j of column c + 1.
     """
-    total = height * width
-    grid = [[None] * width for _ in range(height)]
-    out = []
-
-    def backtrack(pos):
-        if pos == total:
-            out.append([grid[r][c] for c in range(width) for r in range(height)])
-            return
-        col, row = divmod(pos, height)
-        lo, hi = cells[row][col]
-        if row > 0 and grid[row - 1][col] is not None:
-            lo = max(lo, grid[row - 1][col] + 1)
-        if col > 0:
-            lo = max(lo, grid[row][col - 1])
-        for val in range(lo, hi + 1):
-            grid[row][col] = val
-            backtrack(pos + 1)
-        grid[row][col] = None
-
-    backtrack(0)
-    if not out:
-        return np.empty((0, total), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
-
-
-def admissible_fillings(tableau, n):
-    """All admissible fillings of a RangeTableau at rank n, column-major."""
-    tableau.validate_rank(n)
-    clipped = tuple(
-        tuple((lo, min(hi, n)) for lo, hi in row) for row in tableau.cells
+    RangeTableau(cells).validate_rank(n)
+    a = len(cells)
+    increasing = np.array(list(combinations(range(1, n + 1), a)), dtype=np.intp)
+    states = [
+        increasing[((increasing >= lo) & (increasing <= hi)).all(axis=1)]
+        for lo, hi in (np.array(col).T for col in zip(*cells))
+    ]
+    links = [
+        (left[:, None, :] <= right[None, :, :]).all(axis=2).astype(float)
+        for left, right in zip(states, states[1:])
+    ]
+    if not reduce(np.matmul, links, np.ones(len(states[0]))).any():
+        return None
+    index = np.concatenate(
+        [(c * a + np.arange(a)) * (n + 1) + st for c, st in enumerate(states)]
     )
-    return _fillings_cached(clipped, tableau.height, tableau.width)
-
-
-def _cell_offsets(a, s):
-    """Complex offsets (column-major) of the box arguments relative to base."""
-    offs = np.empty(a * s, dtype=complex)
-    for c in range(s):
-        for r in range(a):
-            offs[c * a + r] = 1j * ((r + 1) - a / 2.0) - 1j * ((c + 1) - s / 2.0)
-    return offs
+    bounds = tuple(np.cumsum([0] + [len(st) for st in states]).tolist())
+    for arr in (index, *links):
+        arr.flags.writeable = False
+    return index, bounds, tuple(links)
 
 
 def eval_range_tableau(data, tableau, x, ctx=None):
     """Sum over admissible fillings of the product of box values.
 
-    An exact complex zero is returned iff the tableau admits no filling.
-    Shares box values through ctx when given (memoized evaluator).
+    Evaluated by column transfer, 1^T D_1 C_12 D_2 ... D_s 1 (see
+    _transfer_form).  An exact complex zero is returned, before any box is
+    evaluated, iff the tableau admits no filling.  Shares box values
+    through ctx when given.
     """
-    fillings = admissible_fillings(tableau, data.n)
-    if fillings.shape[0] == 0:
+    form = _transfer_form(tableau.cells, data.n)
+    if form is None:
         return 0j
+    index, bounds, links = form
     if ctx is None:
         ctx = EvalContext(data)
+    a, s = tableau.height, tableau.width
     base = complex(x) + tableau.shift
-    offs = _cell_offsets(tableau.height, tableau.width)
-    ncells = offs.size
-    vals = np.empty((fillings.shape[0], ncells), dtype=complex)
-    for c in range(ncells):
-        lam = ctx.lambda_vector(base + offs[c])
-        vals[:, c] = lam[fillings[:, c]]
-    return complex(vals.prod(axis=1).sum())
+    lam = np.concatenate(
+        [
+            ctx.lambda_vector(base + (1j * (r - a / 2.0) - 1j * (c - s / 2.0)))
+            for c in range(1, s + 1)
+            for r in range(1, a + 1)
+        ]
+    )
+    weight = lam[index].prod(axis=1)
+    total = weight[: bounds[1]]
+    for c, link in enumerate(links, 1):
+        total = (total @ link) * weight[bounds[c] : bounds[c + 1]]
+    return complex(total.sum())
 
 
 def eval_range_tableau_naive(data, tableau, x):

@@ -149,12 +149,11 @@ class TestSolverKernels:
     def test_half_table_transpose_identity(self, n):
         # K-hat(-k_m) = K-hat(k_m)^T, on which the half table rests, holds
         # to rounding (measured: bitwise) for every m != M/2 on the default
-        # grids; the Nyquist mode, sampled at k = -pi/dx, has no partner and
-        # is not its own transpose: entries that tend to 2 theta(k) read 0
-        # against 2
+        # grid and on TestConvolution's L = 40, M = 2048 grid; the Nyquist
+        # mode, sampled at k = -pi/dx, has no partner and is not its own
+        # transpose: entries that tend to 2 theta(k) read 0 against 2
         sys = kernel_system(n)
-        for T in (0.05, 1.0):
-            grid = default_grid(T)
+        for grid in (default_grid(1.0), Grid(half_width=40.0, points=2048)):
             M = grid.points
             K = sys.matrix(grid.k).transpose(2, 0, 1)
             m = np.arange(1, M // 2)

@@ -13,7 +13,7 @@ from qtmchain import (
     solve_bethe_roots,
 )
 from qtmchain.errors import UnsupportedSubsetError
-from qtmchain.spectral import eval_eaf_polynomial, eval_partial_sum
+from qtmchain.spectral import eval_eaf_polynomial
 
 from conftest import random_root_data, random_x
 
@@ -104,13 +104,13 @@ class TestEafFactorization:
         # p * (prod Phi) / (prod q) equals the tableau sum by construction;
         # evaluate both paths independently
         data = solve_bethe_roots(4, 2, beta=0.7)
-        from qtmchain import eval_q
+        from qtmchain import eval_q, eval_range_tableau
 
         for subset in ((0, 1), (1, 2), (0, 1, 2)):
             fact = eaf_factorization(4, 1, subset)
             for _ in range(10):
                 x = random_x(rng)
-                s = eval_partial_sum(fact, data, x)
+                s = eval_range_tableau(data, fact.tableau(), x)
                 p = eval_eaf_polynomial(fact, data, x)
                 back = p
                 for sign, dh in fact.common_zeros:

@@ -11,6 +11,7 @@ from qtmchain import (
     PoleError,
     RangeTableau,
     RootData,
+    canonical_defs,
     check_functional_relation,
     conjugate_data,
     eval_lambda,
@@ -18,11 +19,7 @@ from qtmchain import (
     eval_range_tableau,
     fused_eigenvalue,
 )
-from qtmchain.tableaux import (
-    admissible_fillings,
-    conjugate_tableau,
-    eval_range_tableau_naive,
-)
+from qtmchain.tableaux import conjugate_tableau, eval_range_tableau_naive
 
 from conftest import random_root_data, random_x
 
@@ -81,7 +78,7 @@ class TestRangeTableau:
         data = RootData.free(4)
         t = RangeTableau.column([(1, 2), (2, 4)])
         assert eval_range_tableau(data, t, 0.1) == pytest.approx(5)
-        assert admissible_fillings(t, 4).shape[0] == 5
+        assert eval_range_tableau_naive(data, t, 0.1) == 5
 
     def test_counting_row_and_column(self):
         data = RootData.free(2)
@@ -93,7 +90,7 @@ class TestRangeTableau:
         data = RootData.free(n)
         for a in range(1, n + 1):
             t = RangeTableau.full(a, 1, n)
-            assert admissible_fillings(t, n).shape[0] == comb(n, a)
+            assert eval_range_tableau_naive(data, t, 0.0) == comb(n, a)
             assert eval_range_tableau(data, t, 0.0) == pytest.approx(comb(n, a))
 
     def test_counting_equals_filling_count(self, rng):
@@ -109,28 +106,65 @@ class TestRangeTableau:
                 for _ in range(s)
             )
             t = RangeTableau(tuple((cells) for _ in range(a)))
-            count = admissible_fillings(t, 5).shape[0]
+            count = eval_range_tableau_naive(data, t, 0.0)
             assert eval_range_tableau(data, t, random_x(rng)) == pytest.approx(count)
 
     def test_no_admissible_filling_gives_exact_zero(self):
-        data = random_root_data(3, np.random.default_rng(0))
-        t = RangeTableau.column([(2, 2), (1, 1)])  # strictly decreasing: empty
-        assert eval_range_tableau(data, t, 0.3) == 0j
+        data = random_root_data(4, np.random.default_rng(0))
+        # a strictly decreasing column; two columns that each have states,
+        # but whose second row would need 3..4 <= 2
+        for t in (
+            RangeTableau.column([(2, 2), (1, 1)]),
+            RangeTableau((((2, 3), (1, 2)), ((3, 4), (2, 2)))),
+        ):
+            assert eval_range_tableau(data, t, 0.3) == 0j
+            assert eval_range_tableau_naive(data, t, 0.3) == 0j
 
-    def test_lexicographic_column_major_order(self):
-        t = RangeTableau.full(2, 1, 4)
-        fills = admissible_fillings(t, 4)
-        expect = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-        assert [tuple(r) for r in fills] == expect
+    def test_no_filling_evaluates_no_box(self):
+        # the top box of a height-2 column sits at x - i/2 = 0.7, the root of q_1
+        data = RootData(n=2, N=0, tau=0.0, mu=(0.0, 0.0), beta=1.0, roots=((0.7,),))
+        x = 0.7 + 0.5j
+        with pytest.raises(PoleError):
+            eval_range_tableau(data, RangeTableau.column([(1, 2), (2, 2)]), x)
+        assert eval_range_tableau(data, RangeTableau.column([(2, 2), (1, 1)]), x) == 0j
+
+    @pytest.mark.parametrize(
+        "cells",
+        [(((0, 2),),), (((1, 4),),), (((2, 1),),), ((1,), (2,), (3,), (3,))],
+        ids=["below", "above", "reversed", "too-tall"],
+    )
+    def test_invalid_tableau_raises(self, cells):
+        data = RootData.free(3)
+        t = RangeTableau(cells)
+        with pytest.raises(DomainError):
+            eval_range_tableau(data, t, 0.3)
+        with pytest.raises(DomainError):
+            eval_range_tableau_naive(data, t, 0.3)
 
     def test_memoized_matches_naive(self, rng):
-        for n in (3, 4):
+        for n in range(2, 6):
+            tabs = [
+                RangeTableau.full(a, s, n) for a in range(1, n + 1) for s in range(1, 5)
+            ]
+            for pair in canonical_defs(n):
+                for defn in pair:
+                    tabs += [*defn.numerator, *defn.denominator]
+            for _ in range(4):
+                a = int(rng.integers(1, n + 1))
+                s = int(rng.integers(1, 4))
+                lo = rng.integers(1, n + 1, (a, s))
+                hi = lo + rng.integers(0, n + 1 - lo)
+                cells = tuple(
+                    tuple((int(l), int(h)) for l, h in zip(lrow, hrow))
+                    for lrow, hrow in zip(lo, hi)
+                )
+                tabs.append(RangeTableau(cells))
             data = random_root_data(n, rng)
-            t = RangeTableau((((1, 3), (1, n)), ((2, n), (3, n))))
             x = random_x(rng)
-            fast = eval_range_tableau(data, t, x)
-            slow = eval_range_tableau_naive(data, t, x)
-            assert abs(fast - slow) <= 1e-12 * abs(slow)
+            for t in tabs:
+                fast = eval_range_tableau(data, t, x)
+                slow = eval_range_tableau_naive(data, t, x)
+                assert abs(fast - slow) <= 1e-13 * abs(slow)
 
     def test_shared_context_matches_fresh(self, rng):
         data = random_root_data(4, rng)
