@@ -262,7 +262,8 @@ def cmd_sweep(args):
 
 def _sweep_summary(points):
     """One line totalled from the points' meta: points, solves, iterations,
-    the worst residual, the slowest solve and the worst edge tail."""
+    the worst residual, the slowest solve, the worst edge tail and the
+    preconditioners built."""
     metas = [pt.meta for pt in points]
     worst = max((m["residual"] for m in metas), default=0.0)
     slowest = max((m["slowest_solve_s"] for m in metas), default=0.0)
@@ -271,7 +272,8 @@ def _sweep_summary(points):
         f"sweep: {len(metas)} points, {sum(m['solves'] for m in metas)} solves, "
         f"{sum(m['iterations'] for m in metas)} iterations, "
         f"worst residual {worst:.2e}, slowest solve {slowest:.3f} s, "
-        f"worst edge tail {tail:.2e}"
+        f"worst edge tail {tail:.2e}, "
+        f"{sum(m['preconditioners_built'] for m in metas)} preconditioners built"
     )
 
 

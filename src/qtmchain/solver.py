@@ -72,7 +72,6 @@ import logging
 import threading
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import factorial
@@ -219,11 +218,25 @@ class _GridSystem:
         phase = (-1.0) ** np.arange(M)
         dhat = sys.driving_hat(grid.k)
         self.d_x = 2.0 * np.pi * np.fft.ihfft(dhat * phase, axis=1) / grid.dx
+        # (logb_inf.tobytes(), map): the preconditioning map last built on
+        # this grid and its asymptote, kept by _asymptote_preconditioner
+        self.kept = None
+        self.kept_lock = threading.Lock()
+
+
+_grid_lock = threading.Lock()
 
 
 @lru_cache(maxsize=8)
-def _grid_system(n, half_width, points):
+def _cached_grid_system(n, half_width, points):
     return _GridSystem(n, Grid(half_width=half_width, points=points))
+
+
+def _grid_system(n, half_width, points):
+    """The cached _GridSystem, built under a lock: the points of a sweep
+    that start together on a new grid share one, and its preconditioner."""
+    with _grid_lock:
+        return _cached_grid_system(n, half_width, points)
 
 
 # Periodic images are removed through tail order X^-(_TAIL_ORDERS+1); the
@@ -474,39 +487,26 @@ def _precondition(P, W, v):
     return out
 
 
-# Inside _sharing_preconditioner(), the preconditioner last built on this
-# thread, keyed by (n, grid, asymptote).
-_shared = threading.local()
-
-
-@contextmanager
-def _sharing_preconditioner():
-    """Within the block, the _tangent_solver of a state reuses the
-    preconditioner that solve_nlie built for it on this thread, in place of
-    inverting it again: one inverse per thermo point.  The kept map is
-    dropped when the block ends."""
-    _shared.kept = {}
-    try:
-        yield
-    finally:
-        del _shared.kept
-
-
 def _asymptote_preconditioner(gsys, logb_inf):
     """The preconditioning map v -> A^-1 v (_precondition) at W = b/(1+b)
-    of the asymptote logb_inf.  Inside _sharing_preconditioner() the one
-    last built on this thread for the same (n, grid, logb_inf) is reused,
-    and a new one is kept."""
-    kept = getattr(_shared, "kept", None)
-    key = (gsys.n, gsys.grid, logb_inf.tobytes())
-    if kept is not None and key in kept:
-        return kept[key]
-    W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
-    precondition = partial(_precondition, _preconditioner(gsys.Kmat, W), W)
-    if kept is not None:
-        kept.clear()
-        kept[key] = precondition
-    return precondition
+    of the asymptote logb_inf, and whether this call built it.
+
+    gsys keeps the last map built on its grid, in one slot keyed by
+    logb_inf.  At mu = 0 the asymptote is that of the counting values,
+    the same at every T, so one inverse serves every solve of the grid;
+    another asymptote replaces the map.  The slot is emptied before the
+    replacement is built, so the grid never keeps two tables, and it is
+    locked while read or rebuilt, so threads that need the same map build
+    it once."""
+    key = logb_inf.tobytes()
+    with gsys.kept_lock:
+        if gsys.kept is not None and gsys.kept[0] == key:
+            return gsys.kept[1], False
+        gsys.kept = None
+        W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
+        precondition = partial(_precondition, _preconditioner(gsys.Kmat, W), W)
+        gsys.kept = (key, precondition)
+    return precondition, True
 
 
 def _mixing_coefficients(gram, rhs):
@@ -652,8 +652,17 @@ def solve_nlie(
     NlieState; raises ConvergenceError on NaNs or on sustained residual
     growth (after one automatic retry with damping 0.5).  iterations and
     residual_history count every step, those before the retry included,
-    and max_iter bounds their total.
+    and max_iter bounds their total.  diagnostics records whether the
+    preconditioner was built for this solve (preconditioner_built) or was
+    the one its grid kept (_asymptote_preconditioner).
     """
+    return _solve_nlie(n, T, mu=mu, J=J, grid=grid, damping=damping, tol=tol,
+                       max_iter=max_iter, logb0=logb0)[0]
+
+
+def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
+                max_iter=2000, logb0=None):
+    """solve_nlie, returning (state, the preconditioning map it took)."""
     if T <= 0:
         raise DomainError("temperature must be positive")
     if mu is None:
@@ -663,13 +672,13 @@ def solve_nlie(
     if J < 0:
         warnings.warn(
             "J < 0 lies outside the regime of the eigenvalue reconstruction",
-            stacklevel=2,
+            stacklevel=3,
         )
     if max(abs(beta * v) for v in mu) > 1.0:
         warnings.warn(
             "analyticity strips were established at mu = 0; "
             f"|beta*mu| = {max(abs(beta * v) for v in mu):.2f} is large",
-            stacklevel=2,
+            stacklevel=3,
         )
     if grid is None:
         grid = default_grid(T)
@@ -681,7 +690,7 @@ def solve_nlie(
     # the step is preconditioned by the exact linearization at the
     # asymptote: per Fourier mode, A^-1 = (I + K-hat W)^-1 applied to it
     t_setup = time.perf_counter()
-    precondition = _asymptote_preconditioner(gsys, logb_inf)
+    precondition, built = _asymptote_preconditioner(gsys, logb_inf)
     if logb0 is not None:
         # the half x <= 0; the symmetry makes log b real at x = -L and 0
         logb = np.array(np.asarray(logb0)[:, : grid.points // 2 + 1], dtype=complex)
@@ -704,10 +713,10 @@ def solve_nlie(
     if tail > _EDGE_TAIL_TOL:
         warnings.warn(
             f"asymptote tail {tail:.2e} at the window edge; widen the grid",
-            stacklevel=2,
+            stacklevel=3,
         )
     asym_resid = float(np.max(np.abs(logb_inf + c + gsys.K0 @ logB_inf)))
-    return NlieState(
+    state = NlieState(
         n=n,
         T=float(T),
         mu=mu,
@@ -726,8 +735,10 @@ def solve_nlie(
             "residual_history": history,
             "setup_s": t_iterate - t_setup,
             "iterate_s": t_done - t_iterate,
+            "preconditioner_built": built,
         },
     )
+    return state, precondition
 
 
 def gamma_term(n, x):
@@ -785,7 +796,7 @@ def free_energy(state):
     return -state.T * log_eigenvalue(state, 0.0)
 
 
-def _tangent_solver(state, tol=1e-12):
+def _tangent_solver(state, tol=1e-12, precondition=None):
     """Solver of the tangent equations of a converged state.
 
     The derivative u = d log b / d theta along a direction theta of
@@ -802,10 +813,11 @@ def _tangent_solver(state, tol=1e-12):
     (I + K-hat(0) W_inf) u_inf = -(dc + K-hat(0) s_inf).  Every solve
     takes solve_nlie's iteration (_iterate: the preconditioned, Anderson-
     mixed step and its stop rule) and default step limit, with one
-    preconditioner shared by all; inside _sharing_preconditioner() it is
-    the one solve_nlie built for state.  Like the NLIE, the solves run on
-    the half space x <= 0: W, the drives and s keep the symmetry, and so
-    do u_theta and every second derivative.
+    preconditioner shared by all: precondition, the map that the nonlinear
+    solve of state took (_solve_nlie returns it), or else the map of
+    state's asymptote that _asymptote_preconditioner keeps or builds.  Like
+    the NLIE, the solves run on the half space x <= 0: W, the drives and s
+    keep the symmetry, and so do u_theta and every second derivative.
 
     Returns solve(dc=None, dbetaJ=0, pair=None): dc is the derivative of c
     (F,) and dbetaJ that of beta*J, both zero when left out, and pair =
@@ -817,7 +829,8 @@ def _tangent_solver(state, tol=1e-12):
     logb = state.logb[:, : state.grid.points // 2 + 1]
     W = np.exp(logb - _log1p_exp(logb))
     W_inf = np.exp(state.logb_inf) / (1.0 + np.exp(state.logb_inf))
-    precondition = _asymptote_preconditioner(gsys, state.logb_inf)
+    if precondition is None:
+        precondition = _asymptote_preconditioner(gsys, state.logb_inf)[0]
     A0 = np.eye(len(W_inf)) + gsys.K0 * W_inf
 
     def solve(dc=None, dbetaJ=0.0, pair=None):

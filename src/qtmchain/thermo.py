@@ -29,13 +29,20 @@ explicit beta and mu terms enters S, C, n_i or chi.  One point takes one
 nonlinear solve and linear solves: 2 for S and C, n more for the
 densities, and n(n+1)/2 more for chi.  All of them take the solver's one
 iteration (solver._iterate, preconditioned and Anderson-mixed) with the
-one preconditioner the nonlinear solve built, and like it they run on the
-half space x <= 0: W, every drive and every source keep the symmetry
-u(-x) = conj(u(x)) of the converged state.  The solves at one level are
-independent and run on up to `workers` threads.
+one preconditioner the nonlinear solve took, handed over with its state,
+and like it they run on the half space x <= 0: W, every drive and every
+source keep the symmetry u(-x) = conj(u(x)) of the converged state.  The
+grid keeps its last preconditioner, so at mu = 0, where the asymptote is
+the same at every T, the points of a sweep invert it once.
+
+A point's solves at one level are independent and run on up to `workers`
+threads.  A sweep runs its points on `workers` threads instead, the
+calling thread one of them, and each point's tangent solves in its own
+thread: a C-only point is three solves that must run in order.
 """
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,13 +51,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .kernels import kernel_system
-from .solver import (
-    _sharing_preconditioner,
-    _tangent_solver,
-    free_energy,
-    gamma_term,
-    solve_nlie,
-)
+from .solver import _solve_nlie, _tangent_solver, free_energy, gamma_term
 
 __all__ = [
     "ThermoPoint",
@@ -58,6 +59,40 @@ __all__ = [
     "sweep",
     "parse_t_range",
 ]
+
+
+def _cpus():
+    """The CPUs this process may run on (os.cpu_count() ignores affinity)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _ordered_map(fn, items, workers):
+    """[fn(item) for item in items] on up to `workers` threads, the calling
+    thread one of them; each thread takes the next item until none is left.
+    With one worker, or one item, no thread is started.  An exception of
+    fn is raised once every thread has stopped."""
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    out = [None] * len(items)
+    todo = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            out[i] = fn(items[i])
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for h in helpers:
+            h.result()
+    return out
 
 
 @dataclass
@@ -92,11 +127,13 @@ def thermo_point(
     """One (T, mu) record of f, S, C, n_i and the response matrix.
 
     One nonlinear solve at (T, mu) on the default grid, then the tangent
-    solves of the module docstring, each to the same tol; workers threads
-    (default: one per CPU) share the independent ones.  A failed tangent
+    solves of the module docstring, each to the same tol and with the
+    nonlinear solve's preconditioner; workers threads (default: one per CPU
+    this process may run on) share the independent ones.  A failed tangent
     solve raises ConvergenceError with the location attached.  meta totals
     every solve of the point, nonlinear and tangent: solves, iterations,
-    the worst residual and slowest_solve_s; edge_tail is the nonlinear
+    the worst residual, slowest_solve_s and preconditioners_built (0 when
+    the grid kept the map of this asymptote); edge_tail is the nonlinear
     solve's |log B - log Binf| at the window edge (its diagnostics).
     """
     if T <= 0:
@@ -107,10 +144,9 @@ def thermo_point(
     beta = 1.0 / T
 
     t0 = time.perf_counter()
-    with _sharing_preconditioner():
-        state = solve_nlie(n, T, mu=mu, J=J, tol=tol)
-        records = [(state.iterations, state.residual, time.perf_counter() - t0)]
-        solve = _tangent_solver(state, tol=tol)
+    state, precondition = _solve_nlie(n, T, mu=mu, J=J, tol=tol)
+    records = [(state.iterations, state.residual, time.perf_counter() - t0)]
+    solve = _tangent_solver(state, tol=tol, precondition=precondition)
     f = free_energy(state)
 
     c_of = kernel_system(n).constants
@@ -126,11 +162,11 @@ def thermo_point(
             return solve(c_of(mu, 1.0), J)
         return solve(c_of(np.eye(n)[theta], beta))
 
+    workers = workers or _cpus()
     try:
-        with ThreadPoolExecutor(max_workers=workers or os.cpu_count()) as pool:
-            t1 = dict(zip(dirs, pool.map(first, dirs)))
-            t2 = dict(zip(pairs, pool.map(
-                lambda p: solve(pair=(t1[p[0]], t1[p[1]])), pairs)))
+        t1 = dict(zip(dirs, _ordered_map(first, dirs, workers)))
+        t2 = dict(zip(pairs, _ordered_map(
+            lambda p: solve(pair=(t1[p[0]], t1[p[1]])), pairs, workers)))
     except ConvergenceError as err:
         raise ConvergenceError(
             f"tangent solve failed at T={T}, mu={mu}: {err}",
@@ -166,6 +202,7 @@ def thermo_point(
             "residual": float(max(res)),
             "slowest_solve_s": float(max(secs)),
             "edge_tail": float(state.diagnostics["edge_tail"]),
+            "preconditioners_built": int(state.diagnostics["preconditioner_built"]),
         },
     )
 
@@ -191,19 +228,26 @@ def sweep(
     workers=None,
     tol=1e-12,
 ):
-    """Thermo points in ascending T, each solved from a cold start;
-    per-point failures are recorded and the sweep continues.  Returns
-    (points, failures)."""
+    """Thermo points in ascending T, each solved from a cold start on one
+    of `workers` threads (default: one per CPU this process may run on),
+    the calling thread one of them; a point's own solves run in its
+    thread.  Per-point failures are recorded, as (T, repr(error)) in
+    ascending T, and the sweep continues.  Returns (points, failures)."""
     if isinstance(temperatures, str):
         temperatures = parse_t_range(temperatures)
-    points = []
-    failures = []
-    for T in sorted(float(t) for t in temperatures):
+    temps = sorted(float(t) for t in temperatures)
+
+    def point(T):
         try:
-            points.append(thermo_point(
+            return thermo_point(
                 n, T, mu=mu, J=J, with_chi=with_chi,
-                with_densities=with_densities, workers=workers, tol=tol,
-            ))
+                with_densities=with_densities, workers=1, tol=tol,
+            )
         except Exception as err:  # noqa: BLE001 - recorded, sweep continues
-            failures.append((T, repr(err)))
+            return err
+
+    done = _ordered_map(point, temps, workers or _cpus())
+    points = [p for p in done if isinstance(p, ThermoPoint)]
+    failures = [(T, repr(p)) for T, p in zip(temps, done)
+                if not isinstance(p, ThermoPoint)]
     return points, failures

@@ -81,7 +81,8 @@ class TestSweep:
         err = capsys.readouterr().err.strip().split("\n")
         m = re.fullmatch(
             r"sweep: 2 points, 6 solves, (\d+) iterations, "
-            r"worst residual (\S+), slowest solve (\S+) s, worst edge tail (\S+)",
+            r"worst residual (\S+), slowest solve (\S+) s, worst edge tail (\S+), "
+            r"(\d+) preconditioners built",
             err[-1],
         )
         assert m, err
@@ -89,6 +90,9 @@ class TestSweep:
         assert 0 < float(m[2]) < 1e-12
         assert float(m[3]) > 0
         assert 0 < float(m[4]) < 1e-6  # 1.8e-7 at T = 1, L = 100
+        # both points have the mu = 0 asymptote: one inverse, or none when
+        # the grid already keeps it
+        assert int(m[5]) <= 1
 
 
 class TestOracle:

@@ -38,16 +38,38 @@ class TestThermoPoint:
         assert 0 < pt.meta["edge_tail"] < 1e-6
 
     def test_one_preconditioner_per_point(self, monkeypatch):
-        # the tangent solves reuse the centre solve's preconditioner
+        # the grid keeps its last preconditioner: at mu = 0 the asymptote is
+        # the same at every T, so one inverse serves every point, and a
+        # point's tangent solves take the map of their own nonlinear solve
         built = []
         orig = solver._preconditioner
         monkeypatch.setattr(
             solver, "_preconditioner", lambda *a: built.append(1) or orig(*a)
         )
-        thermo_point(4, 1.0, with_chi=False, with_densities=False)
-        assert len(built) == 1
-        solver._tangent_solver(solve_nlie(4, 1.0))  # outside a point: no sharing
-        assert len(built) == 3
+        grid = solver.default_grid(1.0)
+        gsys = solver._grid_system(4, grid.half_width, grid.points)
+        gsys.kept = None
+        pt = thermo_point(4, 1.0, with_chi=False, with_densities=False)
+        assert len(built) == pt.meta["preconditioners_built"] == 1
+        pt = thermo_point(4, 2.0, with_chi=False, with_densities=False)
+        solver._tangent_solver(solve_nlie(4, 1.0))
+        assert len(built) == 1 and pt.meta["preconditioners_built"] == 0
+        # mu != 0: every point has an asymptote of its own, inverted once
+        # for its three solves although the other thread's points replace
+        # the kept map meanwhile
+        temps = [2.0, 3.0, 4.0, 6.0]
+        pts, failures = sweep(4, temps, mu=(0.3, 0.0, 0.0, -0.3), workers=2)
+        assert not failures
+        assert len(built) == 1 + len(temps)
+        assert sum(p.meta["preconditioners_built"] for p in pts) == len(temps)
+        # the kept table is a fresh inverse, bit for bit
+        logb_inf, _ = solver.asymptotic_constants(4, 1.0)
+        solve_nlie(4, 1.0)
+        key, precondition = gsys.kept
+        assert key == logb_inf.tobytes()
+        W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
+        assert np.array_equal(precondition.args[0], orig(gsys.Kmat, W))
+        assert np.array_equal(precondition.args[1], W)
 
     def test_low_temperature_iteration_budget(self):
         # Anderson mixing: 94 iterations over the three solves, where the
@@ -127,6 +149,31 @@ class TestSweep:
         assert pts[0].f == direct.f
         assert pts[0].S == direct.S
         assert pts[0].C == direct.C
+
+    def test_concurrent_points_match_sequential(self):
+        temps = [2.0, 0.5, 4.0, 1.0]
+        one, fail_one = sweep(4, temps, workers=1)
+        two, fail_two = sweep(4, temps, workers=2)
+        assert not fail_one and not fail_two
+        assert [p.T for p in two] == sorted(temps)
+        for a, b in zip(one, two):
+            assert a.row() == b.row()
+
+    def test_cold_concurrent_sweep_builds_once(self):
+        # points that start together on a grid not yet built share one grid
+        # system, so at mu = 0 one preconditioner serves them all
+        solver._cached_grid_system.cache_clear()
+        pts, failures = sweep(4, [1.0, 2.0, 3.0, 4.0], workers=2)
+        assert not failures
+        assert sum(p.meta["preconditioners_built"] for p in pts) == 1
+        assert solver._cached_grid_system.cache_info().misses == 1
+
+    def test_failed_point_is_recorded(self):
+        pts, failures = sweep(4, [2.0, -1.0, 1.0], workers=2)
+        assert [p.T for p in pts] == [1.0, 2.0]
+        assert len(failures) == 1
+        T, err = failures[0]
+        assert T == -1.0 and err.startswith("DomainError")
 
     def test_entropy_monotone_on_small_grid(self):
         pts, failures = sweep(4, [0.5, 1.0, 2.0, 4.0], with_densities=False)
