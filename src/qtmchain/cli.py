@@ -217,7 +217,9 @@ def cmd_verify(args):
 
 def cmd_solve(args):
     mu = tuple(float(v) for v in args.mu.split(",")) if args.mu else None
-    grid = Grid(half_width=args.half_width, points=args.points) if args.half_width is not None else default_grid(args.temp, points=args.points)
+    grid = default_grid(args.temp, points=args.points)
+    if args.half_width is not None:
+        grid = Grid(half_width=args.half_width, points=grid.points)
     state = solve_nlie(
         args.n, args.temp, mu=mu, J=args.J, grid=grid,
         damping=args.damping, tol=args.tol,
@@ -262,17 +264,21 @@ def cmd_sweep(args):
 
 def _sweep_summary(points):
     """One line totalled from the points' meta: points, solves, iterations,
-    the worst residual, the slowest solve, the worst edge tail and the
-    preconditioners built."""
+    the worst residual, the slowest solve, the worst tail fit residual and
+    the largest far-field coefficients |A2|, |A3| of the points' nonlinear
+    solves, and the preconditioners built."""
     metas = [pt.meta for pt in points]
-    worst = max((m["residual"] for m in metas), default=0.0)
-    slowest = max((m["slowest_solve_s"] for m in metas), default=0.0)
-    tail = max((m["edge_tail"] for m in metas), default=0.0)
+
+    def worst(key):
+        return max((m[key] for m in metas), default=0.0)
+
     return (
         f"sweep: {len(metas)} points, {sum(m['solves'] for m in metas)} solves, "
         f"{sum(m['iterations'] for m in metas)} iterations, "
-        f"worst residual {worst:.2e}, slowest solve {slowest:.3f} s, "
-        f"worst edge tail {tail:.2e}, "
+        f"worst residual {worst('residual'):.2e}, "
+        f"slowest solve {worst('slowest_solve_s'):.3f} s, "
+        f"worst tail fit {worst('tail_fit_residual'):.2e} "
+        f"(|A2| {worst('tail_A2'):.2e}, |A3| {worst('tail_A3'):.2e}), "
         f"{sum(m['preconditioners_built'] for m in metas)} preconditioners built"
     )
 
@@ -350,7 +356,8 @@ def build_parser():
     s.add_argument("--temp", type=float, required=True)
     s.add_argument("--mu", default=None, help="comma-separated chemical potentials")
     s.add_argument("--J", type=float, default=1.0)
-    s.add_argument("--points", type=int, default=4096)
+    s.add_argument("--points", type=int, default=None,
+                   help="grid points (default: those of default_grid)")
     s.add_argument("--half-width", type=float, default=None)
     s.add_argument("--damping", type=float, default=0.0)
     s.add_argument("--tol", type=float, default=1e-12)

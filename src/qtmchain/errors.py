@@ -41,14 +41,15 @@ class ConvergenceError(QtmChainError, RuntimeError):
 
 
 class GridTooSmallError(QtmChainError, RuntimeError):
-    """Function to be convolved has not decayed to its asymptote inside the window."""
+    """Function to be convolved does not follow, near the window edge, the
+    algebraic far field that closes the window; tail is the fit residual."""
 
     def __init__(self, tail, tol):
         self.tail = tail
         self.tol = tol
         super().__init__(
-            f"tail magnitude {tail:.3e} at the grid edge exceeds {tol:.1e}; "
-            "increase the half-width"
+            f"far-field fit misses the tail by {tail:.3e} near the grid edge, "
+            f"above {tol:.1e}; increase the half-width"
         )
 
 

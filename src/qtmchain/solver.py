@@ -1,33 +1,48 @@
 """Preconditioned, Anderson-mixed fixed-point solver for the nonlinear
 integral equations.
 
-The system solved on a uniform grid over [-L, L) is
+The system is the real-line equation
 
     log b(x) = -(c + beta*J*d(x)) - (K * log B)(x),      B = 1 + b,
 
-per auxiliary function, with the kernel matrix and driving term sampled
-analytically in Fourier space and the convolution done by FFT after
-splitting off the constant large-x asymptote:
+per auxiliary function, solved on a uniform grid over the window [-L, L]
+and closed by its far field.  The kernel matrix and the driving term are
+sampled analytically in Fourier space and the convolution is done by FFT
+after splitting off the constant large-x asymptote:
 
     K * log B = K * (log B - log Binf) + K-hat(0) . log Binf.
 
-The iteration (_iterate) preconditions the step of this map with its exact
+The iteration (_iterate) preconditions the step of this map with its
 linearization at the asymptote, A(k)^-1 = (I + K-hat(k) W)^-1 per Fourier
-mode, and mixes it with the last two steps (Anderson mixing); the tangent
-equations of a converged state take the same iteration.
+mode of the window, and mixes it with the last two steps (Anderson
+mixing); the tangent equations of a converged state take the same
+iteration.
 
-The FFT product is circular: with the plain samples K-hat(k_m) it would
-convolve with the periodized kernel sum_n K(u + 2nL).  The kernel
-transforms are one-sided power series at k = 0 (the |k| kinks), so K has
-algebraic tails K(X) ~ X^-2, X^-3, ... and those periodic images do not
-vanish: at L = 40 they shift a convolution by 7e-5.  Each kernel table is
-therefore corrected once, at set-up (_remove_images), so that the FFT
-convolves with K itself over the lags [-L, L): the windowed equation, with
-log B = log Binf outside the window, for every pair of points less than L
-apart (pairs further apart keep a wrapped lag; they meet only where the
-decaying part is down to its edge tail).  The image
+The closed window.  The decaying part d = log B - log Binf has algebraic
+tails: x^-3 at mu = 0 and x^-2 otherwise.  The one convolution routine,
+_convolve, therefore runs on a grid padded to [-2L, 2L) at the same dx,
+so that every two points of the window meet at their true lag, and fills
+the pad with d's far field, sum_p A_p |x|^-p (p = 2, 3), fitted on the
+outer half of the window, L/2 <= |x| <= L (_far_field).  What the padded
+FFT still misses, the sources past 2L and the pad sources whose lag wraps
+on the 4L period, meets the window only at lags of at least L.  There the
+kernel is its algebraic tail, and _convolve adds it as one fixed linear
+map of the A_p.  How closely the fit carries d is the closure's check:
+solve_nlie warns, and convolve_with_asymptote raises GridTooSmallError,
+above _TAIL_FIT_TOL.  The padded grid's table is the one table of a grid;
+the window's modes are its even ones, a strided view that the
+preconditioner takes.
+
+The kernel's tail.  The FFT product is circular: with the plain samples
+K-hat(k_m) it would convolve with the periodized kernel sum_n K(u + 4nL).
+The kernel transforms are one-sided power series at k = 0 (the |k|
+kinks), so K has algebraic tails K(X) ~ sum_q C_q X^-q, q = 2, 3, ..., and
+those periodic images do not vanish: at L = 40 they shift a convolution by
+7e-5.  Each table is therefore corrected once, at set-up (_remove_images),
+so that the FFT convolves with K itself over the lags [-2L, 2L).  The image
 sum is taken from the tail expansion through X^-4, whose coefficients are
-fitted to the samples at k = 0; _remove_images gives the measured accuracy.
+fitted to the samples at k = 0; _remove_images gives the measured
+accuracy, and the same C_q carry the far field of the closed window.
 
 Conventions: transforms follow g-hat(k) = int e^{-ikx} g(x) dx, so the
 asymptote of a convolution is K-hat(0) times the asymptote of the input,
@@ -40,10 +55,13 @@ any real mu, and every grid spectrum is real.  The solver therefore works
 on the M/2+1 points x_j = -L + j dx, j = 0..M/2 (x <= 0), and reads the
 rest of the grid as g_{M-j} = conj(g_j); the iteration, its residual and
 its Anderson history all live on that half.  The forward transform
-np.fft.hfft(g, n=M) gives the real spectrum on all M modes (the imaginary
-parts of g at x = -L and x = 0, which the symmetry makes zero, are not
-read), and np.fft.ihfft brings a real spectrum back to the half.  Every
-kernel table is kept for the modes m = 0..M/2 only, mode-major
+hfft(g, n=M) (scipy.fft) gives the real spectrum on all M modes (the
+imaginary parts of g at x = -L and x = 0 are not read), and ihfft brings a
+real spectrum back to the half.  At x = 0 the symmetry makes g real.
+x = -L is the seam of the window's spectrum, where the state is held real
+as at x = 0; the padded convolution reads Im d there from the far field's
+fit, and no fit or check reads the point.  Every kernel table is kept for
+the modes m = 0..M/2 of its grid (M points) only, mode-major
 (M/2+1, F, F): K-hat(-k) = K-hat(k)^T, so a mode m > M/2 applies the
 transpose of mode M-m (_contract).  The Nyquist mode M/2 has no partner
 on the grid and is not its own transpose (entries that tend to 2 theta(k)
@@ -77,6 +95,7 @@ from functools import lru_cache, partial
 from math import factorial
 
 import numpy as np
+from scipy.fft import hfft, ihfft
 from scipy.special import digamma, zeta
 
 from .aux_functions import counting_values
@@ -125,23 +144,29 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
 
-def default_grid(T, points=4096):
-    """Default window: L = 100 at every T (dx = 0.049 at M = 4096).
+def default_grid(T, points=None):
+    """Default window: L = 50 at every T, M = 2048 points (dx = 0.049);
+    points, if given, replaces M.
 
-    T is not read; callers pass it so that the rule may depend on it.  With
-    the kernels' periodic images removed (_remove_images) the window need
-    not grow with 1/T, and below T ~ 0.06 widening it at fixed M only
-    coarsens dx: at T = 0.03, L = 200 leaves an n = 5 edge tail of 1.44e-5
-    where L = 100 leaves 9.3e-7 (8.5e-7 for n = 4) in as many iterations,
-    and f at L = 100 is 3.9e-9 closer to L = 200, M = 16384.
+    T is not read; callers pass it so that the rule may depend on it.  The
+    window is closed by its far field (_far_field), so L is set by how well
+    the closure works, not by how far log B has decayed.  Worst |f - f_ref|
+    over the 12 reference cases (n = 4, 5; T = 0.05 to 100), f_ref from
+    L = 320, M = 16384 with log B = log Binf outside the window:
 
-    100 is where the mu = 0 edge tail |log B - log Binf| stays below
-    _EDGE_TAIL_TOL: at T = 0.1 it falls roughly as L^-2.7 (1.17e-6,
-    0.85e-6, 0.64e-6 at L = 80, 90, 100 for n = 4), and it is
-    1.26e-6 / 1.34e-6 (n = 4 / 5) at L = 80, T = 0.075.  For T in
-    [0.05, 100] the free energy is within 1.3e-11 of L = 320, M = 16384.
-    The n = 5 tail crosses the threshold near T = 0.014."""
-    return Grid(half_width=100.0, points=points)
+        L, M         windowed   closed   closed, fit residual
+        100, 4096    1.26e-11   8.5e-14  1.3e-8
+        50, 2048     4.1e-10    1.45e-12 1.9e-7
+        25, 1024     5.0e-9     2.3e-10  3.9e-6
+
+    50 is the smallest L of these whose error stays near 1e-12; from 50
+    to 25 it grows 160-fold, while the fit residual, the solver's check,
+    stays below _TAIL_FIT_TOL above T = 0.1.  dx must
+    stay: at n = 5, T = 100, dx = 0.0625 (L = 64, M = 2048) costs 1.9e-11,
+    and dx = 0.024 (L = 50, M = 4096) changes f by 6e-14.  On this grid
+    f at mu != 0 (x^-2 tails) is within 1.8e-12 of L = 320, M = 16384, and
+    the n = 5 fit residual stays below _TAIL_FIT_TOL down to T = 0.01."""
+    return Grid(half_width=50.0, points=2048 if points is None else points)
 
 
 @dataclass
@@ -200,12 +225,21 @@ class _GridSystem:
         sys = kernel_system(n)
         self.sys = sys
         M = grid.points
-        k = grid.k[: M // 2 + 1]  # modes 0..M/2, the Nyquist one at -pi/dx
-        # matrix() fills a mode-major buffer; this is that buffer, not a copy
-        self.Kmat = _remove_images(
-            np.ascontiguousarray(sys.matrix(k).transpose(2, 0, 1)), grid
-        )  # (M/2+1, F, F)
+        # the convolution runs on the padded grid (2L, 2M); modes 0..M of
+        # its half table, the Nyquist one at -pi/dx.  matrix() fills a
+        # mode-major buffer; this is that buffer, not a copy
+        pad = Grid(half_width=2.0 * grid.half_width, points=2 * M)
+        self.Kpad = np.ascontiguousarray(
+            sys.matrix(pad.k[: M + 1]).transpose(2, 0, 1)
+        )  # (M+1, F, F)
+        # the kernel's algebraic tail K(X) ~ sum_q tail[q-2] X^-q, q = 2..4:
+        # the images it removes, and the far field of _convolve
+        self.tail = _remove_images(self.Kpad, pad)
+        # the window's modes k_m = 2 pi m / 2L are the padded grid's even
+        # ones: its half table, for the preconditioner, is a strided view
+        self.Kmat = self.Kpad[::2]  # (M/2+1, F, F)
         self.K0 = sys.matrix0()
+        self.far = _far_field(M, grid.half_width)
         # the weights d-hat(-k_m)/M of _ell on all M modes; d-hat is analytic
         # at k = 0 (a ratio of sinh), so it has no algebraic tail and no
         # periodic images to remove
@@ -217,7 +251,7 @@ class _GridSystem:
         # and e^{-ik_m L} = (-1)^m keeps the spectrum real
         phase = (-1.0) ** np.arange(M)
         dhat = sys.driving_hat(grid.k)
-        self.d_x = 2.0 * np.pi * np.fft.ihfft(dhat * phase, axis=1) / grid.dx
+        self.d_x = 2.0 * np.pi * ihfft(dhat * phase, axis=1) / grid.dx
         # (logb_inf.tobytes(), map): the preconditioning map last built on
         # this grid and its asymptote, kept by _asymptote_preconditioner
         self.kept = None
@@ -303,7 +337,11 @@ def _remove_images(khat, grid):
     of n = 4 and 5: 1.9e-9 at L = 40 and 4.9e-12 at L = 100 (the images
     were 3.4e-4 and 5.4e-5).  The error left is the truncated tail, 1/X^5
     and beyond, and it grows as the window shrinks (up to 5.6e-5 at L = 10
-    on the entries tried).  Returns khat."""
+    on the entries tried).
+
+    Returns the tail coefficients C (P, F, F), complex, of
+    K(X) ~ sum_q C[q-2] X^-q, q = p+1 = 2..4, for either sign of X:
+    C[p-1] = (p!/2pi) i^{p+1} da_p."""
     M = grid.points
     if M < 2 * _FIT_SAMPLES:
         raise DomainError(
@@ -320,7 +358,9 @@ def _remove_images(khat, grid):
     for start in range(0, half, chunk):
         stop = min(start + chunk, half)
         flat[start:stop] -= basis[start:stop] @ jumps
-    return khat
+    p = np.arange(1, _TAIL_ORDERS + 1)
+    scale = np.array([factorial(v) for v in p]) / (2 * np.pi) * 1j ** (p + 1)
+    return (scale[:, None] * jumps).reshape((_TAIL_ORDERS,) + khat.shape[1:])
 
 
 # Modes per block of _contract: a block of an n = 5 table (30 x 30) is
@@ -381,19 +421,149 @@ def _log1p_exp(z):
     return out
 
 
-def _convolve(khat, khat0, g, g_inf):
-    """(K * g)(x) on the half space for the half table khat (M/2+1, F, F),
-    applied as in _contract, and its zero mode khat0 (F, F).
+# The far field of a decaying part d = log B - log Binf is fitted on the
+# outer half L/2 <= |x| <= L of the window by sum_p A_p |x|^-p over
+# _FAR_POWERS; _FAR_NODES Gauss-Legendre nodes integrate it past 2L.
+_FAR_POWERS = (2, 3)
+_FAR_NODES = 40
+
+
+@dataclass(frozen=True)
+class _FarField:
+    """The per-grid pieces of the window's closure (_far_field)."""
+
+    fit: np.ndarray  # (M/4, P): d on the fit region -> a
+    basis: np.ndarray  # (P, M/4): (L/|x|)^p on the fit region
+    scale: np.ndarray  # (P,): L^p, so that A_p = a_p L^p
+    pad: np.ndarray  # (P, M/2): (L/|y|)^p on the pad half, y in [-2L, -L)
+    H: np.ndarray  # (Q * 2P, M/2+1): the far-field vectors, q-major
+
+
+@lru_cache(maxsize=8)
+def _far_field(points, half_width):
+    """The closure of the window [-L, L] of M points by its far field.
+
+    _convolve runs on the padded grid [-2L, 2L) of 2M points.  The window's
+    half x_i = -L + i dx, i = 0..M/2, holds the decaying part d; the pad
+    half y in [-2L, -L) holds the fit sum_p a_p (L/|y|)^p, and x > 0 the
+    conjugates (d(-x) = conj d(x)).  The fit is least squares on the M/4
+    points of (-L, -L/2], a fixed pseudo-inverse (fit); it leaves out
+    x = -L, the seam of the half space, where d is real (_convolve).  The
+    circular convolution then pairs every two points of [-L, L] at their
+    true lag, but it misses the sources |y| > 2L, and it pairs a pad source
+    with a window point at the wrapped lag u + 4L where the true lag u
+    is below -2L (and at -2L itself, where the image-free table holds the
+    mean of K(2L) and K(-2L)).  Every such lag is at least L, where the
+    kernel is its tail sum_q C_q X^-q (_remove_images), so the difference
+    is sum_{q,p} C_q (a_p h^L_qp(x) + conj(a_p) h^R_qp(x)), with the rows
+    of H ordered (q; h^L_q2, h^L_q3, h^R_q2, h^R_q3).  It sums:
+
+    - the sources |y| >= 2L of the real-line grid, by Euler-Maclaurin from
+      the integral past 2L (Gauss-Legendre in t = 2L/|y|, smooth since
+      |x| <= L), its endpoint term and its first-derivative term;
+    - less the circular convolution's source y = -2L, which the half
+      spectrum reads as the real part, (d(-2L) + d(2L))/2;
+    - plus, for the pad sources y in [L, 2L) whose lag wraps, the tail at
+      the true lag less the tail at the wrapped one (a correlation).
+
+    The point y = L is the window's; the lag -2L pairs it with x = -L
+    alone, and the fit stands for it there.  H agrees with direct sums over
+    the grid to 4e-12 relative on the default grid.  All arrays are
+    read-only."""
+    M, L = points, half_width
+    N = M // 2
+    dx = 2.0 * L / M
+    P = np.array(_FAR_POWERS)
+    x = -L + dx * np.arange(N + 1)
+    basis = (L / -x[1: N // 2 + 1]) ** P[:, None]
+    fit = np.linalg.pinv(basis)
+    pad = (N / (M - np.arange(N))) ** P[:, None]  # y = -(M - j) dx, L = N dx
+
+    def circular(lag, q):
+        """X^-q at X = lag dx, as the table holds it: the mean of the two
+        signs at the lag -M (X = -2L)."""
+        mean = (1 + (-1) ** q) / 2 * (2 * L) ** -float(q)
+        return np.where(lag == -M, mean, (lag * dx) ** -float(q))
+
+    t, w = np.polynomial.legendre.leggauss(_FAR_NODES)
+    t, w = (t + 1) / 2, w / 2
+    s0 = 2 * L
+    r = np.arange(N)
+    # the lags x_i + 2L of the circular source y = -2L, wrapped at x = 0
+    lag0 = N + np.arange(N + 1)
+    lag0[-1] = -M
+    H = np.empty((_TAIL_ORDERS, 2, len(P), N + 1))
+    for side, sigma in ((0, 1.0), (1, -1.0)):
+        # the sources s = 2L + m dx, m >= 0, at y = -sigma s: Euler-Maclaurin
+        # from int_2L^inf (x + sigma s)^-q (L/s)^p ds, in t = 2L/s
+        inv = 1.0 / (sigma + x[:, None] * t / s0)  # (N+1, nodes)
+        inv_end = 1.0 / (x + sigma * s0)
+        power, power_end = inv, inv_end
+        for qi, q in enumerate(range(2, _TAIL_ORDERS + 2)):
+            power, power_end = power * inv, power_end * inv_end
+            b = circular(lag0, q)
+            for pi, p in enumerate(P):
+                integral = L**p * s0 ** (1 - p - q) * (power @ (w * t ** (p + q - 2)))
+                G = power_end * (L / s0) ** p
+                dG = (-q * sigma * inv_end - p / s0) * G
+                # less half the circular source y = -2L, (a + conj a)/2 there
+                H[qi, side, pi] = integral + dx / 2 * G - dx**2 / 12 * dG - dx / 2 * b * 2.0**-p
+    for qi, q in enumerate(range(2, _TAIL_ORDERS + 2)):
+        # wrapped pad sources y = (N + i + r) dx: the tail at the true lag
+        # -M - r less the tail at the wrapped lag M - r (the mean at r = 0)
+        e = ((-M - r) * dx) ** -float(q) - circular(np.where(r == 0, -M, M - r), q)
+        for pi, p in enumerate(P):
+            phi = (N / (N + r)) ** float(p)  # (L/y)^p at y = (N + r) dx
+            H[qi, 1, pi, :N] += dx * np.convolve(phi, e[::-1])[N - 1: 2 * N - 1]
+    H = H.reshape(-1, N + 1)
+    scale = float(L) ** P
+    for arr in (basis, fit, scale, pad, H):
+        arr.flags.writeable = False
+    return _FarField(fit=fit, basis=basis, scale=scale, pad=pad, H=H)
+
+
+def _tail_fit(far, d):
+    """(the largest |d - fit| on the fit region, A (F, P)) for a decaying
+    part d (F, M/2+1) on the half space: how closely the far field that
+    closes the window carries d, and its coefficients A_p of |x|^-p."""
+    region = d[:, 1: len(far.fit) + 1]
+    a = region @ far.fit
+    residual = float(np.max(np.abs(region - a @ far.basis)))
+    return residual, a * far.scale
+
+
+def _convolve(gsys, g, g_inf):
+    """(K * g)(x) on the window half of gsys, over the real line.
 
     g: (F, M/2+1) half-space samples with asymptote g_inf (F,).  The
-    decaying part g - g_inf is convolved through its real spectrum,
-    contracting per Fourier mode; the constant asymptote contributes
-    khat0 . g_inf.  Every mode is used as is, which needs no kernel entry
-    to grow in |k| (KernelSystem.max_growth): a growing one would amplify
-    the roundoff of the high modes.  Returns (F, M/2+1)."""
-    M = 2 * (g.shape[1] - 1)
-    ghat = np.fft.hfft(g - g_inf[:, None], n=M, axis=1)
-    return np.fft.ihfft(_contract(khat, ghat), axis=1) + (khat0 @ g_inf)[:, None]
+    decaying part d = g - g_inf is continued past the window by its fitted
+    far field and convolved on the padded grid through its real spectrum,
+    contracting per Fourier mode with the padded table (_contract); the far
+    field beyond the pad adds one (F x 12)(12 x M/2+1) product
+    (_far_field), and the constant asymptote K-hat(0) . g_inf.  Every mode
+    is used as is, which needs no kernel entry to grow in |k|
+    (KernelSystem.max_growth): a growing one would amplify the roundoff of
+    the high modes.
+
+    x = -L is the seam of the half space, where the window's real spectrum
+    holds only Re g, as at x = 0 (which the symmetry makes real): there
+    the convolution reads Im d from the fit, sum_p Im a_p, and returns the
+    real part alone.  Returns (F, M/2+1)."""
+    far = gsys.far
+    N = g.shape[1] - 1
+    d = g - g_inf[:, None]
+    a = d[:, 1: len(far.fit) + 1] @ far.fit
+    padded = np.empty((len(d), 2 * N + 1), dtype=complex)
+    padded[:, :N] = a @ far.pad
+    padded[:, N:] = d
+    padded[:, N].imag = a.sum(axis=1).imag
+    spec = hfft(padded, n=4 * N, axis=1, overwrite_x=True)
+    out = ihfft(_contract(gsys.Kpad, spec), axis=1)[:, N:]
+    coef = gsys.tail @ np.concatenate([a, a.conj()], axis=1)  # (3, F, 2P)
+    out += np.concatenate(list(coef), axis=1) @ far.H
+    out += (gsys.K0 @ g_inf)[:, None]
+    out.imag[:, 0] = 0.0
+    return out
 
 
 def _expand(g):
@@ -401,49 +571,45 @@ def _expand(g):
     return np.concatenate([g, np.conj(g[:, -2:0:-1])], axis=1)
 
 
-# The largest edge tail a grid solution may keep: solve_nlie warns above it
-# and convolve_with_asymptote raises GridTooSmallError.
-_EDGE_TAIL_TOL = 1e-6
-
-
-def _edge_tail(g):
-    """Largest |g| within M/64 points of the window edge, for the decaying
-    part g (F, M/2+1) on the half space: how far it is from its asymptote
-    there.  The points near x = -L stand for their mirror images near +L."""
-    edge = max(1, (g.shape[1] - 1) // 32)
-    return float(np.max(np.abs(g[:, : edge + 1])))
+# The largest fit residual (_tail_fit) of a closed window: solve_nlie
+# warns above it and convolve_with_asymptote raises GridTooSmallError.
+# Measured on the default grid at mu = 0 (n = 5, the larger): 1.9e-7 at
+# T = 0.05 and 4.1e-7 at T = 0.01, falling with T to 2.6e-10 at T = 100.
+# L = 25, M = 1024 crosses it at low T (3.9e-6 at T = 0.05, where f moves
+# by 5.8e-12).
+_TAIL_FIT_TOL = 1e-6
 
 
 def convolve_with_asymptote(n, logB, logB_inf, grid):
     """(K * log B)(x) on the grid for every row of the kernel matrix of
-    kernel_system(n).
+    kernel_system(n), over the real line.
 
-    logB: (F, M) samples; logB_inf: (F,) asymptotes.  Raises
-    GridTooSmallError when the decaying part is above _EDGE_TAIL_TOL at the
-    window edge, the threshold at which solve_nlie warns.
+    logB: (F, M) samples on the window; logB_inf: (F,) asymptotes.  Past
+    the window log B - log Binf is taken to follow its algebraic far field,
+    the fit of _far_field; raises GridTooSmallError when that fit misses it
+    by more than _TAIL_FIT_TOL, the threshold at which solve_nlie warns.
 
     log B need not have the solver's symmetry: it is split as
     log B = P + iQ, P = (log B + conj log B(-x))/2 and
-    Q = (log B - conj log B(-x))/2i, both conjugate-symmetric, and each
-    part takes the solver's convolution (_convolve) with the solver's own
-    kernel table, K's periodic images removed (_remove_images): the tail
-    is corrected through X^-4 with coefficients fitted to the samples at
-    k = 0, and a Gaussian input matches quadrature of the real-line
+    Q = (log B - conj log B(-x))/2i, both conjugate-symmetric (x = -L is
+    read as its own mirror, the seam of _convolve), and each part takes the solver's convolution (_convolve) with the solver's
+    own kernel table, K's periodic images removed (_remove_images): the
+    tail is corrected through X^-4 with coefficients fitted to the samples
+    at k = 0, and a Gaussian input matches quadrature of the real-line
     integral to 1.1e-10 at L = 40 for entry [0, 1] of kernel_system(4)
     (2e-9 over all entries).  The asymptote takes K-hat(0).  Returns
     (F, M) complex.
     """
     logB, logB_inf = np.asarray(logB), np.asarray(logB_inf)
     M = grid.points
-    mirror = -np.arange(M // 2 + 1) % M  # the point -x_j of each x_j <= 0
-    g = np.abs(logB - logB_inf[:, None])
-    tail = _edge_tail(np.maximum(g[:, : M // 2 + 1], g[:, mirror]))
-    if tail > _EDGE_TAIL_TOL:
-        raise GridTooSmallError(tail, _EDGE_TAIL_TOL)
     gsys = _grid_system(n, grid.half_width, M)
-    left, flip = logB[:, : M // 2 + 1], np.conj(logB[:, mirror])
-    P = _convolve(gsys.Kmat, gsys.K0, (left + flip) / 2, logB_inf.real)
-    Q = _convolve(gsys.Kmat, gsys.K0, (left - flip) / 2j, logB_inf.imag)
+    left = logB[:, : M // 2 + 1]
+    flip = np.conj(logB[:, -np.arange(M // 2 + 1) % M])  # at -x_j
+    parts = [((left + flip) / 2, logB_inf.real), ((left - flip) / 2j, logB_inf.imag)]
+    fit = max(_tail_fit(gsys.far, g - g_inf[:, None])[0] for g, g_inf in parts)
+    if fit > _TAIL_FIT_TOL:
+        raise GridTooSmallError(fit, _TAIL_FIT_TOL)
+    P, Q = (_convolve(gsys, g, g_inf) for g, g_inf in parts)
     return _expand(P) + 1j * _expand(Q)
 
 
@@ -482,7 +648,7 @@ def _precondition(P, W, v):
     """A^-1 v for a half-space grid vector v (F, M/2+1), mode by mode:
     W^-1 (P * v) with the table P of _preconditioner."""
     M = 2 * (v.shape[1] - 1)
-    out = np.fft.ihfft(_contract(P, np.fft.hfft(v, n=M, axis=1)), axis=1)
+    out = ihfft(_contract(P, hfft(v, n=M, axis=1)), axis=1)
     out /= W[:, None]
     return out
 
@@ -645,16 +811,21 @@ def solve_nlie(
 ):
     """Solve the NLIE for log b from the linearized start (or logb0).
 
-    The iteration is _iterate on the map log b -> -(c + beta J d) - K*log B:
-    the step of that map, preconditioned by the exact linearization at the
-    asymptote and weighted by 1 - damping, is Anderson-mixed with the last
-    two steps, until max|map(log b) - log b| < tol.  Returns a converged
-    NlieState; raises ConvergenceError on NaNs or on sustained residual
-    growth (after one automatic retry with damping 0.5).  iterations and
+    The iteration is _iterate on the map log b -> -(c + beta J d) - K*log B,
+    K * log B over the real line (_convolve): the step of that map,
+    preconditioned by the window's linearization at the asymptote and
+    weighted by 1 - damping, is Anderson-mixed with the last two steps,
+    until max|map(log b) - log b| < tol.  Returns a converged NlieState;
+    raises ConvergenceError on NaNs or on sustained residual growth (after
+    one automatic retry with damping 0.5).  iterations and
     residual_history count every step, those before the retry included,
     and max_iter bounds their total.  diagnostics records whether the
     preconditioner was built for this solve (preconditioner_built) or was
-    the one its grid kept (_asymptote_preconditioner).
+    the one its grid kept (_asymptote_preconditioner), and the far field
+    that closes the window: tail_fit_residual, how closely the fit
+    carries log B - log Binf near the edge (a warning above
+    _TAIL_FIT_TOL), and tail_A2, tail_A3, the largest |A_2|, |A_3| of the
+    fitted tail sum_p A_p |x|^-p.
     """
     return _solve_nlie(n, T, mu=mu, J=J, grid=grid, damping=damping, tol=tol,
                        max_iter=max_iter, logb0=logb0)[0]
@@ -692,7 +863,7 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
     t_setup = time.perf_counter()
     precondition, built = _asymptote_preconditioner(gsys, logb_inf)
     if logb0 is not None:
-        # the half x <= 0; the symmetry makes log b real at x = -L and 0
+        # the half x <= 0; the half space makes log b real at x = -L and 0
         logb = np.array(np.asarray(logb0)[:, : grid.points // 2 + 1], dtype=complex)
         logb.imag[:, [0, -1]] = 0.0
     else:
@@ -702,17 +873,18 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
     t_iterate = time.perf_counter()
 
     def step(logb):
-        return -(drive + _convolve(gsys.Kmat, gsys.K0, _log1p_exp(logb), logB_inf))
+        return -(drive + _convolve(gsys, _log1p_exp(logb), logB_inf))
 
     logb, it, residual, theta, restarts, history = _iterate(
         step, logb, precondition, logb_inf[:, None], damping, tol, max_iter
     )
 
     t_done = time.perf_counter()
-    tail = _edge_tail(_log1p_exp(logb) - logB_inf[:, None])
-    if tail > _EDGE_TAIL_TOL:
+    fit, A = _tail_fit(gsys.far, _log1p_exp(logb) - logB_inf[:, None])
+    if fit > _TAIL_FIT_TOL:
         warnings.warn(
-            f"asymptote tail {tail:.2e} at the window edge; widen the grid",
+            f"far-field tail fit misses log B by {fit:.2e} near the window "
+            "edge; widen the grid",
             stacklevel=3,
         )
     asym_resid = float(np.max(np.abs(logb_inf + c + gsys.K0 @ logB_inf)))
@@ -729,7 +901,9 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
         residual=residual,
         damping=theta,
         diagnostics={
-            "edge_tail": tail,
+            "tail_fit_residual": fit,
+            "tail_A2": float(np.max(np.abs(A[:, 0]))),
+            "tail_A3": float(np.max(np.abs(A[:, 1]))),
             "asymptote_equation_residual": asym_resid,
             "restarts": restarts,
             "residual_history": history,
@@ -767,7 +941,7 @@ def _ell(state, g, g_inf, x=0.0):
     points, read at any x (an array too).  k_m L is a multiple of pi, so
     the sum is even in x."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
-    ghat = np.fft.hfft(g - g_inf[:, None], n=state.grid.points, axis=1)
+    ghat = hfft(g - g_inf[:, None], n=state.grid.points, axis=1)
     amplitude = np.einsum("fm,fm->m", gsys.ell_weights, ghat)
     phase = np.multiply.outer(np.asarray(x) + state.grid.half_width, state.grid.k)
     return np.cos(phase) @ amplitude + gsys.d0 @ g_inf
@@ -847,7 +1021,7 @@ def _tangent_solver(state, tol=1e-12, precondition=None):
         drive = dc[:, None] + dbetaJ * gsys.d_x
 
         def step(u):
-            return -(drive + _convolve(gsys.Kmat, gsys.K0, W * u + s, g_inf))
+            return -(drive + _convolve(gsys, W * u + s, g_inf))
 
         u0 = np.zeros_like(W) + u_inf[:, None]
         u, it, residual, *_ = _iterate(

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from qtmchain import default_grid
 from qtmchain.cli import main
 
 
@@ -51,6 +52,19 @@ class TestSolve:
         assert state["iterations"] <= 200
         assert len(state["logb"]) == 14
 
+    def test_default_grid_when_points_absent(self, tmp_path, capsys):
+        # without --points the grid is default_grid's, L = 50 and M = 2048
+        # (dx = 0.049); --half-width alone keeps default_grid's points
+        out = tmp_path / "state.json"
+        assert run(["solve", "--n", "4", "--temp", "2.0", "--out", str(out)]) == 0
+        grid = json.loads(out.read_text())["grid"]
+        expect = default_grid(2.0)
+        assert grid == {"half_width": expect.half_width, "points": expect.points}
+        assert run(["solve", "--n", "4", "--temp", "2.0", "--half-width", "40",
+                    "--out", str(out)]) == 0
+        grid = json.loads(out.read_text())["grid"]
+        assert grid == {"half_width": 40.0, "points": expect.points}
+
     def test_bad_config_exit_code(self, capsys):
         assert run(["solve", "--n", "3", "--temp", "1.0"]) == 2
 
@@ -58,6 +72,7 @@ class TestSolve:
         ["--temp", "1", "--points", "1000"],  # not a power of two
         ["--temp", "-1"],
         ["--temp", "2", "--half-width", "0"],  # zero is a width, not absent
+        ["--temp", "1", "--points", "0"],  # zero is a count, not absent
     ])
     def test_domain_error_exit_code(self, args, capsys):
         assert run(["solve", "--n", "4", *args]) == 2
@@ -81,18 +96,23 @@ class TestSweep:
         err = capsys.readouterr().err.strip().split("\n")
         m = re.fullmatch(
             r"sweep: 2 points, 6 solves, (\d+) iterations, "
-            r"worst residual (\S+), slowest solve (\S+) s, worst edge tail (\S+), "
-            r"(\d+) preconditioners built",
+            r"worst residual (\S+), slowest solve (\S+) s, worst tail fit (\S+) "
+            r"\(\|A2\| (\S+), \|A3\| (\S+)\), (\d+) preconditioners built",
             err[-1],
         )
         assert m, err
         assert int(m[1]) >= 6
         assert 0 < float(m[2]) < 1e-12
         assert float(m[3]) > 0
-        assert 0 < float(m[4]) < 1e-6  # 1.8e-7 at T = 1, L = 100
+        # the worst centre solve's far-field fit residual, below the
+        # solver's 1e-6 warning (3.6e-8 at T = 1, 2.1e-8 at T = 2, n = 4),
+        # and its coefficients (|A2| 4.1e-4, |A3| 0.195 at T = 1)
+        assert 0 < float(m[4]) < 1e-6
+        assert 0 < float(m[5]) < 1e-3
+        assert 0.1 < float(m[6]) < 0.3
         # both points have the mu = 0 asymptote: one inverse, or none when
         # the grid already keeps it
-        assert int(m[5]) <= 1
+        assert int(m[7]) <= 1
 
 
 class TestOracle:

@@ -23,11 +23,13 @@ from qtmchain.kernels import kernel_entry_value
 from qtmchain.solver import (
     _FIT_SAMPLES,
     _contract,
+    _convolve,
     _grid_system,
     _image_basis,
     _iterate,
     _log1p_exp,
     _preconditioner,
+    _tail_fit,
 )
 
 EPS = np.finfo(float).eps
@@ -126,19 +128,53 @@ class TestConvolution:
             worst = np.max(np.abs(state.logb + drive + conv))
             assert worst <= tol, (T, mu)
 
+    def test_far_field_against_wider_grid(self):
+        # the closure's far field (the sources past 2L and the pad sources
+        # whose lag wraps, through the kernel tail) against the plain FFT
+        # convolution on a grid 8x as wide at the same dx, which holds the
+        # fitted tail (x^-2 and x^-3) itself out to 8L; the input is the
+        # mu != 0 state, whose x^-2 tail the closure must carry.  Measured:
+        # 2.4e-11, where leaving out the far field costs 6.5e-9
+        state = solve_nlie(4, T=1.0, mu=(0.3, 0.0, 0.0, -0.3))
+        grid = state.grid
+        L, M, N = grid.half_width, grid.points, grid.points // 2
+        gsys = _grid_system(4, L, M)
+        d = state.logB()[:, : N + 1] - state.logB_inf[:, None]
+        out = _convolve(gsys, d, np.zeros(14))
+        a = _tail_fit(gsys.far, d)[1] / gsys.far.scale
+        wide = Grid(8 * L, 8 * M)
+        x = wide.x[: wide.points // 2 + 1]
+        ext = (a @ (-L / x[None, : -N - 1]) ** np.array([[2.0], [3.0]])).astype(complex)
+        seam = d[:, :1].real + 1j * a.sum(axis=1, keepdims=True).imag  # x = -L
+        ext = np.concatenate([ext, seam, d[:, 1:]], axis=1)
+        direct = _convolve(_grid_system(4, wide.half_width, wide.points), ext, np.zeros(14))
+        direct = direct[:, -N - 1:]
+        direct[:, 0] = direct[:, 0].real  # the window's seam keeps Re alone
+        assert np.max(np.abs(out - direct)) <= 1e-10
+        far = np.concatenate(list(gsys.tail @ np.hstack([a, a.conj()])), axis=1) @ gsys.far.H
+        assert np.max(np.abs(out - far - direct)) >= 1e-9
+
     def test_too_few_points_raises(self):
-        # 16 points hold 8 modes a side, short of the 9-sample fit at k = 0
-        grid = Grid(half_width=10.0, points=16)
+        # 8 points, padded to 16 for the convolution, hold 8 modes a side,
+        # short of the 9-sample fit at k = 0
+        grid = Grid(half_width=10.0, points=8)
         logB = np.zeros((14, grid.points), dtype=complex)
         with pytest.raises(DomainError):
             convolve_with_asymptote(4, logB, np.zeros(14), grid)
 
     def test_tail_violation_raises(self):
+        # a 1/|x| tail, which no term of the far field carries: its fit by
+        # |x|^-2 and |x|^-3 on (-L, -L/2] misses it by 3.2e-3, where the
+        # 1/(1 + x^2) that the closure carries leaves 2.0e-7 (its x^-4)
         grid = self.grid()
-        slow = 1.0 / (1.0 + grid.x**2)  # 1e-3 at the window edge
-        logB = np.tile(slow, (14, 1)).astype(complex)
-        with pytest.raises(GridTooSmallError):
-            convolve_with_asymptote(4, logB, np.zeros(14), grid)
+        for slow, raises in ((1.0 / (1.0 + np.abs(grid.x)), True),
+                             (1.0 / (1.0 + grid.x**2), False)):
+            logB = np.tile(slow, (14, 1)).astype(complex)
+            if raises:
+                with pytest.raises(GridTooSmallError):
+                    convolve_with_asymptote(4, logB, np.zeros(14), grid)
+            else:
+                convolve_with_asymptote(4, logB, np.zeros(14), grid)
 
 
 class TestSolverKernels:
@@ -171,15 +207,21 @@ class TestSolverKernels:
         # transposes, against the correction of the full table built here,
         # its k < 0 fit samples read from the modes M - t themselves: the
         # same table, and the corrected modes M-m remain the transposes of
-        # the modes m to rounding (4.4e-16 measured)
-        grid = default_grid(1.0)
+        # the modes m to rounding (4.4e-16 measured).  The table is that of
+        # the padded grid (2L, 2M) on which the convolution runs; the
+        # window's table, for the preconditioner, is its even modes
+        window = default_grid(1.0)
+        gsys = _grid_system(n, window.half_width, window.points)
+        grid = Grid(2 * window.half_width, 2 * window.points)
         M, half, N = grid.points, grid.points // 2 + 1, _FIT_SAMPLES
         K = kernel_system(n).matrix(grid.k).transpose(2, 0, 1)
         flat = K.reshape(M, -1)
         basis, fit = _image_basis(M, grid.half_width)
         samples = np.concatenate([flat[:N], flat[:1], flat[M - np.arange(1, N)]])
         full = (flat - basis @ (fit @ samples)).reshape(K.shape)
-        table = _grid_system(n, grid.half_width, M).Kmat
+        table = gsys.Kpad
+        assert np.shares_memory(gsys.Kmat, table)
+        assert np.array_equal(gsys.Kmat, table[::2])
         bound = 4 * EPS * np.max(np.abs(table))
         assert np.max(np.abs(full[:half] - table)) <= bound
         mirror = full[M - np.arange(1, M // 2)] - table[1: M // 2].swapaxes(1, 2)
@@ -321,13 +363,33 @@ class TestSolver:
         pytest.param(4, 0.03, id="4-0.03"), pytest.param(5, 0.03, id="5-0.03"),
     ])
     def test_default_grid_edge_tail(self, n, T):
-        # the windowed solution's tail at mu = 0 on the one default grid,
-        # L = 100: measured 6.9e-7 / 7.3e-7 (n = 4 / 5) at T = 0.075, where
-        # L = 80 gave 1.27e-6 / 1.34e-6, and 8.5e-7 / 9.3e-7 at T = 0.03,
-        # where the former L = 200 gave 1.44e-5 for n = 5
-        state = solve_nlie(n, T=T)
-        assert state.grid.half_width == 100.0
-        assert state.diagnostics["edge_tail"] < 1e-6
+        # the closure of the one default window, L = 50, at mu = 0: the
+        # far field fits log B - log Binf on (-L, -L/2] to 1.35e-7 / 1.56e-7
+        # (n = 4 / 5) at T = 0.075 and 1.92e-7 / 2.40e-7 at T = 0.03, below
+        # the 1e-6 at which the solver warns, and the fitted tail is the
+        # measured inverse cube, |A3| = 0.79 / 0.83 and 1.01 / 1.11
+        # (x^3 |log B - log Binf| -> 0.73 at T = 0.1, n = 5), with a trace
+        # of x^-2: |A2| is 1.5e-3 to 2.5e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = solve_nlie(n, T=T)
+        assert state.grid.half_width == 50.0
+        d = state.diagnostics
+        assert d["tail_fit_residual"] < 1e-6
+        assert 0.5 < d["tail_A3"] < 1.5
+        assert d["tail_A2"] < 1e-2 * d["tail_A3"]
+
+    def test_mu_on_default_grid(self):
+        # the default window closes the x^-2 tail of unequal mu: no
+        # warning, and f within 1e-11 of L = 320, M = 16384 (measured
+        # 9.7e-13; the windowed equation at L = 100 was 5.4e-10 off)
+        mu = (0.3, 0.0, 0.0, -0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = solve_nlie(4, T=1.0, mu=mu)
+        assert state.diagnostics["tail_A2"] > 1e-2  # 0.026: x^-2, not x^-3
+        wide = solve_nlie(4, T=1.0, mu=mu, grid=Grid(320.0, 16384))
+        assert abs(free_energy(state) - free_energy(wide)) <= 1e-11
 
     def test_parity_at_zero_mu(self):
         for n in (4, 5):

@@ -33,9 +33,14 @@ class TestThermoPoint:
         assert pt.meta["iterations"] >= 5
         assert pt.meta["residual"] < 1e-12
         assert pt.meta["slowest_solve_s"] > 0
-        # the nonlinear solve's edge tail (1.8e-7 at L = 100), as recorded
-        assert pt.meta["edge_tail"] == solve_nlie(4, 1.0).diagnostics["edge_tail"]
-        assert 0 < pt.meta["edge_tail"] < 1e-6
+        # the nonlinear solve's far-field record, as its diagnostics hold
+        # it: fit residual 3.6e-8 (the solver warns above 1e-6), |A2|
+        # 4.1e-4 and |A3| 0.195 (x^3 |log B - log Binf| -> 0.1956)
+        diagnostics = solve_nlie(4, 1.0).diagnostics
+        for key in ("tail_fit_residual", "tail_A2", "tail_A3"):
+            assert pt.meta[key] == diagnostics[key]
+        assert 0 < pt.meta["tail_fit_residual"] < 1e-6
+        assert 0.19 < pt.meta["tail_A3"] < 0.2
 
     def test_one_preconditioner_per_point(self, monkeypatch):
         # the grid keeps its last preconditioner: at mu = 0 the asymptote is
