@@ -22,6 +22,7 @@ sequences below match the printed constants and kernel blocks.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -417,9 +418,21 @@ def counting_values(n, beta=0.0, mu=None):
 
     Evaluates every definition on root-free N=0 data, where each box j
     contributes exp(beta*mu_j) and tableau values become weighted filling
-    counts; the spectral parameter drops out.
+    counts; the spectral parameter drops out.  So the values depend on
+    beta and mu only through beta*mu: they are cached per (n, beta*mu),
+    which at mu = 0 is one entry for every beta, and returned as copies.
     """
-    data = RootData.free(n, beta=beta, mu=mu)
+    if mu is None:
+        mu = (0.0,) * n
+    binf, Binf = _counting_values(n, tuple(beta * float(m) for m in mu))
+    return binf.copy(), Binf.copy()
+
+
+@lru_cache(maxsize=64)
+def _counting_values(n, beta_mu):
+    """counting_values at beta = 1 and mu = beta_mu, the box weights
+    exp(1 * beta_mu_j) = exp(beta*mu_j) bit for bit."""
+    data = RootData.free(n, beta=1.0, mu=beta_mu)
     ctx = EvalContext(data)
     binf = []
     Binf = []

@@ -24,7 +24,7 @@ evaluation is used below.  All exponent bookkeeping is integer arithmetic
 in units of k/4.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -465,11 +465,16 @@ class KernelSystem:
         return out[0] if scalar else out.transpose(1, 2, 0)
 
     def matrix0(self):
-        """Exact k -> 0 limit of the kernel matrix."""
+        """Exact k -> 0 limit of the kernel matrix, computed once (a copy)."""
+        return self._matrix0.copy()
+
+    @cached_property
+    def _matrix0(self):
         out = np.empty((self.dim, self.dim))
         for I in range(self.dim):
             for Jx in range(self.dim):
                 out[I, Jx] = _entry_at_zero(self.n, self.positions[I, Jx, 0])
+        out.flags.writeable = False
         return out
 
     # -- driving -------------------------------------------------------

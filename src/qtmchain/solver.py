@@ -12,11 +12,20 @@ after splitting off the constant large-x asymptote:
 
     K * log B = K * (log B - log Binf) + K-hat(0) . log Binf.
 
-The iteration (_iterate) preconditions the step of this map with its
-linearization at the asymptote, A(k)^-1 = (I + K-hat(k) W)^-1 per Fourier
-mode of the window, and mixes it with the last two steps (Anderson
-mixing); the tangent equations of a converged state take the same
-iteration.
+The iteration (_iterate) preconditions the step of this map with an
+approximate inverse of its Jacobian I + K W(x), W = b/(1+b), and mixes it
+with the last two steps (Anderson mixing); the tangent equations of a
+converged state take the same iteration.  The approximate inverse is
+v -> v - Q * (W v), with the one table Q(k) = (I + K-hat(k) Winf)^-1 K-hat(k)
+of the asymptote, per Fourier mode of the window (_precondition).  At
+W = Winf it is the exact inverse of the linearization at the asymptote,
+(I + K-hat Winf)^-1 = I - Q Winf, and where W vanishes it is the identity,
+the Jacobian's own inverse there.  The tangent solves take the converged
+state's W(x); the nonlinear solve takes Winf until its residual falls
+below _STATE_SWITCH, and the current iterate's W(x) from then on, which
+at low T, where W(x) nearly vanishes across the centre of the window,
+halves the iterations (physics-based preconditioning; Knoll & Keyes,
+J. Comput. Phys. 193 (2004) 357).
 
 The closed window.  The decaying part d = log B - log Binf has algebraic
 tails: x^-3 at mu = 0 and x^-2 otherwise.  The one convolution routine,
@@ -394,26 +403,33 @@ def _contract(table, ghat):
     return out.T
 
 
-def _log1p_exp(z):
+def _log1p_exp(z, weight=None):
     """log(1 + e^z), principal branch, for complex z in real arithmetic.
 
     With a = Re z, b = Im z and s = e^{-|a|} (so nothing overflows),
     1 + e^z = e^{max(a, 0)} (x + iy) with x = t cos b + u, y = t sin b,
     where (t, u) = (1, s) for a > 0 and (s, 1) otherwise, and
     |x + iy|^2 = 1 + s (2 cos b + s).  log1p of that keeps small s exact;
-    near a zero of 1 + e^z, where it cancels, x^2 + y^2 is used instead."""
+    near a zero of 1 + e^z, where it cancels, x^2 + y^2 is used instead.
+    weight, a complex array of z's shape, if given, receives
+    W = e^z / (1 + e^z) = (t cos b + iy) / (x + iy) from the same pieces."""
     a = z.real
     b = z.imag
     c = np.cos(b)
     s = np.exp(-np.abs(a))
     pos = a > 0
     t = np.where(pos, 1.0, s)
-    x = t * c + np.where(pos, s, 1.0)
+    tc = t * c
+    u = np.where(pos, s, 1.0)
+    x = tc + u
     y = t * np.sin(b)
     out = np.empty_like(z, dtype=complex)
     re = out.real
     np.log1p(s * (2.0 * c + s), out=re)
     q = x * x + y * y
+    if weight is not None:
+        weight.real = (tc * x + y * y) / q
+        weight.imag = y * u / q
     np.log(q, out=re, where=q < 0.5)
     re *= 0.5
     re += np.maximum(a, 0.0)
@@ -615,51 +631,60 @@ def convolve_with_asymptote(n, logB, logB_inf, grid):
 
 # ----------------------------------------------------------------------
 
-# Modes per block of the preconditioner's inverse.
+# Modes per block of the preconditioner's table (_preconditioner).
 _INVERSE_CHUNK = 256
 # Anderson mixing keeps the last _MIX_DEPTH differences; a scaled Gram
 # eigenvalue below _MIX_RCOND of the largest is dropped.
 _MIX_DEPTH = 2
 _MIX_RCOND = 1e-10
+# The nonlinear solve preconditions with its iterate's own W(x) once its
+# residual max|step(x) - x| is below _STATE_SWITCH, the scale on which
+# log(1 + e^z) stops being linear.  Measured at n = 5, T = 0.05, where the
+# asymptote's W alone takes 33 iterations: W(x) from the first step on
+# diverges (and takes 148 iterations and a restart at T = 0.1), as does a
+# switch at 100; one at 10 takes 16, and one anywhere from 1e-3 to 1 takes
+# 18 to 20.
+_STATE_SWITCH = 1.0
 
 
 def _preconditioner(Kmat, W):
-    """The half table P(k) = W A(k)^-1 of the modes 0..M/2 (the shape of
-    Kmat), where A(k) = I + K-hat(k) diag(W) is the map's linearization at
-    the asymptote and W = b/(1+b) there lies in (0, 1).
+    """The half table Q(k) = A(k)^-1 K-hat(k) of the modes 0..M/2 (the shape
+    of Kmat), where A(k) = I + K-hat(k) diag(W) is the map's linearization
+    at the asymptote and W = b/(1+b) there lies in (0, 1).
 
-    P(k) = (W^-1 + K-hat(k))^-1, so K-hat(-k) = K-hat(k)^T gives
-    P(-k) = P(k)^T: _contract applies P on every mode, and W^-1 P gives
-    A(k)^-1 on the modes 0..M/2 and A(-k)^-1 = W^-1 (A(k)^-1)^T W on
-    their partners (_precondition); the mirror needs no table of its own.
-    The Nyquist mode is inverted as sampled.  A is inverted in blocks of
-    _INVERSE_CHUNK modes, so that no temporary approaches the size of the
-    result, and its rows are scaled by W in place."""
+    Q(-k) = (I + K-hat^T W)^-1 K-hat^T = K-hat^T (I + W K-hat^T)^-1 =
+    Q(k)^T, so _contract applies Q on every mode and the mirror needs no
+    table of its own.  I - Q(k) W = A(k)^-1, the linearization's inverse
+    (_precondition).  The Nyquist mode is solved as sampled.  A is solved
+    against K-hat in blocks of _INVERSE_CHUNK modes, so that no temporary
+    approaches the size of the result."""
     eye = np.eye(len(W))
-    P = np.empty_like(Kmat)
+    Q = np.empty_like(Kmat)
     for start in range(0, len(Kmat), _INVERSE_CHUNK):
-        block = P[start: start + _INVERSE_CHUNK]
-        block[...] = np.linalg.inv(Kmat[start: start + _INVERSE_CHUNK] * W + eye)
-        block *= W[:, None]
-    return P
+        K = Kmat[start: start + _INVERSE_CHUNK]
+        Q[start: start + _INVERSE_CHUNK] = np.linalg.solve(K * W + eye, K)
+    return Q
 
 
-def _precondition(P, W, v):
-    """A^-1 v for a half-space grid vector v (F, M/2+1), mode by mode:
-    W^-1 (P * v) with the table P of _preconditioner."""
+def _precondition(Q, W, v):
+    """v - Q * (W v) for a half-space grid vector v (F, M/2+1), with the
+    table Q of _preconditioner applied mode by mode: the approximate
+    inverse of the Jacobian I + K W of the map at the weights W, (F, 1) or
+    (F, M/2+1).  At the asymptote's own W it is the linearization's exact
+    inverse A^-1 = I - Q W, and at W = 0 it is the identity."""
     M = 2 * (v.shape[1] - 1)
-    out = ihfft(_contract(P, hfft(v, n=M, axis=1)), axis=1)
-    out /= W[:, None]
+    out = ihfft(_contract(Q, hfft(W * v, n=M, axis=1, overwrite_x=True)), axis=1)
+    np.subtract(v, out, out=out)
     return out
 
 
 def _asymptote_preconditioner(gsys, logb_inf):
-    """The preconditioning map v -> A^-1 v (_precondition) at W = b/(1+b)
-    of the asymptote logb_inf, and whether this call built it.
+    """The preconditioning map (W, v) -> v - Q * (W v) (_precondition) with
+    the table Q of the asymptote logb_inf, and whether this call built it.
 
     gsys keeps the last map built on its grid, in one slot keyed by
     logb_inf.  At mu = 0 the asymptote is that of the counting values,
-    the same at every T, so one inverse serves every solve of the grid;
+    the same at every T, so one table serves every solve of the grid;
     another asymptote replaces the map.  The slot is emptied before the
     replacement is built, so the grid never keeps two tables, and it is
     locked while read or rebuilt, so threads that need the same map build
@@ -669,10 +694,18 @@ def _asymptote_preconditioner(gsys, logb_inf):
         if gsys.kept is not None and gsys.kept[0] == key:
             return gsys.kept[1], False
         gsys.kept = None
-        W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
-        precondition = partial(_precondition, _preconditioner(gsys.Kmat, W), W)
+        Q = _preconditioner(gsys.Kmat, _weight(logb_inf).real)
+        precondition = partial(_precondition, Q)
         gsys.kept = (key, precondition)
     return precondition, True
+
+
+def _weight(logb):
+    """W = b/(1+b) = d log B / d log b (_log1p_exp), as a complex array;
+    for a real log b its imaginary part is zero."""
+    W = np.empty(np.shape(logb), dtype=complex)
+    _log1p_exp(logb, weight=W)
+    return W
 
 
 def _mixing_coefficients(gram, rhs):
@@ -687,10 +720,10 @@ def _mixing_coefficients(gram, rhs):
     return gamma / d
 
 
-def _iterate(step, x, precondition, reset, theta, tol, max_iter):
+def _iterate(step, x, precondition, W, reset, theta, tol, max_iter, state_W=None):
     """Anderson-mixed preconditioned iteration for the fixed point x = step(x).
 
-    With the preconditioned residual r = precondition(step(x) - x), the
+    With the preconditioned residual r = precondition(W, step(x) - x), the
     mixing weight beta = 1 - theta, and the differences dX, dR of the last
     _MIX_DEPTH iterates and of their r, each step moves to
 
@@ -705,13 +738,20 @@ def _iterate(step, x, precondition, reset, theta, tol, max_iter):
     until the next r turns them into differences, and one row of the small
     Gram matrix dR^T dR is renewed per step.
 
+    The preconditioner takes the weights W, unless state_W is given, an
+    array that step(x) fills with the iterate's own W(x): from the first
+    step whose residual is below _STATE_SWITCH on, it takes state_W, and
+    after a restart W again until the residual is below the switch once
+    more.
+
     x is the complex start and is updated in place; step(x) must return a
     new array.  Stops once the residual max|step(x) - x| is below tol.
     Raises ConvergenceError on NaNs, on running out of max_iter steps, or
     on sustained residual growth after one automatic restart from reset
     with theta = 0.5, which also clears the history.  Returns (x,
-    iterations, residual, theta, restarts, residual history); the count
-    and history include the steps before a restart."""
+    iterations, residual, theta, restarts, residual history, the first
+    step preconditioned with state_W, or None); the count and history
+    include the steps before a restart."""
     slots = _MIX_DEPTH + 1
     dX = np.zeros((slots,) + x.shape, dtype=complex)
     dR = np.zeros_like(dX)
@@ -722,6 +762,7 @@ def _iterate(step, x, precondition, reset, theta, tol, max_iter):
     history = []
     restarts = 0
     since = 0  # history index at which the current damping took over
+    switched, state_from = False, None
     for it in range(1, max_iter + 1):
         diff = step(x)
         diff -= x
@@ -731,10 +772,13 @@ def _iterate(step, x, precondition, reset, theta, tol, max_iter):
             raise ConvergenceError(
                 "NaN encountered in NLIE iteration", residual=residual, iterations=it
             )
+        if state_W is not None and not switched and residual < _STATE_SWITCH:
+            switched = True
+            state_from = state_from or it
         # the oldest slot leaves the history and takes this step's r
         nxt = (newest + 1) % slots
         r = dR[nxt]
-        r[...] = precondition(diff)
+        r[...] = precondition(state_W if switched else W, diff)
         if pending:
             np.subtract(r, dR[newest], out=dR[newest])
             gram[newest] = gram[:, newest] = flat_dR @ flat_dR[newest]
@@ -751,7 +795,7 @@ def _iterate(step, x, precondition, reset, theta, tol, max_iter):
         x += upd
         newest, pending = nxt, True
         if residual < tol:
-            return x, it, residual, theta, restarts, history
+            return x, it, residual, theta, restarts, history, state_from
         if len(history) - since > 12 and all(
             history[-i] > history[-i - 1] for i in range(1, 11)
         ):
@@ -761,7 +805,7 @@ def _iterate(step, x, precondition, reset, theta, tol, max_iter):
                 restarts += 1
                 since = len(history)
                 x[...] = reset
-                depth, pending = 0, False
+                depth, pending, switched = 0, False, False
             else:
                 raise ConvergenceError(
                     "NLIE iteration diverging; a larger damping may help",
@@ -813,19 +857,24 @@ def solve_nlie(
 
     The iteration is _iterate on the map log b -> -(c + beta J d) - K*log B,
     K * log B over the real line (_convolve): the step of that map,
-    preconditioned by the window's linearization at the asymptote and
-    weighted by 1 - damping, is Anderson-mixed with the last two steps,
-    until max|map(log b) - log b| < tol.  Returns a converged NlieState;
-    raises ConvergenceError on NaNs or on sustained residual growth (after
-    one automatic retry with damping 0.5).  iterations and
-    residual_history count every step, those before the retry included,
-    and max_iter bounds their total.  diagnostics records whether the
-    preconditioner was built for this solve (preconditioner_built) or was
-    the one its grid kept (_asymptote_preconditioner), and the far field
-    that closes the window: tail_fit_residual, how closely the fit
-    carries log B - log Binf near the edge (a warning above
-    _TAIL_FIT_TOL), and tail_A2, tail_A3, the largest |A_2|, |A_3| of the
-    fitted tail sum_p A_p |x|^-p.
+    preconditioned and weighted by 1 - damping, is Anderson-mixed with the
+    last two steps, until max|map(log b) - log b| < tol.  The
+    preconditioner is v -> v - Q * (W v) (_precondition), the inverse of
+    the window's linearization at the asymptote while W = Winf; once
+    max|map(log b) - log b| < _STATE_SWITCH it takes the iterate's own
+    W(x) = b/(1+b), and after the retry below Winf again until then.
+    Returns a converged NlieState; raises ConvergenceError on NaNs or on
+    sustained residual growth (after one automatic retry with damping
+    0.5).  iterations and residual_history count every step, those before
+    the retry included, and max_iter bounds their total.  diagnostics
+    records whether the preconditioner's table was built for this solve
+    (preconditioner_built) or was the one its grid kept
+    (_asymptote_preconditioner); state_preconditioned_from, the first
+    step preconditioned with the iterate's own W(x), or None if every step
+    took Winf; and the far field that closes the window:
+    tail_fit_residual, how closely the fit carries log B - log Binf near
+    the edge (a warning above _TAIL_FIT_TOL), and tail_A2, tail_A3, the
+    largest |A_2|, |A_3| of the fitted tail sum_p A_p |x|^-p.
     """
     return _solve_nlie(n, T, mu=mu, J=J, grid=grid, damping=damping, tol=tol,
                        max_iter=max_iter, logb0=logb0)[0]
@@ -856,12 +905,14 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
     gsys = _grid_system(n, grid.half_width, grid.points)
     logb_inf, logB_inf = asymptotic_constants(n, T, mu)
     c = gsys.sys.constants(mu, beta)
-    drive = c[:, None] + beta * J * gsys.d_x
 
-    # the step is preconditioned by the exact linearization at the
-    # asymptote: per Fourier mode, A^-1 = (I + K-hat W)^-1 applied to it
+    # the step is preconditioned by the inverse of the linearization at the
+    # asymptote, A^-1 = (I + K-hat Winf)^-1 per Fourier mode, until the
+    # residual is below _STATE_SWITCH, and by the map at the iterate's own
+    # W(x) from then on
     t_setup = time.perf_counter()
     precondition, built = _asymptote_preconditioner(gsys, logb_inf)
+    W_inf = _weight(logb_inf).real[:, None]
     if logb0 is not None:
         # the half x <= 0; the half space makes log b real at x = -L and 0
         logb = np.array(np.asarray(logb0)[:, : grid.points // 2 + 1], dtype=complex)
@@ -869,14 +920,20 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
     else:
         # the NLIE linearized at the asymptote, log b = log binf + u and
         # log B ~ log Binf + W u, solves exactly as u = -beta J A^-1 d
-        logb = logb_inf[:, None] - beta * J * precondition(gsys.d_x)
+        logb = logb_inf[:, None] - beta * J * precondition(W_inf, gsys.d_x)
     t_iterate = time.perf_counter()
 
-    def step(logb):
-        return -(drive + _convolve(gsys, _log1p_exp(logb), logB_inf))
+    W = np.empty_like(logb)  # the iterate's own W(x), filled by each step
 
-    logb, it, residual, theta, restarts, history = _iterate(
-        step, logb, precondition, logb_inf[:, None], damping, tol, max_iter
+    def step(logb):
+        # -(c + beta J d + K * log B), with no drive held through the solve
+        out = c[:, None] + _convolve(gsys, _log1p_exp(logb, weight=W), logB_inf)
+        out += beta * J * gsys.d_x
+        return np.negative(out, out=out)
+
+    logb, it, residual, theta, restarts, history, state_from = _iterate(
+        step, logb, precondition, W_inf, logb_inf[:, None], damping, tol, max_iter,
+        state_W=W,
     )
 
     t_done = time.perf_counter()
@@ -910,6 +967,7 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
             "setup_s": t_iterate - t_setup,
             "iterate_s": t_done - t_iterate,
             "preconditioner_built": built,
+            "state_preconditioned_from": state_from,
         },
     )
     return state, precondition
@@ -989,7 +1047,11 @@ def _tangent_solver(state, tol=1e-12, precondition=None):
     mixed step and its stop rule) and default step limit, with one
     preconditioner shared by all: precondition, the map that the nonlinear
     solve of state took (_solve_nlie returns it), or else the map of
-    state's asymptote that _asymptote_preconditioner keeps or builds.  Like
+    state's asymptote that _asymptote_preconditioner keeps or builds, at
+    the converged state's own W(x) from the first step on (the operator
+    is I + K W, so v -> v - Q * (W v) inverts it exactly where W = Winf and
+    where W = 0; at low T, where W nearly vanishes across the centre of
+    the window, u_beta takes 11 steps where Winf took 35).  Like
     the NLIE, the solves run on the half space x <= 0: W, the drives and s
     keep the symmetry, and so do u_theta and every second derivative.
 
@@ -1001,8 +1063,8 @@ def _tangent_solver(state, tol=1e-12, precondition=None):
     the derivative of log B at x = 0.  It is safe to call from threads."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
     logb = state.logb[:, : state.grid.points // 2 + 1]
-    W = np.exp(logb - _log1p_exp(logb))
-    W_inf = np.exp(state.logb_inf) / (1.0 + np.exp(state.logb_inf))
+    W = _weight(logb)
+    W_inf = _weight(state.logb_inf).real
     if precondition is None:
         precondition = _asymptote_preconditioner(gsys, state.logb_inf)[0]
     A0 = np.eye(len(W_inf)) + gsys.K0 * W_inf
@@ -1025,7 +1087,7 @@ def _tangent_solver(state, tol=1e-12, precondition=None):
 
         u0 = np.zeros_like(W) + u_inf[:, None]
         u, it, residual, *_ = _iterate(
-            step, u0, precondition, u_inf[:, None], 0.0, tol, 2000
+            step, u0, precondition, W, u_inf[:, None], 0.0, tol, 2000
         )
         ell = float(_ell(state, W * u + s, g_inf))
         return u, u_inf, ell, (it, residual, time.perf_counter() - t0)

@@ -29,8 +29,9 @@ explicit beta and mu terms enters S, C, n_i or chi.  One point takes one
 nonlinear solve and linear solves: 2 for S and C, n more for the
 densities, and n(n+1)/2 more for chi.  All of them take the solver's one
 iteration (solver._iterate, preconditioned and Anderson-mixed) with the
-one preconditioner the nonlinear solve took, handed over with its state,
-and like it they run on the half space x <= 0: W, every drive and every
+one preconditioner table the nonlinear solve took, handed over with its
+state and taken at the state's own W(x), and like it they run on the
+half space x <= 0: W, every drive and every
 source keep the symmetry u(-x) = conj(u(x)) of the converged state.  The
 grid keeps its last preconditioner, so at mu = 0, where the asymptote is
 the same at every T, the points of a sweep invert it once.
@@ -38,12 +39,17 @@ the same at every T, the points of a sweep invert it once.
 Every solve, nonlinear and tangent, convolves over the real line: the
 solver's one convolution closes the window by the far field of its input,
 fitted afresh at each step, so the tangents u, whose tails are x^-2 and
-x^-3 like log B's, take the same closure.  On the default grid S and C
-at the four temperatures of the benchmark sweep (0.05 to 100, n = 5) are
-within 1e-12 of L = 320, M = 16384.  At high T the tangent solves take
-more iterations than the nonlinear one (13 and 12 against 8 at n = 5,
-T = 100): the preconditioner is exact for the window's circular operator,
-not for the closed one.
+x^-3 like log B's, take the same closure.  On the default grid S at the
+four temperatures of the benchmark sweep (0.05 to 100, n = 5) is within
+1e-12 of L = 320, M = 16384 (solved to 3e-14), and C within 7.2e-14, but
+for 1.4e-12 at T = 0.05: there the default grid's fully converged C is
+itself 1.3e-12 off, and C = beta^2 l(w) carries the stop rule's 1e-12
+400-fold.  At low T the tangent solves take
+fewer iterations than the nonlinear one (n = 5, T = 0.05: 11 for u_beta
+and 9 for w_beta,beta against 18; T = 0.01: 10 and 7 against 24, where
+the asymptote's W alone took 45 and 27 against 45).  At high T they take
+more (13 and 12 against 8 at n = 5, T = 100): the preconditioner is exact
+for the window's circular operator, not for the closed one.
 
 A point's solves at one level are independent and run on up to `workers`
 threads.  A sweep runs its points on `workers` threads instead, the
@@ -148,7 +154,9 @@ def thermo_point(
     solve raises ConvergenceError with the location attached.  meta totals
     every solve of the point, nonlinear and tangent: solves, iterations,
     the worst residual, slowest_solve_s and preconditioners_built (0 when
-    the grid kept the map of this asymptote).  tail_fit_residual, tail_A2
+    the grid kept the map of this asymptote); state_preconditioned_from is
+    the nonlinear solve's first step preconditioned with its iterate's own
+    W(x) (its diagnostics), or None.  tail_fit_residual, tail_A2
     and tail_A3 are the nonlinear solve's record of the far field that
     closes its window (its diagnostics): how closely the fit carries
     log B - log Binf near the edge, and max |A_2|, max |A_3|.
@@ -220,6 +228,7 @@ def thermo_point(
             "slowest_solve_s": float(max(secs)),
             **{key: state.diagnostics[key] for key in _CLOSURE_KEYS},
             "preconditioners_built": int(state.diagnostics["preconditioner_built"]),
+            "state_preconditioned_from": state.diagnostics["state_preconditioned_from"],
         },
     )
 

@@ -19,6 +19,7 @@ from qtmchain import (
     legacy_defs,
 )
 from qtmchain.aux_functions import (
+    _counting_values,
     check_species_conjugation,
     legacy_cross_relations,
     species_conjugation_index,
@@ -77,6 +78,32 @@ class TestCountingValues:
         binf, _ = counting_values(4, beta=1.0, mu=mu)
         w = np.exp(mu)
         assert binf[0] == pytest.approx(w[0] / (w[1] + w[2] + w[3]))
+
+    @pytest.mark.parametrize("n, beta, mu", [
+        (5, 20.0, None), (5, 0.01, None), (4, 2.5, (0.3, 0.0, 0.0, -0.3)),
+        (5, 5.0, (0.2, 0.0, 0.0, 0.0, -0.2)),
+    ])
+    def test_cache_against_the_sums(self, n, beta, mu):
+        # the cached values, keyed by beta*mu, are the sums over the
+        # weighted fillings at (beta, mu) bit for bit, and every call
+        # returns arrays of its own
+        data = RootData.free(n, beta=beta, mu=mu)
+        ctx = EvalContext(data)
+        pairs = canonical_defs(n)
+        binf = np.array([eval_aux(lower, data, 0.0, ctx).real for _, lower in pairs])
+        Binf = np.array([eval_aux(upper, data, 0.0, ctx).real for upper, _ in pairs])
+        first = counting_values(n, beta=beta, mu=mu)
+        first[0][:] = np.nan
+        got = counting_values(n, beta=beta, mu=mu)
+        assert np.array_equal(got[0], binf) and np.array_equal(got[1], Binf)
+
+    def test_one_entry_at_zero_mu(self):
+        # at mu = 0 the key beta*mu is the same at every temperature
+        counting_values(5, beta=7.0)
+        hits = _counting_values.cache_info().hits
+        counting_values(5, beta=0.5)
+        counting_values(5, beta=40.0, mu=(0.0,) * 5)
+        assert _counting_values.cache_info().hits == hits + 2
 
 
 class TestFusionPair:

@@ -67,21 +67,26 @@ class TestThermoPoint:
         assert not failures
         assert len(built) == 1 + len(temps)
         assert sum(p.meta["preconditioners_built"] for p in pts) == len(temps)
-        # the kept table is a fresh inverse, bit for bit
+        # the kept map holds one table, a fresh Q = A^-1 K-hat bit for bit,
+        # and takes its weights per call
         logb_inf, _ = solver.asymptotic_constants(4, 1.0)
         solve_nlie(4, 1.0)
         key, precondition = gsys.kept
         assert key == logb_inf.tobytes()
-        W = np.exp(logb_inf) / (1.0 + np.exp(logb_inf))
+        W = solver._weight(logb_inf).real
+        assert precondition.func is solver._precondition
+        assert len(precondition.args) == 1
         assert np.array_equal(precondition.args[0], orig(gsys.Kmat, W))
-        assert np.array_equal(precondition.args[1], W)
 
     def test_low_temperature_iteration_budget(self):
-        # Anderson mixing: 94 iterations over the three solves, where the
-        # unmixed preconditioned update took 183 (69 + 64 + 50)
+        # 38 iterations over the three solves (18 + 11 + 9) with the
+        # states' own W(x) in the preconditioner; 93 with the asymptote's W
+        # alone, and 183 (69 + 64 + 50) without Anderson mixing
         pt = thermo_point(5, 0.05, with_chi=False, with_densities=False)
         assert pt.meta["solves"] == 3
-        assert pt.meta["iterations"] <= 110
+        assert pt.meta["iterations"] <= 50
+        # the nonlinear solve's first step with its iterate's W(x)
+        assert pt.meta["state_preconditioned_from"] == 6
 
 
 class TestTangentPath:
