@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConvergenceError,
     DomainError,
-    GridTooSmallError,
     InconsistencyError,
     PoleError,
     QtmChainError,
@@ -59,7 +58,6 @@ from .solver import (
     Grid,
     NlieState,
     asymptotic_constants,
-    convolve_with_asymptote,
     default_grid,
     free_energy,
     gamma_term,

@@ -40,19 +40,6 @@ class ConvergenceError(QtmChainError, RuntimeError):
         super().__init__(message)
 
 
-class GridTooSmallError(QtmChainError, RuntimeError):
-    """Function to be convolved does not follow, near the window edge, the
-    algebraic far field that closes the window; tail is the fit residual."""
-
-    def __init__(self, tail, tol):
-        self.tail = tail
-        self.tol = tol
-        super().__init__(
-            f"far-field fit misses the tail by {tail:.3e} near the grid edge, "
-            f"above {tol:.1e}; increase the half-width"
-        )
-
-
 class InconsistencyError(QtmChainError, RuntimeError):
     """Cross-check between two independently transcribed quantities failed."""
 

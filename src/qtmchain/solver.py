@@ -37,10 +37,9 @@ FFT still misses, the sources past 2L and the pad sources whose lag wraps
 on the 4L period, meets the window only at lags of at least L.  There the
 kernel is its algebraic tail, and _convolve adds it as one fixed linear
 map of the A_p.  How closely the fit carries d is the closure's check:
-solve_nlie warns, and convolve_with_asymptote raises GridTooSmallError,
-above _TAIL_FIT_TOL.  The padded grid's table is the one table of a grid;
-the window's modes are its even ones, a strided view that the
-preconditioner takes.
+solve_nlie warns above _TAIL_FIT_TOL.  The padded grid's table is the one
+table of a grid; the window's modes are its even ones, a strided view that
+the preconditioner takes.
 
 The kernel's tail.  The FFT product is circular: with the plain samples
 K-hat(k_m) it would convolve with the periodized kernel sum_n K(u + 4nL).
@@ -77,10 +76,7 @@ on the grid and is not its own transpose (entries that tend to 2 theta(k)
 read 0 at k = -pi/dx against 2 at +pi/dx), so it is stored as sampled, at
 k = -pi/dx, and never mirrored.  Every table of the module is of this one
 kind.  The state is expanded to the full grid once, when a solve ends
-(NlieState.logb stays (F, M)).  The public convolve_with_asymptote takes
-any input: it splits log B into its two conjugate-symmetric parts,
-log B = P + iQ with P and Q each satisfying the symmetry, and sends both
-through the solver's one convolution routine and its own kernel table.
+(NlieState.logb stays (F, M)).
 
 The largest quantum-transfer-matrix eigenvalue in the infinite-Trotter
 limit is reconstructed as
@@ -108,7 +104,7 @@ from scipy.fft import hfft, ihfft
 from scipy.special import digamma, zeta
 
 from .aux_functions import counting_values
-from .errors import ConvergenceError, DomainError, GridTooSmallError, InconsistencyError
+from .errors import ConvergenceError, DomainError, InconsistencyError
 from .kernels import kernel_system
 
 __all__ = [
@@ -116,7 +112,6 @@ __all__ = [
     "NlieState",
     "asymptotic_constants",
     "solve_nlie",
-    "convolve_with_asymptote",
     "log_eigenvalue",
     "free_energy",
     "default_grid",
@@ -587,46 +582,12 @@ def _expand(g):
     return np.concatenate([g, np.conj(g[:, -2:0:-1])], axis=1)
 
 
-# The largest fit residual (_tail_fit) of a closed window: solve_nlie
-# warns above it and convolve_with_asymptote raises GridTooSmallError.
-# Measured on the default grid at mu = 0 (n = 5, the larger): 1.9e-7 at
-# T = 0.05 and 4.1e-7 at T = 0.01, falling with T to 2.6e-10 at T = 100.
-# L = 25, M = 1024 crosses it at low T (3.9e-6 at T = 0.05, where f moves
-# by 5.8e-12).
+# The largest fit residual (_tail_fit) of a closed window, above which
+# solve_nlie warns.  Measured on the default grid at mu = 0 (n = 5, the
+# larger): 1.9e-7 at T = 0.05 and 4.1e-7 at T = 0.01, falling with T to
+# 2.6e-10 at T = 100.  L = 25, M = 1024 crosses it at low T (3.9e-6 at
+# T = 0.05, where f moves by 5.8e-12).
 _TAIL_FIT_TOL = 1e-6
-
-
-def convolve_with_asymptote(n, logB, logB_inf, grid):
-    """(K * log B)(x) on the grid for every row of the kernel matrix of
-    kernel_system(n), over the real line.
-
-    logB: (F, M) samples on the window; logB_inf: (F,) asymptotes.  Past
-    the window log B - log Binf is taken to follow its algebraic far field,
-    the fit of _far_field; raises GridTooSmallError when that fit misses it
-    by more than _TAIL_FIT_TOL, the threshold at which solve_nlie warns.
-
-    log B need not have the solver's symmetry: it is split as
-    log B = P + iQ, P = (log B + conj log B(-x))/2 and
-    Q = (log B - conj log B(-x))/2i, both conjugate-symmetric (x = -L is
-    read as its own mirror, the seam of _convolve), and each part takes the solver's convolution (_convolve) with the solver's
-    own kernel table, K's periodic images removed (_remove_images): the
-    tail is corrected through X^-4 with coefficients fitted to the samples
-    at k = 0, and a Gaussian input matches quadrature of the real-line
-    integral to 1.1e-10 at L = 40 for entry [0, 1] of kernel_system(4)
-    (2e-9 over all entries).  The asymptote takes K-hat(0).  Returns
-    (F, M) complex.
-    """
-    logB, logB_inf = np.asarray(logB), np.asarray(logB_inf)
-    M = grid.points
-    gsys = _grid_system(n, grid.half_width, M)
-    left = logB[:, : M // 2 + 1]
-    flip = np.conj(logB[:, -np.arange(M // 2 + 1) % M])  # at -x_j
-    parts = [((left + flip) / 2, logB_inf.real), ((left - flip) / 2j, logB_inf.imag)]
-    fit = max(_tail_fit(gsys.far, g - g_inf[:, None])[0] for g, g_inf in parts)
-    if fit > _TAIL_FIT_TOL:
-        raise GridTooSmallError(fit, _TAIL_FIT_TOL)
-    P, Q = (_convolve(gsys, g, g_inf) for g, g_inf in parts)
-    return _expand(P) + 1j * _expand(Q)
 
 
 # ----------------------------------------------------------------------
@@ -851,9 +812,8 @@ def solve_nlie(
     damping=0.0,
     tol=1e-12,
     max_iter=2000,
-    logb0=None,
 ):
-    """Solve the NLIE for log b from the linearized start (or logb0).
+    """Solve the NLIE for log b from the linearized start.
 
     The iteration is _iterate on the map log b -> -(c + beta J d) - K*log B,
     K * log B over the real line (_convolve): the step of that map,
@@ -877,11 +837,11 @@ def solve_nlie(
     largest |A_2|, |A_3| of the fitted tail sum_p A_p |x|^-p.
     """
     return _solve_nlie(n, T, mu=mu, J=J, grid=grid, damping=damping, tol=tol,
-                       max_iter=max_iter, logb0=logb0)[0]
+                       max_iter=max_iter)[0]
 
 
 def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
-                max_iter=2000, logb0=None):
+                max_iter=2000):
     """solve_nlie, returning (state, the preconditioning map it took)."""
     if T <= 0:
         raise DomainError("temperature must be positive")
@@ -913,14 +873,9 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
     t_setup = time.perf_counter()
     precondition, built = _asymptote_preconditioner(gsys, logb_inf)
     W_inf = _weight(logb_inf).real[:, None]
-    if logb0 is not None:
-        # the half x <= 0; the half space makes log b real at x = -L and 0
-        logb = np.array(np.asarray(logb0)[:, : grid.points // 2 + 1], dtype=complex)
-        logb.imag[:, [0, -1]] = 0.0
-    else:
-        # the NLIE linearized at the asymptote, log b = log binf + u and
-        # log B ~ log Binf + W u, solves exactly as u = -beta J A^-1 d
-        logb = logb_inf[:, None] - beta * J * precondition(W_inf, gsys.d_x)
+    # the NLIE linearized at the asymptote, log b = log binf + u and
+    # log B ~ log Binf + W u, solves exactly as u = -beta J A^-1 d
+    logb = logb_inf[:, None] - beta * J * precondition(W_inf, gsys.d_x)
     t_iterate = time.perf_counter()
 
     W = np.empty_like(logb)  # the iterate's own W(x), filled by each step
@@ -1028,7 +983,7 @@ def free_energy(state):
     return -state.T * log_eigenvalue(state, 0.0)
 
 
-def _tangent_solver(state, tol=1e-12, precondition=None):
+def _tangent_solver(state, precondition):
     """Solver of the tangent equations of a converged state.
 
     The derivative u = d log b / d theta along a direction theta of
@@ -1044,16 +999,15 @@ def _tangent_solver(state, tol=1e-12, precondition=None):
     asymptote as the NLIE's does, with u_inf from the F x F system
     (I + K-hat(0) W_inf) u_inf = -(dc + K-hat(0) s_inf).  Every solve
     takes solve_nlie's iteration (_iterate: the preconditioned, Anderson-
-    mixed step and its stop rule) and default step limit, with one
-    preconditioner shared by all: precondition, the map that the nonlinear
-    solve of state took (_solve_nlie returns it), or else the map of
-    state's asymptote that _asymptote_preconditioner keeps or builds, at
-    the converged state's own W(x) from the first step on (the operator
-    is I + K W, so v -> v - Q * (W v) inverts it exactly where W = Winf and
-    where W = 0; at low T, where W nearly vanishes across the centre of
-    the window, u_beta takes 11 steps where Winf took 35).  Like
-    the NLIE, the solves run on the half space x <= 0: W, the drives and s
-    keep the symmetry, and so do u_theta and every second derivative.
+    mixed step and its stop rule) with its default tol, 1e-12, and step
+    limit, and one preconditioner serves them all: precondition, the map
+    that the nonlinear solve of state took (_solve_nlie returns it), at the
+    converged state's own W(x) from the first step on (the operator is
+    I + K W, so v -> v - Q * (W v) inverts it exactly where W = Winf and
+    where W = 0; at low T, where W nearly vanishes across the centre of the
+    window, u_beta takes 11 steps where Winf took 35).  Like the NLIE, the
+    solves run on the half space x <= 0: W, the drives and s keep the
+    symmetry, and so do u_theta and every second derivative.
 
     Returns solve(dc=None, dbetaJ=0, pair=None): dc is the derivative of c
     (F,) and dbetaJ that of beta*J, both zero when left out, and pair =
@@ -1065,8 +1019,6 @@ def _tangent_solver(state, tol=1e-12, precondition=None):
     logb = state.logb[:, : state.grid.points // 2 + 1]
     W = _weight(logb)
     W_inf = _weight(state.logb_inf).real
-    if precondition is None:
-        precondition = _asymptote_preconditioner(gsys, state.logb_inf)[0]
     A0 = np.eye(len(W_inf)) + gsys.K0 * W_inf
 
     def solve(dc=None, dbetaJ=0.0, pair=None):
@@ -1087,7 +1039,7 @@ def _tangent_solver(state, tol=1e-12, precondition=None):
 
         u0 = np.zeros_like(W) + u_inf[:, None]
         u, it, residual, *_ = _iterate(
-            step, u0, precondition, W, u_inf[:, None], 0.0, tol, 2000
+            step, u0, precondition, W, u_inf[:, None], 0.0, 1e-12, 2000
         )
         ell = float(_ell(state, W * u + s, g_inf))
         return u, u_inf, ell, (it, residual, time.perf_counter() - t0)

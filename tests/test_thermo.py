@@ -57,7 +57,7 @@ class TestThermoPoint:
         pt = thermo_point(4, 1.0, with_chi=False, with_densities=False)
         assert len(built) == pt.meta["preconditioners_built"] == 1
         pt = thermo_point(4, 2.0, with_chi=False, with_densities=False)
-        solver._tangent_solver(solve_nlie(4, 1.0))
+        solver._tangent_solver(*solver._solve_nlie(4, 1.0))
         assert len(built) == 1 and pt.meta["preconditioners_built"] == 0
         # mu != 0: every point has an asymptote of its own, inverted once
         # for its three solves although the other thread's points replace
