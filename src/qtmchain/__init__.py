@@ -66,7 +66,6 @@ from .solver import (
 )
 from .thermo import ThermoPoint, sweep, thermo_point
 from .oracle import (
-    DenseOperator,
     build_hamiltonian,
     finite_free_energy,
     qtm_eigenvalue,

@@ -243,40 +243,10 @@ def check_y_relations(n, data, x, ctx=None):
 
 
 # ----------------------------------------------------------------------
-# previously published auxiliary-function sets (uppercase only)
+# a previously published auxiliary-function set (n = 4, uppercase only)
 
 def _col(rows, shift=0j):
     return RangeTableau.column(rows, shift=shift)
-
-
-def _legacy_sl2():
-    B1 = AuxFunctionDef(1, (1,), "upper", (_col([(1, 2)]),), (_col([(2, 2)]),))
-    B2 = AuxFunctionDef(1, (2,), "upper", (_col([(1, 2)]),), (_col([(1, 1)]),))
-    return [B1, B2]
-
-
-def _legacy_sl3():
-    p, m = +0.5j, -0.5j
-    defs = [
-        ((1, 1), (_col([(1, 3)], p),), (_col([(2, 3)], p),)),
-        (
-            (1, 2),
-            (_col([(1, 1), (2, 3)]), _col([(1, 2), (3, 3)])),
-            (_col([(1, 1), (3, 3)]), _col([(1, 2), (2, 3)])),
-        ),
-        ((1, 3), (_col([(1, 3)], m),), (_col([(1, 2)], m),)),
-        ((2, 1), (_col([(1, 2), (2, 3)], p),), (_col([(1, 2), (3, 3)], p),)),
-        (
-            (2, 2),
-            (_col([(1, 2)]), _col([(2, 3)])),
-            (_col([(2, 2)]), _col([(1, 3)])),
-        ),
-        ((2, 3), (_col([(1, 2), (2, 3)], m),), (_col([(1, 1), (2, 3)], m),)),
-    ]
-    return [
-        AuxFunctionDef(label[0], (label[1],), "upper", num, den)
-        for label, num, den in defs
-    ]
 
 
 def _legacy_sl4():
@@ -336,14 +306,11 @@ def _legacy_sl4():
 
 
 def legacy_defs(n):
-    """Uppercase auxiliary-function sets from earlier formulations (n = 2, 3, 4)."""
-    if n == 2:
-        return _legacy_sl2()
-    if n == 3:
-        return _legacy_sl3()
+    """The uppercase auxiliary-function set of an earlier formulation, for
+    n = 4, the one that legacy_cross_relations ties to the canonical set."""
     if n == 4:
         return _legacy_sl4()
-    raise DomainError(f"legacy sets exist for n in {{2, 3, 4}}, got {n}")
+    raise DomainError(f"the legacy set exists for n = 4, got {n}")
 
 
 def species_conjugation_index(n, jvec):

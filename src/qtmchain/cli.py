@@ -288,7 +288,7 @@ def cmd_oracle(args):
     ok = True
     if args.which == "ed":
         H = build_hamiltonian(args.n, args.L, periodic=not args.open)
-        ev = np.linalg.eigvalsh(H.matrix)
+        ev = np.linalg.eigvalsh(H)
         out.update(
             {
                 "n": args.n, "L": args.L,

@@ -16,17 +16,12 @@ site tensor is stored.  The exact-diagonalization and dense-matrix paths
 carry explicit dimension caps.
 """
 
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
-
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "DenseOperator",
     "build_hamiltonian",
-    "number_operator",
     "finite_free_energy",
     "qtm_matrix",
     "qtm_matvec",
@@ -38,19 +33,6 @@ __all__ = [
 ]
 
 DIM_CAP = 200_000
-
-
-@dataclass
-class DenseOperator:
-    """Matrix with its site-factorized basis bookkeeping."""
-
-    n: int
-    sites: int
-    matrix: np.ndarray
-
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
 
 
 def _check_dim(n, L):
@@ -68,84 +50,60 @@ def _digits(n, L):
     return out
 
 
+def _bond_moves(n, L, periodic):
+    """The basis digits (_digits) and the bonds of H = sum_i P_{i,i+1}:
+    moves[b, s] is the basis index of state s with the two sites of bond b
+    swapped, for the adjacent bonds and, if periodic, the wrap (L-1, 0)."""
+    digits = _digits(n, L)
+    weights = n ** np.arange(L - 1, -1, -1)
+    bonds = [(i, i + 1) for i in range(L - 1)]
+    if periodic and L > 1:
+        bonds.append((L - 1, 0))
+    # the swap adds (d_j - d_i) w_i + (d_i - d_j) w_j to the index
+    moves = [np.arange(n**L) + (digits[:, j] - digits[:, i]) * (weights[i] - weights[j])
+             for i, j in bonds]
+    return digits, np.array(moves, dtype=np.int64).reshape(len(bonds), n**L)
+
+
 def build_hamiltonian(n, L, periodic=True):
-    """H = sum_i P_{i,i+1} (adjacent transpositions, optional wrap)."""
+    """H = sum_i P_{i,i+1} (adjacent transpositions, optional wrap), dense."""
     _check_dim(n, L)
     dim = n**L
     if dim > 20_000:
         raise DomainError("dense Hamiltonian materialization capped at 20000")
-    digits = _digits(n, L)
-    weights = n ** np.arange(L - 1, -1, -1)
+    _, moves = _bond_moves(n, L, periodic)
     H = np.zeros((dim, dim))
-    bonds = [(i, i + 1) for i in range(L - 1)]
-    if periodic and L > 1:
-        bonds.append((L - 1, 0))
     src = np.arange(dim)
-    for i, j in bonds:
-        swapped = digits.copy()
-        swapped[:, [i, j]] = swapped[:, [j, i]]
-        dst = swapped @ weights
+    for dst in moves:
         H[dst, src] += 1.0
-    return DenseOperator(n=n, sites=L, matrix=H)
-
-
-def number_operator(n, L, species):
-    """Diagonal count of sites occupied by a species (1-based)."""
-    _check_dim(n, L)
-    digits = _digits(n, L)
-    return np.sum(digits == species - 1, axis=1).astype(float)
-
-
-def _multiset_permutations(content):
-    """Distinct orderings of a multiset, lexicographic (no factorial blowup)."""
-    counts = {}
-    for v in content:
-        counts[v] = counts.get(v, 0) + 1
-    out = []
-    state = []
-
-    def rec():
-        if len(state) == len(content):
-            out.append(tuple(state))
-            return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                state.append(v)
-                rec()
-                state.pop()
-                counts[v] += 1
-
-    rec()
-    return out
+    return H
 
 
 def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
     """f_L = -(T/L) log tr exp(-beta (J H - sum_j mu_j N_j)).
 
     The Hamiltonian conserves every species count, so the trace is taken
-    sector by sector over occupation types; block sizes stay small even
-    when the full dimension does not.
+    sector by sector: the basis states grouped by their sorted digits,
+    each group's block the bond moves (_bond_moves) restricted to it;
+    block sizes stay small even when the full dimension does not.
     """
     _check_dim(n, L)
     if mu is None:
         mu = (0.0,) * n
     beta = 1.0 / T
+    digits, moves = _bond_moves(n, L, periodic)
+    contents, group = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
+    members = np.split(np.argsort(group, kind="stable"),
+                       np.cumsum(np.bincount(group))[:-1])
+    local = np.empty(n**L, dtype=np.int64)  # a state's place in its group
     logterms = []
-    for content in combinations_with_replacement(range(n), L):
+    for content, states in zip(contents, members):
         counts = np.bincount(content, minlength=n)
-        states = _multiset_permutations(content)
-        index = {s: i for i, s in enumerate(states)}
-        dim = len(states)
-        block = np.zeros((dim, dim))
-        bonds = [(i, i + 1) for i in range(L - 1)]
-        if periodic and L > 1:
-            bonds.append((L - 1, 0))
-        for s, col in index.items():
-            for i, j in bonds:
-                t = list(s)
-                t[i], t[j] = t[j], t[i]
-                block[index[tuple(t)], col] += 1.0
+        cols = np.arange(len(states))
+        local[states] = cols
+        block = np.zeros((len(states), len(states)))
+        for dst in local[moves[:, states]]:
+            block[dst, cols] += 1.0
         energies = np.linalg.eigvalsh(block)
         muterm = beta * float(np.dot(mu, counts))
         logterms.append(muterm - beta * J * energies)
@@ -212,7 +170,7 @@ def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
     cols = np.array(
         [qtm_matvec(n, N, tau, bmu, x, e) for e in np.eye(dim, dtype=complex)]
     )
-    return DenseOperator(n=n, sites=N, matrix=cols.T)
+    return cols.T
 
 
 def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, tol=1e-12, max_iter=50000):
@@ -281,7 +239,7 @@ def transfer_matrix(n, L, lam):
     cols = np.array(
         [_thread_sites(np.ones(n), e, sites) for e in np.eye(dim, dtype=complex)]
     )
-    return DenseOperator(n=n, sites=L, matrix=cols.T)
+    return cols.T
 
 
 # ----------------------------------------------------------------------

@@ -155,18 +155,19 @@ def thermo_point(
     """One (T, mu) record of f, S, C, n_i and the response matrix.
 
     One nonlinear solve at (T, mu) on the default grid, then the tangent
-    solves of the module docstring, each stopped at the same absolute
-    residual, 1e-12, and with the nonlinear solve's preconditioner; workers
-    threads (default: one per CPU this process may run on) share the
-    independent ones.  A failed tangent solve raises ConvergenceError with
-    the location attached.  meta totals
-    every solve of the point, nonlinear and tangent: solves, iterations,
-    the worst residual, slowest_solve_s and preconditioners_built (0 when
-    the grid kept the map of this asymptote); state_preconditioned_from is
-    the nonlinear solve's first step preconditioned with its iterate's own
-    W(x) (its diagnostics), or None.  tail_fit_residual, tail_A2
-    and tail_A3 are the nonlinear solve's record of the far field that
-    closes its window (its diagnostics): how closely the fit carries
+    solves of the module docstring, each stopped at the residual 1e-12, or
+    at 10 eps max|u_inf| where its asymptote u_inf is larger than 450
+    (solver._tangent_solver), and with the nonlinear solve's
+    preconditioner; workers threads (default: one per CPU this process may
+    run on) share the independent ones.  A failed tangent solve raises
+    ConvergenceError with the location attached.  meta totals every solve
+    of the point, nonlinear and tangent: solves, iterations, the worst
+    residual, slowest_solve_s and preconditioners_built (0 when the grid
+    kept the map of this asymptote); state_preconditioned_from is the
+    nonlinear solve's first step preconditioned with its iterate's own
+    W(x) (its diagnostics), or None.  tail_fit_residual, tail_A2 and
+    tail_A3 are the nonlinear solve's record of the far field that closes
+    its window (its diagnostics): how closely the fit carries
     log B - log Binf near the edge, and max |A_2|, max |A_3|.
     """
     if T <= 0:
@@ -266,8 +267,6 @@ def sweep(
     the calling thread one of them; a point's own solves run in its
     thread.  Per-point failures are recorded, as (T, repr(error)) in
     ascending T, and the sweep continues.  Returns (points, failures)."""
-    if isinstance(temperatures, str):
-        temperatures = parse_t_range(temperatures)
     temps = sorted(float(t) for t in temperatures)
 
     def point(T):

@@ -144,6 +144,30 @@ class TestTangentPath:
             assert abs(point.n[i] - n_i) <= 18 * T * tol / (12 * h)
 
 
+class TestTangentStop:
+    """Points whose tangents have large asymptotes |u_inf|: a tangent's
+    residual stalls near eps max|u| (measured 1.2-2.3e-16 |u|), so each
+    tangent stops at max(1e-12, 10 eps max|u_inf|).  With the absolute
+    1e-12 alone both points ran a tangent to the step limit and raised."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "T, mu, u_inf",
+        [
+            # a chi tangent's max|u_inf| is 4.72e3 at mu = 0, T = 0.01
+            (0.01, None, 4.8e3),
+            # |beta mu| = 0.1 at T = 2000; w_beta,beta's max|u_inf| is 2.02e4
+            (2000.0, (200.0, 0.0, 0.0, 0.0, -200.0), 2.1e4),
+        ],
+    )
+    def test_large_asymptote_converges(self, T, mu, u_inf):
+        point = thermo_point(5, T, mu=mu, with_chi=True, workers=2)
+        assert abs(point.n.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(point.chi.sum(axis=1))) <= 1e-12
+        assert point.meta["residual"] <= 10 * self.EPS * u_inf
+
+
 class TestSweep:
     def test_parse_range(self):
         ts = parse_t_range("0.1:10:5log")
