@@ -32,11 +32,16 @@ class UnsupportedSubsetError(QtmChainError, ValueError):
 
 
 class ConvergenceError(QtmChainError, RuntimeError):
-    """Iterative routine failed to converge; carries diagnostics."""
+    """Iterative routine failed to converge; carries diagnostics: the last
+    residual, the steps taken and, where kept, their residual history and
+    the automatic restarts."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, history=None,
+                 restarts=None):
         self.residual = residual
         self.iterations = iterations
+        self.history = history
+        self.restarts = restarts
         super().__init__(message)
 
 

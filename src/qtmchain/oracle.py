@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DIM_CAP = 200_000
+DENSE_CAP = 20_000  # largest dense block: build_hamiltonian, an ED sector
 
 
 def _check_dim(n, L):
@@ -69,8 +70,8 @@ def build_hamiltonian(n, L, periodic=True):
     """H = sum_i P_{i,i+1} (adjacent transpositions, optional wrap), dense."""
     _check_dim(n, L)
     dim = n**L
-    if dim > 20_000:
-        raise DomainError("dense Hamiltonian materialization capped at 20000")
+    if dim > DENSE_CAP:
+        raise DomainError(f"dense Hamiltonian materialization capped at {DENSE_CAP}")
     _, moves = _bond_moves(n, L, periodic)
     H = np.zeros((dim, dim))
     src = np.arange(dim)
@@ -85,7 +86,7 @@ def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
     The Hamiltonian conserves every species count, so the trace is taken
     sector by sector: the basis states grouped by their sorted digits,
     each group's block the bond moves (_bond_moves) restricted to it;
-    block sizes stay small even when the full dimension does not.
+    block sizes stay small, and one above DENSE_CAP raises DomainError.
     """
     _check_dim(n, L)
     if mu is None:
@@ -93,8 +94,10 @@ def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
     beta = 1.0 / T
     digits, moves = _bond_moves(n, L, periodic)
     contents, group = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
-    members = np.split(np.argsort(group, kind="stable"),
-                       np.cumsum(np.bincount(group))[:-1])
+    sizes = np.bincount(group)
+    if sizes.max() > DENSE_CAP:
+        raise DomainError(f"a sector of {sizes.max()} states exceeds {DENSE_CAP}")
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
     local = np.empty(n**L, dtype=np.int64)  # a state's place in its group
     logterms = []
     for content, states in zip(contents, members):

@@ -709,10 +709,11 @@ def _iterate(step, x, precondition, W, reset, theta, tol, max_iter, state_W=None
     new array.  Stops once the residual max|step(x) - x| is below tol.
     Raises ConvergenceError on NaNs, on running out of max_iter steps, or
     on sustained residual growth after one automatic restart from reset
-    with theta = 0.5, which also clears the history.  Returns (x,
-    iterations, residual, theta, restarts, residual history, the first
-    step preconditioned with state_W, or None); the count and history
-    include the steps before a restart."""
+    with theta = 0.5, which also clears the history; the error carries the
+    residual history and restarts.  Returns (x, iterations, residual,
+    theta, restarts, residual history, the first step preconditioned with
+    state_W, or None); the count and history include the steps before a
+    restart."""
     slots = _MIX_DEPTH + 1
     dX = np.zeros((slots,) + x.shape, dtype=complex)
     dR = np.zeros_like(dX)
@@ -731,7 +732,8 @@ def _iterate(step, x, precondition, W, reset, theta, tol, max_iter, state_W=None
         history.append(residual)
         if not np.isfinite(residual):
             raise ConvergenceError(
-                "NaN encountered in NLIE iteration", residual=residual, iterations=it
+                "NaN encountered in NLIE iteration", residual=residual,
+                iterations=it, history=history, restarts=restarts,
             )
         if state_W is not None and not switched and residual < _STATE_SWITCH:
             switched = True
@@ -772,11 +774,13 @@ def _iterate(step, x, precondition, W, reset, theta, tol, max_iter, state_W=None
                     "NLIE iteration diverging; a larger damping may help",
                     residual=residual,
                     iterations=it,
+                    history=history, restarts=restarts,
                 )
     raise ConvergenceError(
         "NLIE iteration did not reach tolerance",
         residual=residual,
         iterations=max_iter,
+        history=history, restarts=restarts,
     )
 
 

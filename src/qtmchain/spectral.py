@@ -12,7 +12,9 @@ Shifts are tracked as integers in units of i/2 throughout, so common-zero
 extraction never compares floating-point offsets.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -81,6 +83,8 @@ class EafFactorization:
     """Bookkeeping for one partial tableau sum p(x).
 
     unremoved_poles: (level, delta_half) labels of edges leaving the subset.
+    removed_poles: labels of edges with both ends inside the subset, the
+    poles that cancel in the sum once the Bethe equations hold.
     common_zeros: (sign, delta_half) Phi factors present in every term.
     The polynomial degree is a*N + sum(m_level) - (N/2)*len(common_zeros),
     recorded symbolically as the N/2 coefficient plus root counts.
@@ -91,6 +95,7 @@ class EafFactorization:
     subset: tuple
     ranges: tuple
     unremoved_poles: tuple
+    removed_poles: tuple
     common_zeros: tuple
     degree_half_n: int
     degree_roots: tuple
@@ -139,27 +144,16 @@ def eaf_factorization(n, a, subset):
             "subset is not the admissible box of its elementwise bounds"
         )
     inside = set(subset)
-    unremoved = set()
+    removed, unremoved = set(), set()
     for (i, j), label in adj.edges.items():
-        if (i in inside) != (j in inside):
+        if i in inside and j in inside:
+            removed.add(label)
+        elif i in inside or j in inside:
             unremoved.add(label)
-    # common Phi zeros: minimum multiset over all terms
-    common = None
-    for idx in subset:
-        term = {}
-        for key in _phi_multiset(n, a, adj.vertices[idx]):
-            term[key] = term.get(key, 0) + 1
-        if common is None:
-            common = term
-        else:
-            common = {
-                k: min(cnt, term.get(k, 0))
-                for k, cnt in common.items()
-                if term.get(k, 0) > 0
-            }
-    zeros = tuple(
-        sorted(key for key, cnt in common.items() for _ in range(cnt))
+    common = reduce(
+        Counter.__and__, (Counter(_phi_multiset(n, a, v)) for v in chosen)
     )
+    zeros = tuple(sorted(common.elements()))
     ranges = tuple((lo[r], hi[r]) for r in range(a))
     return EafFactorization(
         n=n,
@@ -167,6 +161,7 @@ def eaf_factorization(n, a, subset):
         subset=subset,
         ranges=ranges,
         unremoved_poles=tuple(sorted(unremoved)),
+        removed_poles=tuple(sorted(removed)),
         common_zeros=zeros,
         degree_half_n=2 * a - len(zeros),
         degree_roots=tuple(lvl for lvl, _ in sorted(unremoved)),
@@ -188,10 +183,11 @@ def eval_eaf_polynomial(fact, data, x, ctx=None):
 # ----------------------------------------------------------------------
 # Bethe roots of the dominant sector
 
-def _bae_lhs(data, level, x):
-    """e^{b mu_j} q_{j-1}(x-i) q_j(x+i) q_{j+1}(x)
-       + e^{b mu_{j+1}} q_{j-1}(x) q_j(x-i) q_{j+1}(x+i);  zero at roots."""
-    j = level
+def _bae_terms(data, j, x):
+    """The two terms of the level-j Bethe equation, whose sum
+       e^{b mu_j} q_{j-1}(x-i) q_j(x+i) q_{j+1}(x)
+       + e^{b mu_{j+1}} q_{j-1}(x) q_j(x-i) q_{j+1}(x+i)
+    vanishes at every level-j root."""
     t1 = (
         np.exp(data.beta * data.mu[j - 1])
         * eval_q(data, j - 1, x - 1j)
@@ -204,7 +200,7 @@ def _bae_lhs(data, level, x):
         * eval_q(data, j, x - 1j)
         * eval_q(data, j + 1, x + 1j)
     )
-    return t1 + t2
+    return t1, t2
 
 
 def bae_residuals(data):
@@ -212,39 +208,9 @@ def bae_residuals(data):
     res = []
     for j in range(1, data.n):
         for x in data.roots[j - 1]:
-            num = (
-                eval_q(data, j - 1, x - 1j)
-                * eval_q(data, j, x + 1j)
-                * eval_q(data, j + 1, x)
-            )
-            den = (
-                eval_q(data, j - 1, x)
-                * eval_q(data, j, x - 1j)
-                * eval_q(data, j + 1, x + 1j)
-            )
-            ratio = num / den * np.exp(data.beta * (data.mu[j - 1] - data.mu[j]))
-            res.append(abs(ratio + 1.0))
+            t1, t2 = _bae_terms(data, j, x)
+            res.append(abs(t1 / t2 + 1.0))
     return res
-
-
-def _pack(roots):
-    flat = []
-    for level in roots:
-        for r in level:
-            flat.extend((r.real, r.imag))
-    return np.array(flat)
-
-
-def _unpack(vec, shape):
-    roots = []
-    pos = 0
-    for m in shape:
-        level = []
-        for _ in range(m):
-            level.append(complex(vec[pos], vec[pos + 1]))
-            pos += 2
-        roots.append(tuple(level))
-    return tuple(roots)
 
 
 def solve_bethe_roots(n, N, beta, mu=None, J=1.0, tol=1e-12, max_iter=80):
@@ -266,64 +232,47 @@ def solve_bethe_roots(n, N, beta, mu=None, J=1.0, tol=1e-12, max_iter=80):
         mu = (0.0,) * n
     tau = -beta * J / N
     m = N // 2
-    shape = (m,) * (n - 1)
 
-    # symmetric initial guess: roots near the origin, split per level and
-    # per root index to break degeneracy
-    init = []
-    for j in range(1, n):
-        level = []
-        for k in range(m):
-            spread = 0.35 * (k - (m - 1) / 2.0)
-            level.append(complex(spread, 1e-3 * (j - n / 2.0)))
-        init.append(tuple(level))
-    roots = tuple(init)
+    # symmetric initial guess, roots[j-1, k] for level j: near the origin,
+    # split per level and per root index to break degeneracy
+    spread = 0.35 * (np.arange(m) - (m - 1) / 2.0)
+    roots = spread + 1e-3j * (np.arange(1, n) - n / 2.0)[:, None]
 
     def newton(mu_now, roots):
-        data_of = lambda rt: RootData(
-            n=n, N=N, tau=tau, mu=mu_now, beta=beta, roots=rt
-        )
+        data_of = lambda rt: RootData(n=n, N=N, tau=tau, mu=mu_now, beta=beta, roots=rt)
 
+        # the equations are polynomials in the roots, so the complex
+        # Jacobian is one forward difference per root
         def residual_vec(rt):
             data = data_of(rt)
-            out = []
-            for j in range(1, n):
-                for x in rt[j - 1]:
-                    val = _bae_lhs(data, j, x)
-                    out.extend((val.real, val.imag))
-            return np.array(out)
+            return np.array([sum(_bae_terms(data, j, x))
+                             for j, level in enumerate(rt, 1) for x in level])
 
-        vec = _pack(roots)
         for _ in range(max_iter):
-            rt = _unpack(vec, shape)
-            F = residual_vec(rt)
-            scale = np.max(np.abs(F)) if F.size else 0.0
-            # numerical Jacobian
-            Jm = np.empty((F.size, vec.size))
+            F = residual_vec(roots)
+            Jm = np.empty((F.size, roots.size), dtype=complex)
             h = 1e-7
-            for c in range(vec.size):
-                pert = vec.copy()
-                pert[c] += h
-                Jm[:, c] = (residual_vec(_unpack(pert, shape)) - F) / h
+            for c in range(roots.size):
+                pert = roots.copy()
+                pert.flat[c] += h
+                Jm[:, c] = (residual_vec(pert) - F) / h
             try:
                 step = np.linalg.solve(Jm, -F)
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(Jm, -F, rcond=None)[0]
+            step = step.reshape(roots.shape)
             lam = 1.0
             base = np.linalg.norm(F)
             for _ in range(30):
-                trial = vec + lam * step
-                if np.linalg.norm(residual_vec(_unpack(trial, shape))) < base:
+                if np.linalg.norm(residual_vec(roots + lam * step)) < base:
                     break
                 lam *= 0.5
-            vec = vec + lam * step
-            data = data_of(_unpack(vec, shape))
-            if max(bae_residuals(data), default=0.0) < tol:
-                return _unpack(vec, shape)
-        data = data_of(_unpack(vec, shape))
+            roots = roots + lam * step
+            if max(bae_residuals(data_of(roots)), default=0.0) < tol:
+                return roots
         raise ConvergenceError(
             "Bethe Newton iteration stalled",
-            residual=max(bae_residuals(data), default=np.inf),
+            residual=max(bae_residuals(data_of(roots)), default=np.inf),
             iterations=max_iter,
         )
 
@@ -355,16 +304,10 @@ def residue_check(fact, data, radius=0.02, points=16):
     the magnitude scale of (x - x0) * sum on the same circle.  Solved
     Bethe roots make every removed pole vanish.
     """
-    adj = adjacency_matrix(fact.n, fact.a)
-    inside = set(fact.subset)
-    removed = set()
-    for (i, j), label in adj.edges.items():
-        if i in inside and j in inside:
-            removed.add(label)
     worst = 0.0
     ctx = EvalContext(data)
     tab = fact.tableau()
-    for lvl, dh in sorted(removed):
+    for lvl, dh in fact.removed_poles:
         for root in data.roots[lvl - 1]:
             x0 = root - 0.5j * dh
             fun = lambda z: (z - x0) * eval_range_tableau(data, tab, z, ctx)

@@ -206,6 +206,7 @@ def thermo_point(
             f"tangent solve failed at T={T}, mu={mu}: {err}",
             residual=err.residual,
             iterations=err.iterations,
+            history=err.history, restarts=err.restarts,
         ) from err
     tangents = {**t1, **t2}
     records += [t[3] for t in tangents.values()]

@@ -64,6 +64,12 @@ class TestHamiltonian:
 
 
 class TestFiniteFreeEnergy:
+    def test_sector_cap(self):
+        # 2^17 states pass DIM_CAP, but the sector with eight of one species
+        # holds C(17, 8) = 24,310 of them, a 4.7 GB dense block
+        with pytest.raises(DomainError):
+            finite_free_energy(2, 17, 1.0)
+
     def test_two_site_partition_function(self):
         T = 1.3
         beta = 1.0 / T

@@ -388,6 +388,13 @@ class TestSolver:
         with pytest.raises(DomainError):
             solve_nlie(4, T=-1.0)
 
+    def test_convergence_error_carries_the_record(self):
+        with pytest.raises(ConvergenceError) as info:
+            solve_nlie(4, 1.0, max_iter=5)
+        err = info.value
+        assert len(err.history) == err.iterations == 5
+        assert err.residual == err.history[-1] > 1e-12 and err.restarts == 0
+
     def test_sl4_low_t_converges(self):
         # 14 iterations with the iterate's own W(x) in the preconditioner;
         # 30 with the asymptote's W alone, 50 without Anderson mixing

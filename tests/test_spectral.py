@@ -12,7 +12,7 @@ from qtmchain import (
     residue_check,
     solve_bethe_roots,
 )
-from qtmchain.errors import UnsupportedSubsetError
+from qtmchain.errors import ConvergenceError, UnsupportedSubsetError
 from qtmchain.spectral import eval_eaf_polynomial
 
 from conftest import random_root_data, random_x
@@ -71,12 +71,17 @@ class TestEafFactorization:
     def test_first_representation_examples(self):
         fact = eaf_factorization(4, 1, (0, 1))
         assert fact.unremoved_poles == ((2, 0),)
+        assert fact.removed_poles == ((1, 0),)
         assert fact.common_zeros == (("+", 0),)
         assert fact.degree_half_n == 1 and fact.degree_roots == (2,)
 
         fact = eaf_factorization(4, 1, (1, 2))
         assert set(fact.unremoved_poles) == {(1, 0), (3, 0)}
         assert set(fact.common_zeros) == {("+", 0), ("-", 0)}
+
+        fact = eaf_factorization(4, 1, (0, 1, 2, 3))
+        assert fact.unremoved_poles == ()
+        assert fact.removed_poles == ((1, 0), (2, 0), (3, 0))
 
     def test_full_set_has_no_poles(self):
         fact = eaf_factorization(4, 2, tuple(range(6)))
@@ -159,6 +164,17 @@ class TestBetheRoots:
         data = solve_bethe_roots(4, 4, beta=0.4)
         assert [len(lvl) for lvl in data.roots] == [2, 2, 2]
         assert max(bae_residuals(data)) <= 1e-10
+
+    def test_n5_trotter4_mu_homotopy(self):
+        # the largest system, reached through the four homotopy steps in mu
+        data = solve_bethe_roots(5, 4, beta=0.9, mu=np.linspace(0.2, -0.2, 5))
+        assert [len(lvl) for lvl in data.roots] == [2, 2, 2, 2]
+        assert max(bae_residuals(data)) <= 1e-10
+
+    def test_stall_reports_the_start_residual(self):
+        with pytest.raises(ConvergenceError) as info:
+            solve_bethe_roots(4, 2, beta=0.7, max_iter=0)
+        assert info.value.iterations == 0 and np.isfinite(info.value.residual)
 
 
 class TestResidues:
