@@ -62,10 +62,14 @@ mode, so the solution keeps the symmetry log b(-x) = conj(log b(x)) for
 any real mu, and every grid spectrum is real.  The solver therefore works
 on the M/2+1 points x_j = -L + j dx, j = 0..M/2 (x <= 0), and reads the
 rest of the grid as g_{M-j} = conj(g_j); the iteration, its residual and
-its Anderson history all live on that half.  The forward transform
-hfft(g, n=M) (scipy.fft) gives the real spectrum on all M modes (the
-imaginary parts of g at x = -L and x = 0 are not read), and ihfft brings a
-real spectrum back to the half.  At x = 0 the symmetry makes g real.
+its Anderson history all live on that half.  The forward transform, the
+Hermitian FFT hfft(g, n=M), is numpy.fft.irfft(conj(g), M, norm="forward"):
+it gives the real spectrum on all M modes (the imaginary parts of g at
+x = -L and x = 0 are not read).  Its inverse ihfft,
+conj(numpy.fft.rfft(c, norm="forward")), brings a real spectrum back to the
+half.  Both write into a given array (out=), which lets every step of a
+solve run in the solve's one workspace (_Workspace) and allocate no grid
+array after its first.  At x = 0 the symmetry makes g real.
 x = -L is the seam of the window's spectrum, where the state is held real
 as at x = 0; the padded convolution reads Im d there from the far field's
 fit, and no fit or check reads the point.  Every kernel table is kept for
@@ -100,7 +104,6 @@ from functools import lru_cache, partial
 from math import factorial
 
 import numpy as np
-from scipy.fft import hfft, ihfft
 from scipy.special import digamma, zeta
 
 from .aux_functions import counting_values
@@ -255,7 +258,7 @@ class _GridSystem:
         # and e^{-ik_m L} = (-1)^m keeps the spectrum real
         phase = (-1.0) ** np.arange(M)
         dhat = sys.driving_hat(grid.k)
-        self.d_x = 2.0 * np.pi * ihfft(dhat * phase, axis=1) / grid.dx
+        self.d_x = 2.0 * np.pi * np.fft.ihfft(dhat * phase, axis=1) / grid.dx
         # (logb_inf.tobytes(), map): the preconditioning map last built on
         # this grid and its asymptote, kept by _asymptote_preconditioner
         self.kept = None
@@ -367,38 +370,75 @@ def _remove_images(khat, grid):
     return (scale[:, None] * jumps).reshape((_TAIL_ORDERS,) + khat.shape[1:])
 
 
+class _Workspace:
+    """The scratch arrays of one solve, by name.
+
+    get(name, shape, dtype) returns a C-contiguous array of that shape over
+    the one buffer of the name, made on first use and replaced when a
+    larger shape asks for more; so the arrays of one name share memory, and
+    a name serves only phases that never overlap:
+
+    - "padded": _convolve's padded input, then the spectrum it reads back;
+      _precondition's W v, then its result;
+    - "spectrum": the Hermitian FFT of either, then _convolve's result once
+      _contract has copied the spectrum;
+    - "blocks": _contract's copies of its input and its result; before the
+      convolution, _log1p_exp's pieces ("mask" holds its masks);
+    - "step": a step's output, which holds the step's input to _convolve
+      until the convolution has read it.
+
+    A solve makes one, binds it into its step and its preconditioning map,
+    and drops it when it ends: after its first step the iteration allocates
+    no grid array, and the next step reuses memory that it has already
+    touched.  What a step still allocates is numpy's own: the buffers of a
+    ufunc over a broadcast or strided operand, at most 8192 elements each.
+    Called without a workspace, the routines make a fresh one."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def get(self, name, shape, dtype=float):
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
 # Modes per block of _contract: a block of an n = 5 table (30 x 30) is
 # 0.9 MB, so it is still in cache when the mirrored modes read it.
 _CONTRACT_BLOCK = 128
 
 
-def _contract(table, ghat):
+def _contract(table, ghat, ws=None):
     """Per-mode product out[:, m] = T(k_m) ghat[:, m] of a half table with a
     real spectrum, on all M modes.
 
     table: real (M/2+1, F, F), T(k_m) for the modes m = 0..M/2 of a table
     with T(-k) = T(k)^T, so a mode M-m, m = 1..M/2-1, applies table[m]^T.
     ghat: real (F, M).  The table is read in blocks of _CONTRACT_BLOCK
-    modes, each serving both signs of k, by real batched matmuls.  Returns
-    real (F, M)."""
+    modes, each serving both signs of k, by real batched matmuls.  The
+    copies of ghat's two halves and the result are the "blocks" of ws (a
+    _Workspace).  Returns real (F, M), a transposed view of them."""
     half, F, _ = table.shape
     M = ghat.shape[1]
-    out = np.empty((M, F))
-    plus = np.ascontiguousarray(ghat[:, :half].T)[:, :, None]  # (M/2+1, F, 1)
-    minus = np.ascontiguousarray(ghat[:, : M // 2: -1].T)[:, None, :]  # mode M-m at m-1
+    blocks = (ws or _Workspace()).get("blocks", (2 * M, F))
+    out, plus, minus = blocks[:M], blocks[M: M + half], blocks[M + half:]
+    np.copyto(plus, ghat[:, :half].T)
+    np.copyto(minus, ghat[:, : M // 2: -1].T)  # mode M-m at m-1
+    plus, minus = plus[:, :, None], minus[:, None, :]
     out_plus = out[:half, :, None]
-    out_minus = np.empty((half - 2, 1, F))
+    out_minus = out[: M // 2: -1, None, :]
     for start in range(0, half, _CONTRACT_BLOCK):
         stop = min(start + _CONTRACT_BLOCK, half)
         np.matmul(table[start:stop], plus[start:stop], out=out_plus[start:stop])
         lo, hi = max(start, 1), min(stop, half - 1)
         if lo < hi:
             np.matmul(minus[lo - 1: hi - 1], table[lo:hi], out=out_minus[lo - 1: hi - 1])
-    out[: M // 2: -1] = out_minus[:, 0]
     return out.T
 
 
-def _log1p_exp(z, weight=None):
+def _log1p_exp(z, weight=None, out=None, ws=None):
     """log(1 + e^z), principal branch, for complex z in real arithmetic.
 
     With a = Re z, b = Im z and s = e^{-|a|} (so nothing overflows),
@@ -407,27 +447,42 @@ def _log1p_exp(z, weight=None):
     |x + iy|^2 = 1 + s (2 cos b + s).  log1p of that keeps small s exact;
     near a zero of 1 + e^z, where it cancels, x^2 + y^2 is used instead.
     weight, a complex array of z's shape, if given, receives
-    W = e^z / (1 + e^z) = (t cos b + iy) / (x + iy) from the same pieces."""
+    W = e^z / (1 + e^z) = (t cos b + iy) / (x + iy) from the same pieces,
+    and out, if given, the result.  The real pieces are the "blocks" of ws
+    (a _Workspace)."""
+    ws = ws or _Workspace()
+    if out is None:
+        out = np.empty(z.shape, dtype=complex)
     a = z.real
     b = z.imag
-    c = np.cos(b)
-    s = np.exp(-np.abs(a))
-    pos = a > 0
-    t = np.where(pos, 1.0, s)
-    tc = t * c
-    u = np.where(pos, s, 1.0)
-    x = tc + u
-    y = t * np.sin(b)
-    out = np.empty_like(z, dtype=complex)
+    c, s, t, u, x, y, k = ws.get("blocks", (7,) + z.shape)
+    pos = np.greater(a, 0, out=ws.get("mask", z.shape, bool))
+    np.cos(b, out=c)
+    np.exp(np.negative(np.abs(a, out=s), out=s), out=s)
+    np.copyto(t, s)
+    np.copyto(t, 1.0, where=pos)
+    u.fill(1.0)
+    np.copyto(u, s, where=pos)
+    np.sin(b, out=y)
+    y *= t
+    tc = np.multiply(t, c, out=t)
+    np.add(tc, u, out=x)
     re = out.real
-    np.log1p(s * (2.0 * c + s), out=re)
-    q = x * x + y * y
+    np.multiply(c, 2.0, out=k)
+    k += s
+    k *= s
+    np.log1p(k, out=re)
+    q = np.multiply(x, x, out=c)
+    yy = np.multiply(y, y, out=s)
+    q += yy
     if weight is not None:
-        weight.real = (tc * x + y * y) / q
-        weight.imag = y * u / q
-    np.log(q, out=re, where=q < 0.5)
+        np.multiply(tc, x, out=k)
+        k += yy
+        np.divide(k, q, out=weight.real)
+        np.divide(np.multiply(y, u, out=k), q, out=weight.imag)
+    np.log(q, out=re, where=np.less(q, 0.5, out=pos))
     re *= 0.5
-    re += np.maximum(a, 0.0)
+    re += np.maximum(a, 0.0, out=k)
     np.arctan2(y, x, out=out.imag)
     return out
 
@@ -441,7 +496,9 @@ _FAR_NODES = 40
 
 @dataclass(frozen=True)
 class _FarField:
-    """The per-grid pieces of the window's closure (_far_field)."""
+    """The per-grid pieces of the window's closure (_far_field).  fit, pad
+    and H are real numbers held as complex, the type of what _convolve
+    multiplies them with, so that no product casts them."""
 
     fit: np.ndarray  # (M/4, P): d on the fit region -> a
     basis: np.ndarray  # (P, M/4): (L/|x|)^p on the fit region
@@ -526,7 +583,8 @@ def _far_field(points, half_width):
         for pi, p in enumerate(P):
             phi = (N / (N + r)) ** float(p)  # (L/y)^p at y = (N + r) dx
             H[qi, 1, pi, :N] += dx * np.convolve(phi, e[::-1])[N - 1: 2 * N - 1]
-    H = H.reshape(-1, N + 1)
+    H = H.reshape(-1, N + 1).astype(complex)
+    fit, pad = fit.astype(complex), pad.astype(complex)
     scale = float(L) ** P
     for arr in (basis, fit, scale, pad, H):
         arr.flags.writeable = False
@@ -543,7 +601,7 @@ def _tail_fit(far, d):
     return residual, a * far.scale
 
 
-def _convolve(gsys, g, g_inf):
+def _convolve(gsys, g, g_inf, ws=None):
     """(K * g)(x) on the window half of gsys, over the real line.
 
     g: (F, M/2+1) half-space samples with asymptote g_inf (F,).  The
@@ -559,19 +617,31 @@ def _convolve(gsys, g, g_inf):
     x = -L is the seam of the half space, where the window's real spectrum
     holds only Re g, as at x = 0 (which the symmetry makes real): there
     the convolution reads Im d from the fit, sum_p Im a_p, and returns the
-    real part alone.  Returns (F, M/2+1)."""
+    real part alone.
+
+    The convolution takes the "padded", "spectrum" and "blocks" of ws (a
+    _Workspace), so g may lie in any other of its buffers.  Returns
+    (F, M/2+1), in the "spectrum" of ws."""
+    ws = ws or _Workspace()
     far = gsys.far
-    N = g.shape[1] - 1
-    d = g - g_inf[:, None]
+    F, half = g.shape
+    N = half - 1
+    # padded holds the conjugate, which the Hermitian FFT transforms: conj d
+    # and the far field of its fit, so a = conj a_p
+    padded = ws.get("padded", (F, 2 * N + 1), complex)
+    d = padded[:, N:]
+    np.subtract(g.real, g_inf.real[:, None], out=d.real)
+    np.subtract(g_inf.imag[:, None], g.imag, out=d.imag)
     a = d[:, 1: len(far.fit) + 1] @ far.fit
-    padded = np.empty((len(d), 2 * N + 1), dtype=complex)
-    padded[:, :N] = a @ far.pad
-    padded[:, N:] = d
-    padded[:, N].imag = a.sum(axis=1).imag
-    spec = hfft(padded, n=4 * N, axis=1, overwrite_x=True)
-    out = ihfft(_contract(gsys.Kpad, spec), axis=1)[:, N:]
-    coef = gsys.tail @ np.concatenate([a, a.conj()], axis=1)  # (3, F, 2P)
-    out += np.concatenate(list(coef), axis=1) @ far.H
+    np.matmul(a, far.pad, out=padded[:, :N])
+    d.imag[:, 0] = a.sum(axis=1).imag
+    spec = np.fft.irfft(padded, 4 * N, axis=1, norm="forward",
+                        out=ws.get("spectrum", (F, 4 * N)))
+    np.fft.ihfft(_contract(gsys.Kpad, spec, ws), axis=1, out=padded)
+    coef = gsys.tail @ np.concatenate([a.conj(), a], axis=1)  # (3, F, 2P)
+    out = np.matmul(np.concatenate(list(coef), axis=1), far.H,
+                    out=ws.get("spectrum", (F, half), complex))
+    out += padded[:, N:]
     out += (gsys.K0 @ g_inf)[:, None]
     out.imag[:, 0] = 0.0
     return out
@@ -598,6 +668,11 @@ _INVERSE_CHUNK = 256
 # eigenvalue below _MIX_RCOND of the largest is dropped.
 _MIX_DEPTH = 2
 _MIX_RCOND = 1e-10
+# An iteration diverges once its residual exceeds _DIVERGENCE times the
+# least one since its damping took over.  The worst such rebound of healthy
+# runs is 1.77: 23 nonlinear solves (n = 4, 5; T = 0.005 to 2000; three
+# cases with |beta mu| <= 1) and the tangent solves of five chi points.
+_DIVERGENCE = 1e3
 # The nonlinear solve preconditions with its iterate's own W(x) once its
 # residual max|step(x) - x| is below _STATE_SWITCH, the scale on which
 # log(1 + e^z) stops being linear.  Measured at n = 5, T = 0.05, where the
@@ -627,16 +702,22 @@ def _preconditioner(Kmat, W):
     return Q
 
 
-def _precondition(Q, W, v):
+def _precondition(Q, W, v, ws=None):
     """v - Q * (W v) for a half-space grid vector v (F, M/2+1), with the
     table Q of _preconditioner applied mode by mode: the approximate
     inverse of the Jacobian I + K W of the map at the weights W, (F, 1) or
     (F, M/2+1).  At the asymptote's own W it is the linearization's exact
-    inverse A^-1 = I - Q W, and at W = 0 it is the identity."""
-    M = 2 * (v.shape[1] - 1)
-    out = ihfft(_contract(Q, hfft(W * v, n=M, axis=1, overwrite_x=True)), axis=1)
-    np.subtract(v, out, out=out)
-    return out
+    inverse A^-1 = I - Q W, and at W = 0 it is the identity.  It takes the
+    "padded", "spectrum" and "blocks" of ws (a _Workspace), never the
+    buffer of v, and returns a view of its "padded"."""
+    ws = ws or _Workspace()
+    F, half = v.shape
+    M = 2 * (half - 1)
+    wv = np.multiply(W, v, out=ws.get("padded", v.shape, complex))
+    spec = np.fft.irfft(np.conjugate(wv, out=wv), M, axis=1, norm="forward",
+                        out=ws.get("spectrum", (F, M)))
+    out = np.fft.ihfft(_contract(Q, spec, ws), axis=1, out=wv)
+    return np.subtract(v, out, out=out)
 
 
 def _asymptote_preconditioner(gsys, logb_inf):
@@ -705,30 +786,35 @@ def _iterate(step, x, precondition, W, reset, theta, tol, max_iter, state_W=None
     after a restart W again until the residual is below the switch once
     more.
 
-    x is the complex start and is updated in place; step(x) must return a
-    new array.  Stops once the residual max|step(x) - x| is below tol.
-    Raises ConvergenceError on NaNs, on running out of max_iter steps, or
-    on sustained residual growth after one automatic restart from reset
-    with theta = 0.5, which also clears the history; the error carries the
-    residual history and restarts.  Returns (x, iterations, residual,
-    theta, restarts, residual history, the first step preconditioned with
-    state_W, or None); the count and history include the steps before a
-    restart."""
+    x is the complex start and is updated in place.  step(x) and
+    precondition(W, v) may return an array that they write again at their
+    next call (a workspace's); each is used before that call, and step's
+    is changed in place.  Stops once the residual max|step(x) - x| is below
+    tol.  Raises ConvergenceError on NaNs, on running out of max_iter
+    steps, or on divergence after one automatic restart from reset with
+    theta = 0.5, which also clears the history; the error carries the
+    residual history and restarts.  The iteration diverges when its
+    residual exceeds _DIVERGENCE times the least one since its damping
+    took over.
+    Returns (x, iterations, residual, theta, restarts, residual history,
+    the first step preconditioned with state_W, or None); the count and
+    history include the steps before a restart."""
     slots = _MIX_DEPTH + 1
     dX = np.zeros((slots,) + x.shape, dtype=complex)
     dR = np.zeros_like(dX)
     flat_dR = dR.reshape(slots, -1).view(np.float64)
     gram = np.zeros((slots, slots))
+    absdiff = np.empty(x.shape)
+    term = np.empty(x.shape, dtype=complex)  # one term of the Anderson update
     newest, depth, pending = 0, 0, False
-    residual = np.inf
+    residual = best = np.inf
     history = []
     restarts = 0
-    since = 0  # history index at which the current damping took over
     switched, state_from = False, None
     for it in range(1, max_iter + 1):
         diff = step(x)
         diff -= x
-        residual = float(np.max(np.abs(diff)))
+        residual = float(np.max(np.abs(diff, out=absdiff)))
         history.append(residual)
         if not np.isfinite(residual):
             raise ConvergenceError(
@@ -753,20 +839,19 @@ def _iterate(step, x, precondition, W, reset, theta, tol, max_iter, state_W=None
             rhs = (flat_dR @ flat_dR[nxt])[use]
             gamma = _mixing_coefficients(gram[np.ix_(use, use)], rhs)
             for g, i in zip(gamma, use):
-                upd -= g * dX[i]
-                upd -= (g * beta) * dR[i]
+                upd -= np.multiply(g, dX[i], out=term)
+                upd -= np.multiply(g * beta, dR[i], out=term)
         x += upd
         newest, pending = nxt, True
         if residual < tol:
             return x, it, residual, theta, restarts, history, state_from
-        if len(history) - since > 12 and all(
-            history[-i] > history[-i - 1] for i in range(1, 11)
-        ):
+        best = min(best, residual)
+        if residual > _DIVERGENCE * best:
             if restarts == 0 and theta < 0.5:
                 log.info("residual growing; restarting with damping 0.5")
                 theta = 0.5
                 restarts += 1
-                since = len(history)
+                best = np.inf
                 x[...] = reset
                 depth, pending, switched = 0, False, False
             else:
@@ -883,16 +968,21 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
     t_iterate = time.perf_counter()
 
     W = np.empty_like(logb)  # the iterate's own W(x), filled by each step
+    ws = _Workspace()
 
     def step(logb):
-        # -(c + beta J d + K * log B), with no drive held through the solve
-        out = c[:, None] + _convolve(gsys, _log1p_exp(logb, weight=W), logB_inf)
-        out += beta * J * gsys.d_x
+        # -(c + beta J d + K * log B), with no drive held through the solve;
+        # log B lies in the step's output until the convolution has read it
+        out = ws.get("step", logb.shape, complex)
+        conv = _convolve(gsys, _log1p_exp(logb, weight=W, out=out, ws=ws), logB_inf, ws)
+        conv += c[:, None]
+        out = np.multiply(gsys.d_x, beta * J, out=out)
+        out += conv
         return np.negative(out, out=out)
 
     logb, it, residual, theta, restarts, history, state_from = _iterate(
-        step, logb, precondition, W_inf, logb_inf[:, None], damping, tol, max_iter,
-        state_W=W,
+        step, logb, partial(precondition, ws=ws), W_inf, logb_inf[:, None], damping,
+        tol, max_iter, state_W=W,
     )
 
     t_done = time.perf_counter()
@@ -958,7 +1048,7 @@ def _ell(state, g, g_inf, x=0.0):
     points, read at any x (an array too).  k_m L is a multiple of pi, so
     the sum is even in x."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
-    ghat = hfft(g - g_inf[:, None], n=state.grid.points, axis=1)
+    ghat = np.fft.hfft(g - g_inf[:, None], n=state.grid.points, axis=1)
     amplitude = np.einsum("fm,fm->m", gsys.ell_weights, ghat)
     phase = np.multiply.outer(np.asarray(x) + state.grid.half_width, state.grid.k)
     return np.cos(phase) @ amplitude + gsys.d0 @ g_inf
@@ -1030,7 +1120,8 @@ def _tangent_solver(state, precondition):
     (t_theta, t_phi) two of its first-order results for a second
     derivative.  solve returns (u, u_inf, l, (iterations, residual,
     seconds)), where u (F, M/2+1) is on the half space and l is _ell of
-    the derivative of log B at x = 0.  It is safe to call from threads."""
+    the derivative of log B at x = 0.  Each call runs in a workspace of
+    its own (_Workspace), so it is safe to call from threads."""
     gsys = _grid_system(state.n, state.grid.half_width, state.grid.points)
     logb = state.logb[:, : state.grid.points // 2 + 1]
     W = _weight(logb)
@@ -1049,14 +1140,19 @@ def _tangent_solver(state, precondition):
         u_inf = np.linalg.solve(A0, -(dc + gsys.K0 @ s_inf))
         g_inf = W_inf * u_inf + s_inf
         drive = dc[:, None] + dbetaJ * gsys.d_x
+        ws = _Workspace()
 
         def step(u):
-            return -(drive + _convolve(gsys, W * u + s, g_inf))
+            # W u + s lies in the step's output until the convolution has read it
+            g = np.multiply(W, u, out=ws.get("step", u.shape, complex))
+            g += s
+            out = np.add(drive, _convolve(gsys, g, g_inf, ws), out=g)
+            return np.negative(out, out=out)
 
         u0 = np.zeros_like(W) + u_inf[:, None]
         tol = max(1e-12, 10 * np.finfo(float).eps * float(np.max(np.abs(u_inf))))
         u, it, residual, *_ = _iterate(
-            step, u0, precondition, W, u_inf[:, None], 0.0, tol, 2000
+            step, u0, partial(precondition, ws=ws), W, u_inf[:, None], 0.0, tol, 2000
         )
         ell = float(_ell(state, W * u + s, g_inf))
         return u, u_inf, ell, (it, residual, time.perf_counter() - t0)

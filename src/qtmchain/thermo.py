@@ -97,9 +97,9 @@ def _ordered_map(fn, items, workers):
     workers - 1 more, not workers: each thread allocates from a malloc
     arena of its own, which keeps what is freed in it.  With
     ThreadPoolExecutor(workers).map in its place, the n = 5 specific-heat
-    sweep of the benchmark (sweep-C, 2 CPUs) peaked at 112.8-114.4 MB
-    against 108.9-109.8 MB, in 6 runs of 6; with one arena
-    (MALLOC_ARENA_MAX=1) the two peaked alike, 110.5-112.9 MB."""
+    sweep of the benchmark (sweep-C, 2 CPUs) peaked at 107.9-112.1 MB
+    against 106.4-107.0 MB, in 6 runs of 6; with one arena
+    (MALLOC_ARENA_MAX=1) the two peaked alike, 107.6-108.6 MB."""
     items = list(items)
     workers = min(workers, len(items))
     if workers <= 1:

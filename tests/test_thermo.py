@@ -21,6 +21,13 @@ class TestThermoPoint:
         assert pt.n.sum() == pytest.approx(1.0, abs=1e-8)
         assert pt.n[0] > pt.n[1] > pt.n[3]
 
+    def test_concurrent_tangent_solves_match_sequential(self):
+        # each tangent solve owns its workspace, so the five density
+        # tangents that share two threads give what one thread gives
+        one = thermo_point(5, 1.0, with_chi=False, workers=1)
+        two = thermo_point(5, 1.0, with_chi=False, workers=2)
+        assert one.row() == two.row()
+
     def test_positive_specific_heat(self):
         pt = thermo_point(4, 0.8, with_chi=False, with_densities=False)
         assert pt.C > 0
