@@ -90,7 +90,12 @@ class AuxFunctionDef:
 
 def canonical_pair(n, jvec):
     """(uppercase, lowercase) definitions for one j-vector."""
-    jvec = tuple(jvec)
+    return _canonical_pair(n, tuple(jvec))
+
+
+@lru_cache(maxsize=None)
+def _canonical_pair(n, jvec):
+    """canonical_pair, built once: the definitions are frozen."""
     top, bottom, short, tall, rect = canonical_move_tableaux(n, jvec)
     den = (tall,) if short is None else (tall, short)
     upper = AuxFunctionDef(len(jvec), jvec, "upper", (top, bottom), den)
@@ -99,13 +104,18 @@ def canonical_pair(n, jvec):
 
 
 def canonical_defs(n):
-    """All 2^n - 2 canonical pairs, ordered a = 1..n-1 then kernel-row order."""
+    """All 2^n - 2 canonical pairs, ordered a = 1..n-1 then kernel-row order,
+    as a fresh list of the pairs built once per n."""
+    return list(_canonical_defs(n))
+
+
+@lru_cache(maxsize=None)
+def _canonical_defs(n):
     if not 2 <= n <= 6:
         raise DomainError(f"canonical construction implemented for 2 <= n <= 6, got {n}")
-    pairs = []
-    for a in range(1, n):
-        for jvec in function_order(n, a):
-            pairs.append(canonical_pair(n, jvec))
+    pairs = tuple(
+        canonical_pair(n, jvec) for a in range(1, n) for jvec in function_order(n, a)
+    )
     assert len(pairs) == 2**n - 2
     assert all(
         sum(1 for u, _ in pairs if u.a == a) == comb(n, a) for a in range(1, n)
@@ -121,14 +131,15 @@ def _product(tableaux, data, x, ctx):
 
 
 def eval_aux(defn, data, x, ctx=None):
-    """Numerator product over denominator product at spectral parameter x."""
+    """Numerator product over denominator product at x, a scalar or 1-D array."""
     if ctx is None:
         ctx = EvalContext(data)
     num = _product(defn.numerator, data, x, ctx)
     den = _product(defn.denominator, data, x, ctx)
-    if den == 0:
+    if not (den != 0 if isinstance(den, complex) else np.all(den)):
+        at = np.ravel(x)[np.argmin(np.ravel(den) != 0)]
         raise ZeroDivisionError(
-            f"denominator of {defn.kind} {defn.label} vanished at x={x}"
+            f"denominator of {defn.kind} {defn.label} vanished at x={at}"
         )
     return num / den
 
@@ -136,19 +147,22 @@ def eval_aux(defn, data, x, ctx=None):
 # ----------------------------------------------------------------------
 # the function f relating the canonical set to the Y-system
 
-_F4_NUM = (((1, 2), (2, 4)), ((1, 3), (3, 4)))
-_F4_DEN = (((1, 3), (2, 4)), ((1, 2), (3, 4)))
-_F5_NUM = (((1, 2), (2, 5)), ((1, 3), (3, 5)), ((1, 4), (4, 5)))
-_F5_DEN = (((1, 4), (2, 5)), ((1, 2), (3, 5)), ((1, 3), (4, 5)))
+def _columns(*rows):
+    """Single-column tableaux, one per tuple of row ranges."""
+    return tuple(map(RangeTableau.column, rows))
 
 
-def _column_ratio(num_rows, den_rows, data, x, ctx):
-    """Ratio of products of single-column tableaux given by their rows."""
+_F4_NUM = _columns(((1, 2), (2, 4)), ((1, 3), (3, 4)))
+_F4_DEN = _columns(((1, 3), (2, 4)), ((1, 2), (3, 4)))
+_F5_NUM = _columns(((1, 2), (2, 5)), ((1, 3), (3, 5)), ((1, 4), (4, 5)))
+_F5_DEN = _columns(((1, 4), (2, 5)), ((1, 2), (3, 5)), ((1, 3), (4, 5)))
+
+
+def _column_ratio(num, den, data, x, ctx):
+    """Ratio of two products of tableaux."""
     if ctx is None:
         ctx = EvalContext(data)
-    num = _product(map(RangeTableau.column, num_rows), data, x, ctx)
-    den = _product(map(RangeTableau.column, den_rows), data, x, ctx)
-    return num / den
+    return _product(num, data, x, ctx) / _product(den, data, x, ctx)
 
 
 def eval_f(n, data, x, ctx=None):
@@ -157,20 +171,20 @@ def eval_f(n, data, x, ctx=None):
         raise DomainError("f is defined for n in {4, 5}")
     if data.n != n:
         raise DomainError("data rank does not match requested n")
-    num_rows, den_rows = (_F4_NUM, _F4_DEN) if n == 4 else (_F5_NUM, _F5_DEN)
-    return _column_ratio(num_rows, den_rows, data, x, ctx)
+    num, den = (_F4_NUM, _F4_DEN) if n == 4 else (_F5_NUM, _F5_DEN)
+    return _column_ratio(num, den, data, x, ctx)
 
 
 # Representation conjugate of f^(5): every two-row factor is replaced by the
 # three-row column whose fillings are exactly the complements of the original
 # fillings inside {1..5}.  The ratio needs no extra normalization; this was
 # pinned down against the conjugate-representation ratio Y_4 / prod(B_4).
-_F5BAR_NUM = (
+_F5BAR_NUM = _columns(
     ((1, 3), (3, 4), (4, 5)),
     ((1, 2), (2, 4), (4, 5)),
     ((1, 2), (2, 3), (3, 5)),
 )
-_F5BAR_DEN = (
+_F5BAR_DEN = _columns(
     ((1, 3), (2, 4), (3, 5)),
     ((1, 2), (3, 4), (4, 5)),
     ((1, 2), (2, 3), (4, 5)),

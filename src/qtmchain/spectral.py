@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UnsupportedSubsetError
-from .tableaux import EvalContext, RangeTableau, RootData, eval_q, eval_range_tableau
+from .tableaux import RangeTableau, RootData, eval_q, eval_range_tableau
 
 __all__ = [
     "AdjacencyMatrix",
@@ -288,12 +288,9 @@ def solve_bethe_roots(n, N, beta, mu=None, J=1.0, tol=1e-12, max_iter=80):
 # ----------------------------------------------------------------------
 # analyticity checks
 
-def _circle_mean(fun, center, radius, points):
-    vals = []
-    for t in range(points):
-        z = center + radius * np.exp(2j * np.pi * (t + 0.5) / points)
-        vals.append(fun(z))
-    return np.mean(vals), np.max(np.abs(vals))
+def _ring(radius, points):
+    """Offsets of `points` equally spaced points on a circle, none on the axes."""
+    return radius * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
 
 
 def residue_check(fact, data, radius=0.02, points=16):
@@ -302,20 +299,19 @@ def residue_check(fact, data, radius=0.02, points=16):
     For every internal (removed) pole position the circle mean of
     (x - x0) * sum(x) estimates the residue exactly; it is normalized by
     the magnitude scale of (x - x0) * sum on the same circle.  Solved
-    Bethe roots make every removed pole vanish.
+    Bethe roots make every removed pole vanish.  All circles are
+    evaluated as one array of points.
     """
-    worst = 0.0
-    ctx = EvalContext(data)
-    tab = fact.tableau()
-    for lvl, dh in fact.removed_poles:
-        for root in data.roots[lvl - 1]:
-            x0 = root - 0.5j * dh
-            fun = lambda z: (z - x0) * eval_range_tableau(data, tab, z, ctx)
-            mean, scale = _circle_mean(fun, x0, radius, points)
-            if scale == 0.0:
-                continue
-            worst = max(worst, abs(mean) / scale)
-    return worst
+    centres = np.array([root - 0.5j * dh for lvl, dh in fact.removed_poles
+                        for root in data.roots[lvl - 1]], dtype=complex)
+    if not centres.size:
+        return 0.0
+    ring = _ring(radius, points)
+    z = (centres[:, None] + ring).ravel()
+    vals = ring * eval_range_tableau(data, fact.tableau(), z).reshape(-1, points)
+    scale = np.abs(vals).max(axis=1)
+    live = scale > 0.0
+    return float(np.max(np.abs(vals.mean(axis=1))[live] / scale[live], initial=0.0))
 
 
 def eigenvalue_from_roots(data, x, a=1, radius=0.05, points=16):
@@ -326,7 +322,6 @@ def eigenvalue_from_roots(data, x, a=1, radius=0.05, points=16):
     does not once the Bethe equations hold.
     """
     x = complex(x)
-    ctx = EvalContext(data)
     tab = RangeTableau.full(a, 1, data.n)
     pole_dist = min(
         (abs(x + 0.5j * dh - r) for level in data.roots for r in level
@@ -334,8 +329,5 @@ def eigenvalue_from_roots(data, x, a=1, radius=0.05, points=16):
         default=np.inf,
     )
     if pole_dist > 10 * radius:
-        return eval_range_tableau(data, tab, x, ctx)
-    mean, _ = _circle_mean(
-        lambda z: eval_range_tableau(data, tab, z, ctx), x, radius, points
-    )
-    return mean
+        return eval_range_tableau(data, tab, x)
+    return complex(eval_range_tableau(data, tab, x + _ring(radius, points)).mean())

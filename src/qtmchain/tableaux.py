@@ -19,8 +19,14 @@ D_c is the diagonal of their box products and C_{c,c+1} the 0/1 transfer
 between states whose rows weakly increase, so the sum is
 1^T D_1 C_12 D_2 ... D_s 1.
 
+x may be a scalar or a 1-D array of X points.  D_c is then a (states, X)
+table, one diagonal per point, and the links C_{c,c+1} do not change.
+Every point of an array gets, bit for bit, the value it gets alone.
+
 All types are immutable and every evaluation is a pure function, so
-everything here is safe to call concurrently.
+everything here is safe to call concurrently.  An EvalContext only adds
+memo entries, each computed in full before it is stored; two threads that
+race for one entry store equal values.
 """
 
 from dataclasses import dataclass
@@ -99,6 +105,43 @@ class RootData:
         return len(self.roots[level - 1])
 
 
+# Complex arithmetic on (real, imag) pairs of float arrays.  It rounds as
+# CPython's complex arithmetic does, so that array values equal the scalar
+# ones bit for bit: numpy's complex vector loops may fuse a multiply with
+# an add, and divide by multiplying with an inverse.
+
+def _mul(a, b):
+    """Product of two pairs, as CPython's complex product."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(a, b):
+    """Quotient of two pairs of arrays, as CPython's complex division
+    (Smith's method, dividing by the scaled denominator)."""
+    (ar, ai), (br, bi) = a, b
+    wide = np.abs(br) >= np.abs(bi)
+    p, s = np.where(wide, br, bi), np.where(wide, bi, br)
+    u, v = np.where(wide, ar, ai), np.where(wide, ai, ar)
+    ratio = s / p
+    denom = p + s * ratio
+    im = (v - u * ratio) / denom
+    return (u + v * ratio) / denom, np.where(wide, im, -im)
+
+
+def _power(z, k):
+    """z**k (integer k >= 0) of a pair, by CPython's binary powering.  That
+    starts from 1 + 0j, and a product with 1 + 0j is exact, so it is skipped."""
+    out, mask = None, 1
+    while mask <= k:
+        if k & mask:
+            out = z if out is None else _mul(out, z)
+        mask <<= 1
+        if mask <= k:
+            z = _mul(z, z)
+    return (1.0, 0.0) if out is None else out
+
+
 def eval_q(data, level, x):
     """q_level(x): Phi_- for level 0, Phi_+ for level n, root product otherwise."""
     if not 0 <= level <= data.n:
@@ -114,68 +157,180 @@ def eval_q(data, level, x):
     return val
 
 
-def _q_checked(data, level, x, cache=None):
-    """q_level(x) with the pole guard |q| >= POLE_SCALE*(1+|x|^deg)."""
-    key = (level, x)
-    if cache is not None and key in cache:
-        return cache[key]
+def _pole(data, level, x):
+    """PoleError for q_level hit at x, naming the nearest root."""
+    root = None
+    if 0 < level < data.n:
+        root = min(data.roots[level - 1], key=lambda r: abs(x - r))
+    return PoleError(level, x, root)
+
+
+def _q_checked(data, level, x):
+    """q_level(x) at a scalar x with the pole guard |q| >= POLE_SCALE*(1+|x|^deg)."""
     val = eval_q(data, level, x)
-    deg = data.m(level)
-    if abs(val) < POLE_SCALE * (1.0 + abs(x) ** deg):
-        root = None
-        if 0 < level < data.n:
-            root = min(data.roots[level - 1], key=lambda r: abs(x - r))
-        raise PoleError(level, x, root)
-    if cache is not None:
-        cache[key] = val
+    if abs(val) < POLE_SCALE * (1.0 + abs(x) ** data.m(level)):
+        raise _pole(data, level, x)
     return val
 
 
-def eval_lambda(data, species, x, ctx=None):
-    """Single-box eigenvalue function lambda_species(x)."""
-    if not 1 <= species <= data.n:
-        raise DomainError(f"species must lie in 1..{data.n}, got {species}")
-    if ctx is not None:
-        return ctx.lambda_vector(complex(x))[species]
-    return _lambda_scalar(data, species, complex(x), None)
-
-
-def _lambda_scalar(data, species, x, qcache):
+def _lambda_scalar(data, species, x):
+    """lambda_species(x) at one point, for the reference evaluator."""
     j = species
     phim = (x - 1j * data.tau) ** (data.N // 2)
     phip = (x + 1j * data.tau) ** (data.N // 2)
     val = phim * phip * np.exp(data.beta * data.mu[j - 1])
-    val *= eval_q(data, j - 1, x - 1j) / _q_checked(data, j - 1, x, qcache)
-    val *= eval_q(data, j, x + 1j) / _q_checked(data, j, x, qcache)
+    val *= eval_q(data, j - 1, x - 1j) / _q_checked(data, j - 1, x)
+    val *= eval_q(data, j, x + 1j) / _q_checked(data, j, x)
     return val
 
 
-class EvalContext:
-    """Box-value cache shared between tableau evaluations at common data.
+def _box_ladder(data, x, reach):
+    """Box values on the ladder of arguments x + i k/2, |k| <= reach.
 
-    Box values are memoized per shifted argument, one lambda vector over
-    all species; a tableau sum over fillings takes, for each column, the
-    products of these values over its states' rows.  All tableau shifts
-    are half-integer multiples of i, hence exact in binary floating point
-    and safe to use as dictionary keys.
+    Returns (reach, table, hits) at the 1-D points x.  Rung k of point p
+    holds lambda_1..lambda_n(x_p + i k/2) in table[p, m + 1:m + n + 1],
+    m = (reach + k)*(n+1).  hits is None, or else hits[p, reach + k, l] is
+    True where q_l sits on a zero, |q_l| < POLE_SCALE*(1 + |x|^deg).  One
+    pass over the levels evaluates q_0..q_n at every rung shifted by -i, 0
+    and +i; all species follow at once, multiplied in the order
+    Phi_- Phi_+ e^{beta mu_j} (q_{j-1}(x-i) / q_{j-1}) (q_j(x+i) / q_j) and
+    rounded as the scalar arithmetic of _lambda_scalar.  A rung with a hit
+    holds meaningless values; EvalContext.boxes raises before one is used.
+    """
+    n = data.n
+    arg = x.imag + (np.arange(-reach, reach + 1) / 2.0)[:, None]
+    zr, zi = x.real, arg + np.array([-1.0, 0.0, 1.0])[:, None, None]  # x - i, x, x + i
+    q = np.empty((2, 3, n + 1) + arg.shape)  # (real, imag), shift, level, rung, point
+    q[0][:, [0, n]], q[1][:, [0, n]] = _power(
+        (zr, zi[:, None] + np.array([-data.tau, data.tau])[:, None, None]), data.N // 2
+    )
+    q[0, :, 1:n], q[1, :, 1:n] = 1.0, 0.0
+    for level, roots in enumerate(data.roots, 1):
+        out = None  # as eval_q, whose first product, by 1 + 0j, is exact
+        for r in roots:
+            factor = (zr - r.real, zi - r.imag)
+            out = factor if out is None else _mul(out, factor)
+        if out is not None:
+            q[0, :, level], q[1, :, level] = out
+    deg = np.array([data.m(level) for level in range(n + 1)])[:, None, None]
+    hits = np.hypot(*q[:, 1]) < POLE_SCALE * (1.0 + np.hypot(zr, arg) ** deg)
+    weight = np.exp(data.beta * np.array(data.mu))[:, None, None]  # real: scales both parts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rr, ri = _quot(q[:, ::2], q[:, 1:2])  # q_l(x - i) / q_l(x), q_l(x + i) / q_l(x)
+        phi_r, phi_i = _mul(q[:, 1, 0], q[:, 1, n])
+        lam = _mul((phi_r * weight, phi_i * weight), (rr[0, :-1], ri[0, :-1]))
+        lam = _mul(lam, (rr[1, 1:], ri[1, 1:]))
+    table = np.empty((len(x), 2 * reach + 1, n + 1), dtype=complex)
+    table[..., 0] = np.nan
+    table.real[..., 1:], table.imag[..., 1:] = lam[0].T, lam[1].T
+    return reach, table.reshape(len(x), -1), hits.transpose(2, 1, 0) if hits.any() else None
+
+
+def _is_scalar(x):
+    return isinstance(x, (complex, float, int)) or np.ndim(x) == 0
+
+
+def _points(x):
+    """x as a 1-D complex array, and whether it was a scalar."""
+    if _is_scalar(x):
+        return np.array([x], dtype=complex), True
+    xs = np.asarray(x, dtype=complex)
+    if xs.ndim != 1:
+        raise DomainError(f"x must be a scalar or a 1-D array, got shape {xs.shape}")
+    return xs, False
+
+
+def _constant(x, value):
+    """value at every point of x: a complex scalar, or an array of x's shape."""
+    return complex(value) if _is_scalar(x) else np.full(np.shape(x), value, complex)
+
+
+def eval_lambda(data, species, x, ctx=None):
+    """Single-box eigenvalue function lambda_species(x), x a scalar or 1-D array."""
+    if not 1 <= species <= data.n:
+        raise DomainError(f"species must lie in 1..{data.n}, got {species}")
+    xs, scalar = _points(x)
+    lam = (ctx or EvalContext(data)).boxes(xs, 0)[:, species]
+    return complex(lam[0]) if scalar else lam.copy()
+
+
+class EvalContext:
+    """Values shared between evaluations at common root data.
+
+    It memoizes, each keyed by the exact bytes of its points x:
+    - the box values lambda_1..lambda_n on a ladder of arguments
+      x + i k/2 around every base point a tableau is evaluated at, lent to
+      x -+ i/2 where their arguments agree bit for bit;
+    - the value of every tableau evaluated through it, per (cells, shift, x).
+
+    So a tableau that several functions share, such as the common
+    denominator of an upper and a lower function, or a column of f that
+    Y_a also takes, is summed once per point.  Nothing is evicted: the
+    memo lives as long as the context, which its caller owns and drops
+    with its root data.
     """
 
     def __init__(self, data):
         self.data = data
-        self._qcache = {}
-        self._lamcache = {}
+        self._ladders = {}
+        self._tableaux = {}
 
-    def lambda_vector(self, x):
-        """Array [_, lambda_1(x), ..., lambda_n(x)] (index 0 unused)."""
-        vec = self._lamcache.get(x)
-        if vec is None:
-            n = self.data.n
-            vec = np.empty(n + 1, dtype=complex)
-            vec[0] = np.nan
-            for j in range(1, n + 1):
-                vec[j] = _lambda_scalar(self.data, j, x, self._qcache)
-            self._lamcache[x] = vec
-        return vec
+    def boxes(self, x, reach):
+        """Box values at x + i k/2 for k = -reach, -reach + 2, ..., reach.
+
+        An (X, (2*reach + 1)*(n+1)) view of the ladder that starts at
+        k = -reach: rung k takes columns (k + reach)*(n+1) onwards.  Raises
+        PoleError, naming the first point, then the lowest such rung and
+        level, when a q sits on a zero at one of these rungs.  A new ladder
+        at one point reaches at least n + 3, so that the tableaux met at the
+        point and at x -+ i/2 share it (an n x 4 rectangle reaches n + 2);
+        an array's ladder, whose cost grows with its points, reaches only as
+        far as asked.
+        """
+        key = x.tobytes()
+        ladder = self._ladders.get(key)
+        if ladder is None or ladder[0] < reach:
+            one = len(x) == 1
+            ladder = _box_ladder(self.data, x, max(reach, self.data.n + 3) if one else reach)
+            self._ladders[key] = ladder
+            if one:
+                self._share(x, ladder)
+        top, table, hits = ladder
+        if hits is not None and hits[:, top - reach : top + reach + 1 : 2].any():
+            point, rung, level = np.argwhere(hits[:, top - reach : top + reach + 1 : 2])[0]
+            arg = complex(x[point]) + 1j * ((2 * rung - reach) / 2.0)
+            raise _pole(self.data, int(level), arg)
+        return table[:, (top - reach) * (self.data.n + 1) :]
+
+    def _share(self, x, ladder):
+        """Lend a new ladder at one point x to y = x + i/2 and y = x - i/2
+        where their arguments equal x's bit for bit (as when y is exact):
+        box values depend on the argument alone, so y's rung k is x's rung
+        k + 1 or k - 1.
+        """
+        top, table, hits = ladder
+        n1, xi = self.data.n + 1, float(x.imag[0])
+        for step in (-1, 1):
+            y = x + 0.5j * step
+            key, yi = y.tobytes(), float(y.imag[0])
+            if key in self._ladders or y.real.tobytes() != x.real.tobytes() or any(
+                yi + k / 2 != xi + (k + step) / 2 for k in range(1 - top, top)
+            ):
+                continue
+            start = 1 + step
+            self._ladders[key] = (
+                top - 1,
+                table[:, start * n1 : (start + 2 * top - 1) * n1],
+                None if hits is None else hits[:, start : start + 2 * top - 1],
+            )
+
+    def tableau_value(self, tableau, x):
+        """(X,) values of a tableau at the 1-D points x."""
+        key = (tableau, x.tobytes())
+        val = self._tableaux.get(key)
+        if val is None:
+            val = self._tableaux[key] = _transfer_sum(self, tableau, x)
+        return val
 
 
 def _normalize_cells(cells):
@@ -214,6 +369,10 @@ class RangeTableau:
     def __post_init__(self):
         object.__setattr__(self, "cells", _normalize_cells(self.cells))
         object.__setattr__(self, "shift", complex(self.shift))
+        object.__setattr__(self, "_hash", hash((self.cells, self.shift)))
+
+    def __hash__(self):  # hashed once: EvalContext keys its memo by tableau
+        return self._hash
 
     @property
     def height(self):
@@ -234,8 +393,9 @@ class RangeTableau:
         return cls((((lo, lo if hi is None else hi),),), shift)
 
     @classmethod
+    @lru_cache(maxsize=256)
     def full(cls, a, s, n, shift=0j):
-        """a x s rectangle with every cell ranging over [1, n]."""
+        """a x s rectangle with every cell ranging over [1, n] (built once)."""
         return cls(tuple(((1, n),) * s for _ in range(a)), shift)
 
     def validate_rank(self, n):
@@ -255,62 +415,72 @@ class RangeTableau:
 def _transfer_form(cells, n):
     """Column states and 0/1 row transfers of a tableau's cells at rank n.
 
-    Returns None when no filling is admissible, else (index, bounds, links):
-    rows bounds[c]:bounds[c+1] of index are column c's strictly increasing
-    fillings, as positions in the flat (cell, species) table of lambda
-    vectors, cells column-major; links[c][i, j] = 1 when every row weakly
-    increases from state i of column c to state j of column c + 1.
+    Returns None when no filling is admissible, else
+    (index, bounds, links, reach).  The box in row r and column c sits at
+    x + i k/2 with k = 2(r - c) + s - a, so the boxes take the a + s - 1
+    rungs k = -reach, -reach + 2, ..., reach of the ladder of box values,
+    reach = a + s - 2 (see EvalContext.boxes).  Rows bounds[c]:bounds[c+1]
+    of index are column c's strictly increasing fillings, as positions in
+    the flat (rung, species) table of that ladder; links[c][i, j] = 1 when
+    every row weakly increases from state i of column c to state j of
+    column c + 1.
     """
     RangeTableau(cells).validate_rank(n)
-    a = len(cells)
+    a, s = len(cells), len(cells[0])
     increasing = np.array(list(combinations(range(1, n + 1), a)), dtype=np.intp)
     states = [
         increasing[((increasing >= lo) & (increasing <= hi)).all(axis=1)]
         for lo, hi in (np.array(col).T for col in zip(*cells))
     ]
     links = [
-        (left[:, None, :] <= right[None, :, :]).all(axis=2).astype(float)
+        (left[:, None, :] <= right[None, :, :]).all(axis=2).astype(complex)
         for left, right in zip(states, states[1:])
     ]
     if not reduce(np.matmul, links, np.ones(len(states[0]))).any():
         return None
     index = np.concatenate(
-        [(c * a + np.arange(a)) * (n + 1) + st for c, st in enumerate(states)]
+        [2 * (np.arange(a) - c + s - 1) * (n + 1) + st for c, st in enumerate(states)]
     )
     bounds = tuple(np.cumsum([0] + [len(st) for st in states]).tolist())
     for arr in (index, *links):
         arr.flags.writeable = False
-    return index, bounds, tuple(links)
+    return index, bounds, tuple(links), a + s - 2
+
+
+def _transfer_sum(ctx, tableau, x):
+    """1^T D_1 C_12 D_2 ... D_s 1 at the 1-D points x, as an (X,) array.
+
+    The diagonals D_c stand side by side in weight, (X, 1, states): each
+    point's chain is a row vector that every link multiplies from the
+    right, one matrix-vector product per point, so that a point of an
+    array sums in the order it does alone.
+    """
+    form = _transfer_form(tableau.cells, ctx.data.n)
+    if form is None:
+        return np.zeros(len(x), dtype=complex)
+    index, bounds, links, reach = form
+    base = x + tableau.shift if tableau.shift else x
+    # take lays the gathered boxes out C-contiguously, so that the
+    # reductions run the same loops, in the same order, for any X
+    weight = np.multiply.reduce(ctx.boxes(base, reach).take(index, axis=1), axis=2)[:, None]
+    total = weight[..., : bounds[1]]
+    for c, link in enumerate(links, 1):
+        total = (total @ link) * weight[..., bounds[c] : bounds[c + 1]]
+    return np.add.reduce(total, axis=2)[:, 0]
 
 
 def eval_range_tableau(data, tableau, x, ctx=None):
     """Sum over admissible fillings of the product of box values.
 
-    Evaluated by column transfer, 1^T D_1 C_12 D_2 ... D_s 1 (see
+    x is a scalar, giving a complex, or a 1-D array, giving one value per
+    point.  Evaluated by column transfer, 1^T D_1 C_12 D_2 ... D_s 1 (see
     _transfer_form).  An exact complex zero is returned, before any box is
-    evaluated, iff the tableau admits no filling.  Shares box values
-    through ctx when given.
+    evaluated, iff the tableau admits no filling.  Shares box and tableau
+    values through ctx when given.
     """
-    form = _transfer_form(tableau.cells, data.n)
-    if form is None:
-        return 0j
-    index, bounds, links = form
-    if ctx is None:
-        ctx = EvalContext(data)
-    a, s = tableau.height, tableau.width
-    base = complex(x) + tableau.shift
-    lam = np.concatenate(
-        [
-            ctx.lambda_vector(base + (1j * (r - a / 2.0) - 1j * (c - s / 2.0)))
-            for c in range(1, s + 1)
-            for r in range(1, a + 1)
-        ]
-    )
-    weight = lam[index].prod(axis=1)
-    total = weight[: bounds[1]]
-    for c, link in enumerate(links, 1):
-        total = (total @ link) * weight[bounds[c] : bounds[c + 1]]
-    return complex(total.sum())
+    xs, scalar = _points(x)
+    val = (ctx or EvalContext(data)).tableau_value(tableau, xs)
+    return complex(val[0]) if scalar else val.copy()
 
 
 def eval_range_tableau_naive(data, tableau, x):
@@ -339,7 +509,7 @@ def eval_range_tableau_naive(data, tableau, x):
         arg = base + 1j * ((row + 1) - a / 2.0) - 1j * ((col + 1) - s / 2.0)
         for val in range(lo, hi + 1):
             grid[row][col] = val
-            rec(pos + 1, grid, prod * _lambda_scalar(data, val, arg, None))
+            rec(pos + 1, grid, prod * _lambda_scalar(data, val, arg))
             grid[row][col] = None
 
     rec(0, [[None] * s for _ in range(a)], 1.0 + 0j)
@@ -350,14 +520,14 @@ def fused_eigenvalue(data, a, s, x, ctx=None):
     """Eigenvalue Lambda_{a,s}(x) of the fused transfer matrix.
 
     The a x s rectangle with all cells ranging over [1, n]; empty shapes
-    (a = 0 or s = 0) count as 1.
+    (a = 0 or s = 0) count as 1.  x is a scalar or a 1-D array.
     """
     if a < 0 or s < 0:
         raise DomainError("fusion indices must be non-negative")
     if a == 0 or s == 0:
-        return 1.0 + 0j
+        return _constant(x, 1)
     if a > data.n:
-        return 0j
+        return _constant(x, 0)
     return eval_range_tableau(data, RangeTableau.full(a, s, data.n), x, ctx)
 
 

@@ -55,6 +55,24 @@ class TestDefinitions:
         with pytest.raises(DomainError):
             canonical_pair(4, (0, 1))
 
+    def test_definitions_cannot_be_mutated(self):
+        # the pairs are built once per n; a caller's list is its own copy
+        pairs = canonical_defs(4)
+        first = pairs[0]
+        pairs.clear()
+        assert canonical_defs(4)[0] == first
+        assert len(canonical_defs(4)) == 14
+        assert canonical_pair(4, [1, 3]) is canonical_pair(4, (1, 3))
+
+    def test_eval_aux_at_an_array_of_x(self, rng):
+        data = random_root_data(5, rng)
+        xs = np.array([random_x(rng) for _ in range(6)])
+        for defn in canonical_pair(5, (2, 4)):
+            vals = eval_aux(defn, data, xs)
+            assert vals.shape == xs.shape
+            for x, v in zip(xs, vals):
+                assert abs(v - eval_aux(defn, data, x)) <= 1e-15 * abs(v)
+
 
 class TestCountingValues:
     def test_sl4_first_pair(self):

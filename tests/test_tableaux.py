@@ -167,13 +167,77 @@ class TestRangeTableau:
                 assert abs(fast - slow) <= 1e-13 * abs(slow)
 
     def test_shared_context_matches_fresh(self, rng):
+        # one context memoizes box and tableau values, and lends the box
+        # values at x to x -+ i/2 where their arguments agree; every value
+        # through it, first or repeated, equals a fresh context's bit for bit
         data = random_root_data(4, rng)
         ctx = EvalContext(data)
-        t1 = RangeTableau.column([(1, 2), (2, 4)], shift=0.5j)
-        t2 = RangeTableau.column([(1, 4)], shift=-0.5j)
-        x = random_x(rng)
-        assert eval_range_tableau(data, t1, x, ctx) == eval_range_tableau(data, t1, x)
-        assert eval_range_tableau(data, t2, x, ctx) == eval_range_tableau(data, t2, x)
+        tabs = [
+            RangeTableau.column([(1, 2), (2, 4)], shift=0.5j),
+            RangeTableau.column([(1, 4)], shift=-0.5j),
+            RangeTableau.column([(1, 2), (2, 4)]),
+            RangeTableau.full(2, 3, 4),
+            RangeTableau.full(4, 4, 4),
+            *(t for pair in canonical_defs(4) for d in pair for t in d.denominator),
+        ]
+        for x in [random_x(rng) for _ in range(6)] + [0.3 + 0.3j, -1.0 + 1e-3j]:
+            xs = np.array([x, x + 0.5j, random_x(rng)])
+            for _ in range(2):
+                for t in tabs:
+                    for point in (x, x - 0.5j, x + 0.5j):
+                        assert eval_range_tableau(data, t, point, ctx) == eval_range_tableau(
+                            data, t, point
+                        )
+                    shared = eval_range_tableau(data, t, xs, ctx)
+                    assert np.array_equal(shared, eval_range_tableau(data, t, xs))
+            for a in range(0, 5):
+                for s in range(0, 5):
+                    assert fused_eigenvalue(data, a, s, x, ctx) == fused_eigenvalue(data, a, s, x)
+
+    def test_array_matches_scalar(self, rng):
+        # full, range and canonical tableaux at an array of x equal their
+        # values at each point alone
+        for n in range(2, 6):
+            tabs = [RangeTableau.full(a, s, n) for a in range(1, n + 1) for s in range(1, 5)]
+            tabs += [
+                RangeTableau((((1, n), (2, n)), ((2, n), (2, n))), shift=0.5j),
+                RangeTableau.column([(1, 1), (1, n)]),
+            ]
+            for pair in canonical_defs(n):
+                for defn in pair:
+                    tabs += [*defn.numerator, *defn.denominator]
+            data = random_root_data(n, rng)
+            xs = np.array([random_x(rng) for _ in range(5)])
+            for t in tabs:
+                vals = eval_range_tableau(data, t, xs)
+                assert vals.shape == xs.shape
+                for x, v in zip(xs, vals):
+                    one = eval_range_tableau(data, t, x)
+                    assert abs(v - one) <= 1e-15 * abs(one)
+
+    def test_array_of_x_through_every_entry_point(self, rng):
+        data = random_root_data(4, rng)
+        xs = np.array([random_x(rng) for _ in range(3)])
+        assert np.array_equal(fused_eigenvalue(data, 0, 2, xs), np.ones(3))
+        assert np.array_equal(fused_eigenvalue(data, 5, 1, xs), np.zeros(3))
+        empty = RangeTableau.column([(2, 2), (1, 1)])
+        assert np.array_equal(eval_range_tableau(data, empty, xs), np.zeros(3))
+        for j in range(1, 5):
+            lam = eval_lambda(data, j, xs)
+            assert [eval_lambda(data, j, x) for x in xs] == list(lam)
+
+    def test_array_pole_names_the_point(self):
+        # two points sit on roots of q_1; the error names the first of them
+        data = RootData(n=3, N=2, tau=0.4, mu=(0.0,) * 3, beta=1.0, roots=((0.7, -0.3), ()))
+        xs = np.array([0.1 + 0.2j, -0.3, -0.4 + 0.1j, 0.7])
+        with pytest.raises(PoleError) as err:
+            eval_range_tableau(data, RangeTableau.full(1, 1, 3), xs)
+        assert err.value.level == 1
+        assert err.value.argument == pytest.approx(-0.3)
+        assert err.value.root == pytest.approx(-0.3)
+        # the same points, moved off the roots, evaluate
+        vals = eval_range_tableau(data, RangeTableau.full(1, 1, 3), xs + 0.25j)
+        assert np.all(np.isfinite(vals))
 
 
 class TestFunctionalRelations:
