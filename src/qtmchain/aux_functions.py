@@ -36,7 +36,6 @@ from .tableaux import (
     canonical_move_tableaux,
     conjugate_data,
     eval_range_tableau,
-    fused_eigenvalue,
 )
 
 __all__ = [
@@ -79,7 +78,7 @@ class AuxFunctionDef:
 
     a: int
     jvec: tuple
-    kind: str  # "upper" | "lower"
+    kind: str  # "upper" | "lower" | "y" (Y_a, jvec = ()) | "f" | "fbar" (a = 0, jvec = ())
     numerator: tuple
     denominator: tuple
 
@@ -147,22 +146,21 @@ def eval_aux(defn, data, x, ctx=None):
 # ----------------------------------------------------------------------
 # the function f relating the canonical set to the Y-system
 
-def _columns(*rows):
-    """Single-column tableaux, one per tuple of row ranges."""
-    return tuple(map(RangeTableau.column, rows))
+_col = RangeTableau.column
 
 
-_F4_NUM = _columns(((1, 2), (2, 4)), ((1, 3), (3, 4)))
-_F4_DEN = _columns(((1, 3), (2, 4)), ((1, 2), (3, 4)))
-_F5_NUM = _columns(((1, 2), (2, 5)), ((1, 3), (3, 5)), ((1, 4), (4, 5)))
-_F5_DEN = _columns(((1, 4), (2, 5)), ((1, 2), (3, 5)), ((1, 3), (4, 5)))
+def _column_def(kind, num, den):
+    """A ratio of products of single-column tableaux, one per tuple of row
+    ranges."""
+    return AuxFunctionDef(0, (), kind, tuple(map(_col, num)), tuple(map(_col, den)))
 
 
-def _column_ratio(num, den, data, x, ctx):
-    """Ratio of two products of tableaux."""
-    if ctx is None:
-        ctx = EvalContext(data)
-    return _product(num, data, x, ctx) / _product(den, data, x, ctx)
+_F = {
+    4: _column_def("f", (((1, 2), (2, 4)), ((1, 3), (3, 4))),
+                   (((1, 3), (2, 4)), ((1, 2), (3, 4)))),
+    5: _column_def("f", (((1, 2), (2, 5)), ((1, 3), (3, 5)), ((1, 4), (4, 5))),
+                   (((1, 4), (2, 5)), ((1, 2), (3, 5)), ((1, 3), (4, 5)))),
+}
 
 
 def eval_f(n, data, x, ctx=None):
@@ -171,23 +169,17 @@ def eval_f(n, data, x, ctx=None):
         raise DomainError("f is defined for n in {4, 5}")
     if data.n != n:
         raise DomainError("data rank does not match requested n")
-    num, den = (_F4_NUM, _F4_DEN) if n == 4 else (_F5_NUM, _F5_DEN)
-    return _column_ratio(num, den, data, x, ctx)
+    return eval_aux(_F[n], data, x, ctx)
 
 
 # Representation conjugate of f^(5): every two-row factor is replaced by the
 # three-row column whose fillings are exactly the complements of the original
 # fillings inside {1..5}.  The ratio needs no extra normalization; this was
 # pinned down against the conjugate-representation ratio Y_4 / prod(B_4).
-_F5BAR_NUM = _columns(
-    ((1, 3), (3, 4), (4, 5)),
-    ((1, 2), (2, 4), (4, 5)),
-    ((1, 2), (2, 3), (3, 5)),
-)
-_F5BAR_DEN = _columns(
-    ((1, 3), (2, 4), (3, 5)),
-    ((1, 2), (3, 4), (4, 5)),
-    ((1, 2), (2, 3), (4, 5)),
+_F5BAR = _column_def(
+    "fbar",
+    (((1, 3), (3, 4), (4, 5)), ((1, 2), (2, 4), (4, 5)), ((1, 2), (2, 3), (3, 5))),
+    (((1, 3), (2, 4), (3, 5)), ((1, 2), (3, 4), (4, 5)), ((1, 2), (2, 3), (4, 5))),
 )
 
 
@@ -197,17 +189,16 @@ def eval_f_conjugate(n, data, x, ctx=None):
         return eval_f(4, data, x, ctx)
     if n != 5:
         raise DomainError("conjugate f is defined for n in {4, 5}")
-    return _column_ratio(_F5BAR_NUM, _F5BAR_DEN, data, x, ctx)
+    return eval_aux(_F5BAR, data, x, ctx)
 
 
-def _y_value(data, a, x, ctx):
-    num = fused_eigenvalue(data, a, 1, x - 0.5j, ctx) * fused_eigenvalue(
-        data, a, 1, x + 0.5j, ctx
-    )
-    den = fused_eigenvalue(data, a - 1, 1, x, ctx) * fused_eigenvalue(
-        data, a + 1, 1, x, ctx
-    )
-    return num / den
+@lru_cache(maxsize=None)
+def _y_def(n, a):
+    """Y_a = Lambda_a(x - i/2) Lambda_a(x + i/2) / (Lambda_{a-1} Lambda_{a+1})(x),
+    from the fused eigenvalues Lambda_a = Lambda_{a,1}; Lambda_0 = 1."""
+    num = (RangeTableau.full(a, 1, n, -0.5j), RangeTableau.full(a, 1, n, 0.5j))
+    den = tuple(RangeTableau.full(b, 1, n) for b in (a - 1, a + 1) if b)
+    return AuxFunctionDef(a, (), "y", num, den)
 
 
 def check_y_relations(n, data, x, ctx=None):
@@ -251,17 +242,13 @@ def check_y_relations(n, data, x, ctx=None):
         }
     out = {}
     for a in range(1, n):
-        y = _y_value(data, a, x, ctx)
+        y = eval_aux(_y_def(n, a), data, x, ctx)
         out[a] = abs(y - rhs[a]) / (1.0 + abs(y))
     return out
 
 
 # ----------------------------------------------------------------------
 # a previously published auxiliary-function set (n = 4, uppercase only)
-
-def _col(rows, shift=0j):
-    return RangeTableau.column(rows, shift=shift)
-
 
 def _legacy_sl4():
     p, m = +0.5j, -0.5j
@@ -313,17 +300,23 @@ def _legacy_sl4():
         ),
         ((3, 4), (_col([(1, 2), (2, 3), (3, 4)], m),), (_col([(1, 1), (2, 3), (3, 4)], m),)),
     ]
-    return [
+    return tuple(
         AuxFunctionDef(label[0], (label[1],), "upper", num, den)
         for label, num, den in defs
-    ]
+    )
+
+
+# built once: the definitions are frozen
+_LEGACY4 = _legacy_sl4()
+_LEGACY4_BY_LABEL = {d.label: d for d in _LEGACY4}
 
 
 def legacy_defs(n):
     """The uppercase auxiliary-function set of an earlier formulation, for
-    n = 4, the one that legacy_cross_relations ties to the canonical set."""
+    n = 4, the one that legacy_cross_relations ties to the canonical set,
+    as a fresh list of the definitions built once."""
     if n == 4:
-        return _legacy_sl4()
+        return list(_LEGACY4)
     raise DomainError(f"the legacy set exists for n = 4, got {n}")
 
 
@@ -375,7 +368,7 @@ def legacy_cross_relations(data, x, ctx=None):
     if ctx is None:
         ctx = EvalContext(data)
     x = complex(x)
-    legacy = {d.label: d for d in legacy_defs(4)}
+    legacy = _LEGACY4_BY_LABEL
     f0 = eval_f(4, data, x, ctx)
     fm = eval_f(4, data, x - 0.5j, ctx)
 

@@ -7,6 +7,7 @@ error.  All randomized suites take a seed and are reproducible from it.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .oracle import (
     trotter_free_energy,
     ybe_residual,
 )
-from .solver import Grid, asymptotic_constants, default_grid, solve_nlie
+from .solver import asymptotic_constants, default_grid, solve_nlie
 from .spectral import (
     adjacency_matrix,
     bae_residuals,
@@ -217,9 +218,9 @@ def cmd_verify(args):
 
 def cmd_solve(args):
     mu = tuple(float(v) for v in args.mu.split(",")) if args.mu else None
-    grid = default_grid(args.temp, points=args.points)
-    if args.half_width is not None:
-        grid = Grid(half_width=args.half_width, points=grid.points)
+    given = {"points": args.points, "half_width": args.half_width}
+    grid = replace(default_grid(args.temp),
+                   **{key: v for key, v in given.items() if v is not None})
     state = solve_nlie(
         args.n, args.temp, mu=mu, J=args.J, grid=grid,
         damping=args.damping, tol=args.tol,

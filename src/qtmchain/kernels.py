@@ -361,7 +361,9 @@ class KernelSystem:
 
     positions[I][J] = (entry_id, s4, flip) resolves every matrix element to
     a catalogued entry, a net shift-matrix exponent (units of k/4) and an
-    optional k -> -k reflection from the Hermiticity relation.
+    optional k -> -k reflection from the Hermiticity relation.  Each
+    distinct triple (39 of 196 at n = 4, 213 of 900 at n = 5) is evaluated
+    once, and the positions gather its value.
     """
 
     def __init__(self, n):
@@ -383,12 +385,7 @@ class KernelSystem:
         def reflected(i, j):
             # K_{i,j}[p,q] = y^{sandwich} * core_{n-j,n-i}[dj-1-q, di-1-p]
             src, sflip = core[(nrep - j + 1, nrep - i + 1)]
-            di, dj = self.dims[i - 1], self.dims[j - 1]
-            mat = np.empty((di, dj), dtype=int)
-            for p in range(di):
-                for q in range(dj):
-                    mat[p, q] = src[dj - 1 - q, di - 1 - p]
-            return mat, sflip
+            return src[::-1, ::-1].T.copy(), sflip
 
         def hermitian(i, j):
             src, sflip = core[(j, i)]
@@ -407,16 +404,19 @@ class KernelSystem:
         for i in range(1, nrep + 1):
             for j in range(1, nrep + 1):
                 mat, flip = core[(i, j)]
-                ti, tj = _tpow4(n, i), _tpow4(n, j)
+                block = positions[self.offsets[i - 1]: self.offsets[i],
+                                  self.offsets[j - 1]: self.offsets[j]]
                 # the full matrix is T^-1 C T with one global diagonal T, so
                 # the sandwich exponent is t_col - t_row for every block; the
                 # Hermiticity k -> -k flip lives entirely in the core.
-                for p in range(self.dims[i - 1]):
-                    for q in range(self.dims[j - 1]):
-                        I = self.offsets[i - 1] + p
-                        Jx = self.offsets[j - 1] + q
-                        positions[I, Jx] = (mat[p, q], tj[q] - ti[p], 1 if flip else 0)
+                block[..., 0] = mat
+                block[..., 1] = np.array(_tpow4(n, j)) - np.array(_tpow4(n, i))[:, None]
+                block[..., 2] = flip
         self.positions = positions
+        # the distinct triples, and each position's index among them
+        self._triples, self._triple_of = np.unique(
+            positions.reshape(-1, 3), axis=0, return_inverse=True
+        )
 
     def max_growth(self):
         """Largest surviving exponential rate (units of |k|/4) over positions.
@@ -430,13 +430,11 @@ class KernelSystem:
         rejected.
         """
         worst = -10**9
-        for I in range(self.dim):
-            for Jx in range(self.dim):
-                e, s4, fl = self.positions[I, Jx]
-                for side in (1, -1):
-                    terms = _side_terms(self.n, e, s4, bool(fl), side)
-                    top = max((r for r, _ in terms), default=-10**9)
-                    worst = max(worst, top)
+        for e, s4, fl in self._triples:
+            for side in (1, -1):
+                terms = _side_terms(self.n, e, s4, bool(fl), side)
+                top = max((r for r, _ in terms), default=-10**9)
+                worst = max(worst, top)
         if worst > 0:
             raise InconsistencyError(
                 f"kernel of n={self.n} grows like e^{{{worst}|k|/4}}; "
@@ -452,16 +450,10 @@ class KernelSystem:
         k = np.asarray(k, dtype=float)
         scalar = k.ndim == 0
         karr = np.atleast_1d(k)
-        out = np.empty((karr.size, self.dim, self.dim))
-        cache = {}
-        for I in range(self.dim):
-            for Jx in range(self.dim):
-                key = tuple(self.positions[I, Jx])
-                if key not in cache:
-                    cache[key] = kernel_entry_value(
-                        self.n, key[0], karr, s4=key[1], flip=bool(key[2])
-                    )
-                out[:, I, Jx] = cache[key]
+        values = np.empty((karr.size, len(self._triples)))
+        for t, (e, s4, fl) in enumerate(self._triples):
+            values[:, t] = kernel_entry_value(self.n, e, karr, s4=s4, flip=bool(fl))
+        out = values.take(self._triple_of, axis=1).reshape(-1, self.dim, self.dim)
         return out[0] if scalar else out.transpose(1, 2, 0)
 
     def matrix0(self):
@@ -470,10 +462,8 @@ class KernelSystem:
 
     @cached_property
     def _matrix0(self):
-        out = np.empty((self.dim, self.dim))
-        for I in range(self.dim):
-            for Jx in range(self.dim):
-                out[I, Jx] = _entry_at_zero(self.n, self.positions[I, Jx, 0])
+        values = np.array([_entry_at_zero(self.n, e) for e in self._triples[:, 0]])
+        out = values.take(self._triple_of).reshape(self.dim, self.dim)
         out.flags.writeable = False
         return out
 

@@ -151,9 +151,8 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
 
-def default_grid(T, points=None):
-    """Default window: L = 50 at every T, M = 2048 points (dx = 0.049);
-    points, if given, replaces M.
+def default_grid(T):
+    """Default window: L = 50 at every T, M = 2048 points (dx = 0.049).
 
     T is not read; callers pass it so that the rule may depend on it.  The
     window is closed by its far field (_far_field), so L is set by how well
@@ -173,7 +172,7 @@ def default_grid(T, points=None):
     and dx = 0.024 (L = 50, M = 4096) changes f by 6e-14.  On this grid
     f at mu != 0 (x^-2 tails) is within 1.8e-12 of L = 320, M = 16384, and
     the n = 5 fit residual stays below _TAIL_FIT_TOL down to T = 0.01."""
-    return Grid(half_width=50.0, points=2048 if points is None else points)
+    return Grid(half_width=50.0, points=2048)
 
 
 @dataclass
@@ -192,6 +191,8 @@ class NlieState:
     residual: float
     damping: float
     diagnostics: dict = field(default_factory=dict)
+    # the preconditioning map the solve took, for its tangent solves
+    precondition: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def beta(self):
@@ -923,15 +924,9 @@ def solve_nlie(
     took Winf; and the far field that closes the window:
     tail_fit_residual, how closely the fit carries log B - log Binf near
     the edge (a warning above _TAIL_FIT_TOL), and tail_A2, tail_A3, the
-    largest |A_2|, |A_3| of the fitted tail sum_p A_p |x|^-p.
+    largest |A_2|, |A_3| of the fitted tail sum_p A_p |x|^-p.  The state
+    keeps the preconditioning map it took (_tangent_solver takes it over).
     """
-    return _solve_nlie(n, T, mu=mu, J=J, grid=grid, damping=damping, tol=tol,
-                       max_iter=max_iter)[0]
-
-
-def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
-                max_iter=2000):
-    """solve_nlie, returning (state, the preconditioning map it took)."""
     if T <= 0:
         raise DomainError("temperature must be positive")
     if mu is None:
@@ -941,13 +936,13 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
     if J < 0:
         warnings.warn(
             "J < 0 lies outside the regime of the eigenvalue reconstruction",
-            stacklevel=3,
+            stacklevel=2,
         )
     if max(abs(beta * v) for v in mu) > 1.0:
         warnings.warn(
             "analyticity strips were established at mu = 0; "
             f"|beta*mu| = {max(abs(beta * v) for v in mu):.2f} is large",
-            stacklevel=3,
+            stacklevel=2,
         )
     if grid is None:
         grid = default_grid(T)
@@ -991,7 +986,7 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
         warnings.warn(
             f"far-field tail fit misses log B by {fit:.2e} near the window "
             "edge; widen the grid",
-            stacklevel=3,
+            stacklevel=2,
         )
     asym_resid = float(np.max(np.abs(logb_inf + c + gsys.K0 @ logB_inf)))
     state = NlieState(
@@ -1019,7 +1014,8 @@ def _solve_nlie(n, T, mu=None, J=1.0, grid=None, damping=0.0, tol=1e-12,
             "state_preconditioned_from": state_from,
         },
     )
-    return state, precondition
+    state.precondition = precondition
+    return state
 
 
 def gamma_term(n, x):
@@ -1085,7 +1081,7 @@ def free_energy(state):
     return -state.T * log_eigenvalue(state, 0.0)
 
 
-def _tangent_solver(state, precondition):
+def _tangent_solver(state):
     """Solver of the tangent equations of a converged state.
 
     The derivative u = d log b / d theta along a direction theta of
@@ -1106,9 +1102,9 @@ def _tangent_solver(state, precondition):
     eps max|u| (measured 1.2-2.3e-16 |u|), u_inf is within 1 % of max|u|
     where it matters, and beyond |u_inf| = 450 (a chi tangent at T = 0.01,
     w_beta,beta at T = 2000 with |beta mu| = 0.1) 1e-12 lies below that
-    floor.  One preconditioner serves them all: precondition, the map
-    that the nonlinear solve of state took (_solve_nlie returns it), at the
-    converged state's own W(x) from the first step on (the operator is
+    floor.  One preconditioner serves them all: state.precondition, the
+    map that the nonlinear solve of state took, at the converged state's
+    own W(x) from the first step on (the operator is
     I + K W, so v -> v - Q * (W v) inverts it exactly where W = Winf and
     where W = 0; at low T, where W nearly vanishes across the centre of the
     window, u_beta takes 11 steps where Winf took 35).  Like the NLIE, the
@@ -1152,7 +1148,7 @@ def _tangent_solver(state, precondition):
         u0 = np.zeros_like(W) + u_inf[:, None]
         tol = max(1e-12, 10 * np.finfo(float).eps * float(np.max(np.abs(u_inf))))
         u, it, residual, *_ = _iterate(
-            step, u0, partial(precondition, ws=ws), W, u_inf[:, None], 0.0, tol, 2000
+            step, u0, partial(state.precondition, ws=ws), W, u_inf[:, None], 0.0, tol, 2000
         )
         ell = float(_ell(state, W * u + s, g_inf))
         return u, u_inf, ell, (it, residual, time.perf_counter() - t0)

@@ -14,8 +14,9 @@ extraction never compares floating-point offsets.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,12 +39,13 @@ __all__ = [
 @dataclass(frozen=True)
 class AdjacencyMatrix:
     """Vertices are the increasing a-tuples in lexicographic order; edges
-    carry (level, delta_half) with delta_half = 2*delta an integer."""
+    carry (level, delta_half) with delta_half = 2*delta an integer.  Read
+    only, as adjacency_matrix shares it."""
 
     n: int
     a: int
     vertices: tuple
-    edges: dict
+    edges: MappingProxyType
 
     def label(self, i, j):
         """Edge label between vertex indices i and j, or None."""
@@ -62,8 +64,9 @@ class AdjacencyMatrix:
         }
 
 
+@lru_cache(maxsize=None)
 def adjacency_matrix(n, a):
-    """Shared-pole structure of the a-th fundamental representation."""
+    """Shared-pole structure of the a-th fundamental representation, one per (n, a)."""
     if not 1 <= a <= n - 1:
         raise DomainError(f"need 1 <= a <= {n - 1}, got a={a}")
     vertices = tuple(combinations(range(1, n + 1), a))
@@ -75,7 +78,7 @@ def adjacency_matrix(n, a):
             if w in index and index[w] > i:
                 # differ in row r+1 only, entries k, k+1
                 edges[(i, index[w])] = (v[r], 2 * (r + 1) - (a + 1))
-    return AdjacencyMatrix(n=n, a=a, vertices=vertices, edges=edges)
+    return AdjacencyMatrix(n=n, a=a, vertices=vertices, edges=MappingProxyType(edges))
 
 
 @dataclass(frozen=True)

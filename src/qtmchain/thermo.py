@@ -29,10 +29,10 @@ explicit beta and mu terms enters S, C, n_i or chi.  One point takes one
 nonlinear solve and linear solves: 2 for S and C, n more for the
 densities, and n(n+1)/2 more for chi.  All of them take the solver's one
 iteration (solver._iterate, preconditioned and Anderson-mixed) with the
-one preconditioner table the nonlinear solve took, handed over with its
-state and taken at the state's own W(x), and like it they run on the
-half space x <= 0: W, every drive and every
-source keep the symmetry u(-x) = conj(u(x)) of the converged state.  The
+one preconditioner table the nonlinear solve took, kept in its state
+(NlieState.precondition) and taken at the state's own W(x), and like it
+they run on the half space x <= 0: W, every drive and every source keep
+the symmetry u(-x) = conj(u(x)) of the converged state.  The
 grid keeps its last preconditioner, so at mu = 0, where the asymptote is
 the same at every T, the points of a sweep invert it once.
 
@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .kernels import kernel_system
-from .solver import _solve_nlie, _tangent_solver, free_energy, gamma_term
+from .solver import _tangent_solver, free_energy, gamma_term, solve_nlie
 
 __all__ = [
     "ThermoPoint",
@@ -178,9 +178,9 @@ def thermo_point(
     beta = 1.0 / T
 
     t0 = time.perf_counter()
-    state, precondition = _solve_nlie(n, T, mu=mu, J=J)
+    state = solve_nlie(n, T, mu=mu, J=J)
     records = [(state.iterations, state.residual, time.perf_counter() - t0)]
-    solve = _tangent_solver(state, precondition)
+    solve = _tangent_solver(state)
     f = free_energy(state)
 
     c_of = kernel_system(n).constants

@@ -104,6 +104,19 @@ class TestAssembledMatrix:
             assert worst <= 1e-13
 
     @pytest.mark.parametrize("n", [4, 5])
+    def test_positions_take_their_entry_values(self, n):
+        # each distinct (entry, s4, flip) is evaluated once and gathered into
+        # every position that holds it: bit for bit the entry's own value
+        sy = kernel_system(n)
+        ks = np.array([0.37, -2.6, 11.0, 137.0])
+        K = sy.matrix(ks)
+        for I in range(sy.dim):
+            for J in range(sy.dim):
+                e, s4, fl = sy.positions[I, J]
+                want = kernel_entry_value(n, e, ks, s4=s4, flip=bool(fl))
+                assert K[I, J].tobytes() == want.tobytes(), (I, J)
+
+    @pytest.mark.parametrize("n", [4, 5])
     def test_zero_mode_limit(self, n):
         sy = kernel_system(n)
         assert np.max(np.abs(sy.matrix0() - sy.matrix(1e-12))) < 1e-10

@@ -442,8 +442,7 @@ class TestWorkspace:
             return out
 
         monkeypatch.setattr(solver, "_iterate", spy)
-        state, kept = solver._solve_nlie(5, 1.0)
-        _tangent_solver(state, kept)(dbetaJ=1.0)
+        _tangent_solver(solve_nlie(5, 1.0))(dbetaJ=1.0)
         (step, x, precondition, W), (tangent_step, u, *_) = taken
         v = step(x) - x
         vector = W.size * 8
@@ -628,6 +627,14 @@ class TestSolver:
             solve_nlie(4, T=0.5, mu=(0.8, 0.0, 0.0, -0.8))
         with pytest.warns(UserWarning, match="J < 0"):
             solve_nlie(4, T=5.0, J=-0.3)
+
+    def test_warnings_name_the_caller(self):
+        # both warnings point at the code that called solve_nlie; they are
+        # raised before the first step, so max_iter=0 costs no iteration
+        with pytest.warns(UserWarning) as caught, pytest.raises(ConvergenceError):
+            solve_nlie(4, T=0.5, mu=(0.8, 0.0, 0.0, -0.8), J=-0.3, max_iter=0)
+        assert len(caught) == 2
+        assert all(w.filename == __file__ for w in caught)
 
     def test_state_roundtrip_schema(self):
         state = solve_nlie(4, T=2.0)

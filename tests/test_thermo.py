@@ -4,7 +4,7 @@ the expensive sweeps live in the acceptance suite)."""
 import numpy as np
 import pytest
 
-from qtmchain import free_energy, solve_nlie, solver, thermo_point
+from qtmchain import free_energy, solve_nlie, solver, thermo, thermo_point
 from qtmchain.thermo import parse_t_range, sweep
 
 
@@ -49,6 +49,18 @@ class TestThermoPoint:
         assert 0 < pt.meta["tail_fit_residual"] < 1e-6
         assert 0.19 < pt.meta["tail_A3"] < 0.2
 
+    def test_nonlinear_solve_is_solve_nlie(self, monkeypatch):
+        # a point takes its nonlinear solve through solve_nlie, so whatever
+        # wraps that name sees every point's solve
+        calls = []
+        orig = thermo.solve_nlie
+        monkeypatch.setattr(
+            thermo, "solve_nlie", lambda *a, **kw: calls.append(a) or orig(*a, **kw)
+        )
+        pts, failures = sweep(4, [1.0, 2.0], workers=1)
+        assert not failures and len(pts) == 2
+        assert calls == [(4, 1.0), (4, 2.0)]
+
     def test_one_preconditioner_per_point(self, monkeypatch):
         # the grid keeps its last preconditioner: at mu = 0 the asymptote is
         # the same at every T, so one inverse serves every point, and a
@@ -64,7 +76,7 @@ class TestThermoPoint:
         pt = thermo_point(4, 1.0, with_chi=False, with_densities=False)
         assert len(built) == pt.meta["preconditioners_built"] == 1
         pt = thermo_point(4, 2.0, with_chi=False, with_densities=False)
-        solver._tangent_solver(*solver._solve_nlie(4, 1.0))
+        solver._tangent_solver(solve_nlie(4, 1.0))
         assert len(built) == 1 and pt.meta["preconditioners_built"] == 0
         # mu != 0: every point has an asymptote of its own, inverted once
         # for its three solves although the other thread's points replace
