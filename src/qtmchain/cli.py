@@ -22,11 +22,11 @@ from .aux_functions import (
 from .errors import QtmChainError
 from .kernels import kernel_system
 from .oracle import (
+    _phi_normalized,
     build_hamiltonian,
     finite_free_energy,
     qtm_eigenvalue,
     spin2_identity_residual,
-    trotter_free_energy,
     ybe_residual,
 )
 from .solver import asymptotic_constants, default_grid, solve_nlie
@@ -306,7 +306,7 @@ def cmd_oracle(args):
             {
                 "n": args.n, "N": args.N, "T": args.temp,
                 "eigenvalue": [lam.real, lam.imag],
-                "trotter_f": trotter_free_energy(args.n, args.N, args.temp, J=args.J),
+                "trotter_f": _phi_normalized(lam, args.N, args.temp, J=args.J),
             }
         )
     elif args.which == "ybe":

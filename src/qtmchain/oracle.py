@@ -11,9 +11,14 @@ acting on N quantum sites; its dominant eigenvalue at x = 0 carries the
 finite-Trotter free energy -T log Lambda(0).  Odd sites carry
 (ix - tau) Id + P and even sites (-ix - tau) Id + P^{t_Q}; on a state
 with open auxiliary indices, P traces the auxiliary index against the
-site and P^{t_Q} swaps the two, so a site costs O(n^2) per state and no
-site tensor is stored.  The exact-diagonalization and dense-matrix paths
-carry explicit dimension caps.
+site and P^{t_Q} swaps the two, so a site costs a few passes over the
+state and no site tensor is stored.  The starting auxiliary indices are
+threaded in blocks small enough to stay in cache (one at a time at
+n = 5, N >= 6), so the state holds n * n^N numbers there, not n^2 * n^N,
+in two buffers reused from site to site and from one power step to the
+next; at x = 0 every weight is real and so are the state and the
+iteration.  The exact-diagonalization and dense-matrix paths carry
+explicit dimension caps.
 """
 
 import numpy as np
@@ -119,31 +124,71 @@ def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
 # ----------------------------------------------------------------------
 # quantum transfer matrix
 
-def _thread_sites(twist, v, sites):
+def _thread_sites(twist, v, sites, work=None):
     """tr_Q[diag(twist) L_1 ... L_N] v for the Lax operators of sites.
 
     sites holds one (lam, transposed) pair per quantum site: lam I + P, or
-    lam I + P^{t_Q} when transposed.  The state cur[a_start, a_current,
-    processed s'-block, pending s-block] carries the auxiliary space as a
-    pair of open indices, so memory stays at n^2 times the Hilbert
-    dimension, and each site costs O(n^2) per state: lam cur plus, for P,
-    the trace of a_current against the pending site written on the
+    lam I + P^{t_Q} when transposed.  The starting auxiliary index a is a
+    spectator: its slice starts as twist[a] e_a (x) v and only its diagonal
+    a_current = a is summed at the end, so the starts are threaded in
+    blocks of g (_thread_work).  The state cur[start in block, a_current,
+    processed s'-block, pending s-block] holds g * n * len(v) numbers, real
+    when the twist, v and every lam are (x = 0).  A site is lam cur plus,
+    for P, the trace of a_current against the pending site written on the
     diagonal a_current = s', or, for P^{t_Q}, the swap of a_current with
-    that site."""
-    n = len(twist)
-    cur = (np.diag(twist)[:, :, None] * v)[:, :, None, :]
-    for lam, transposed in sites:
-        _, _, Dout, Din = cur.shape
-        cur = cur.reshape(n, n, Dout, n, Din // n)
-        new = lam * cur
-        if transposed:
-            new += cur.transpose(0, 3, 2, 1, 4)
-        else:
-            trace = np.einsum("aqdqr->adr", cur)
-            for c in range(n):
-                new[:, c, :, c] += trace
-        cur = new.reshape(n, n, Dout * n, Din // n)
-    return np.einsum("aaj->j", cur[:, :, :, 0])
+    that site; it writes into the other of two ping-pong buffers.  work
+    holds the two buffers and the trace; without it a fresh one is made."""
+    n, dim = len(twist), len(v)
+    if work is None:
+        work = _thread_work(twist, v, sites)
+    *bufs, trace = work
+    g = bufs[0].size // (n * dim)
+    out = np.zeros(dim, dtype=bufs[0].dtype)
+    for a0 in range(0, n, g):
+        cur = bufs[0].reshape(g, n, 1, dim)
+        cur.fill(0)
+        for j in range(g):
+            np.multiply(v, twist[a0 + j], out=cur[j, a0 + j, 0])
+        for i, (lam, transposed) in enumerate(sites):
+            _, _, Dout, Din = cur.shape
+            cur = cur.reshape(g, n, Dout, n, Din // n)
+            new = bufs[(i + 1) % 2].reshape(cur.shape)
+            np.multiply(cur, lam, out=new)
+            if transposed:
+                new += cur.transpose(0, 3, 2, 1, 4)
+            else:
+                tr = np.einsum("bqdqr->bdr", cur, out=trace.reshape(g, Dout, Din // n))
+                diagonal = np.einsum("bcdcr->bdcr", new)  # a writeable view
+                diagonal += tr[:, :, None]
+            cur = new.reshape(g, n, Dout * n, Din // n)
+        out += np.einsum("jjd->d", cur[:, a0 : a0 + g, :, 0])
+    return out
+
+
+_BLOCK_BYTES = 2**20
+
+
+def _thread_work(twist, v, sites):
+    """The buffers of _thread_sites(twist, v, sites): two states and a
+    trace, real when the twist, v and every lam are.  The block g of
+    starts threaded together is the largest divisor of n whose state fits
+    in _BLOCK_BYTES, or 1, so the two buffers stay in cache: g = 1 at
+    n = 5, N = 6 (625 KB a buffer), g = n at N <= 4, where a per-start
+    loop would be numpy call overhead n times over."""
+    n, dim = len(twist), len(v)
+    dtype = np.result_type(twist, v, *(lam for lam, _ in sites))
+    fits = max(1, _BLOCK_BYTES // (n * dim * dtype.itemsize))
+    g = max(d for d in range(1, min(n, fits) + 1) if n % d == 0)
+    size = g * n * dim
+    return np.empty(size, dtype), np.empty(size, dtype), np.empty(size // n**2, dtype)
+
+
+def _qtm_sites(N, tau, x):
+    """The (lam, transposed) pairs of the QTM's N sites: real at x = 0."""
+    if N % 2 or N <= 0:
+        raise DomainError("Trotter number must be positive and even")
+    odd, even = (-tau, -tau) if x == 0 else (1j * x - tau, -1j * x - tau)
+    return [(odd, False), (even, True)] * (N // 2)
 
 
 def qtm_matvec(n, N, tau, beta_mu, x, v):
@@ -152,12 +197,10 @@ def qtm_matvec(n, N, tau, beta_mu, x, v):
     Site 1, 3, ... carries L(-tau, -ix) = (ix - tau) I + P and site 2,
     4, ... carries L^{t_Q}(-ix, tau) = (-ix - tau) I + P^{t_Q}, threaded
     through v one at a time (_thread_sites); the twist e^{beta mu} acts
-    on the auxiliary space.  beta_mu are the products beta * mu_j."""
-    if N % 2 or N <= 0:
-        raise DomainError("Trotter number must be positive and even")
+    on the auxiliary space.  beta_mu are the products beta * mu_j.  At
+    x = 0 a real v gives a real result, equal to the complex one."""
     twist = np.exp(np.asarray(beta_mu, dtype=float))
-    sites = [(1j * x - tau, False), (-1j * x - tau, True)] * (N // 2)
-    return _thread_sites(twist, v, sites)
+    return _thread_sites(twist, v, _qtm_sites(N, tau, x))
 
 
 def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
@@ -181,17 +224,20 @@ def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, tol=1e-12, max_iter=50000):
 
     Deterministic uniform start; a fixed real shift (the first Rayleigh
     estimate) breaks the sign ambiguity of a possibly negative subdominant
-    eigenvalue.  Stagnation raises with a gap estimate attached.
+    eigenvalue.  At x = 0 the iteration runs in real arithmetic.  The
+    sites and the buffers of _thread_sites are made once.  Stagnation
+    raises with a gap estimate and the residual history attached.
     """
     _check_dim(n, N)
     if mu is None:
         mu = (0.0,) * n
     beta = 1.0 / T
-    tau = beta * J / N
-    bmu = tuple(beta * m for m in mu)
+    sites = _qtm_sites(N, beta * J / N, x)
+    twist = np.exp(np.array([beta * m for m in mu], dtype=float))
     dim = n**N
-    v = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    mv = lambda w: qtm_matvec(n, N, tau, bmu, x, w)
+    v = np.full(dim, 1.0 / np.sqrt(dim))
+    work = _thread_work(twist, v, sites)
+    mv = lambda w: _thread_sites(twist, w, sites, work)
 
     Av = mv(v)
     lam = complex(v.conj() @ Av)
@@ -213,7 +259,15 @@ def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, tol=1e-12, max_iter=50000):
         "(near-degenerate dominant pair?)",
         residual=history[-1],
         iterations=max_iter,
+        history=history,
     )
+
+
+def _phi_normalized(lam, N, T, J=1.0):
+    """-T log Lambda_N(0) with the trivial factor (1 + beta J/N)^N e^{-beta J}
+    of the Phi normalization divided out (trotter_free_energy)."""
+    beta = 1.0 / T
+    return -T * (np.log(lam.real) - N * np.log(1.0 + beta * J / N) + beta * J)
 
 
 def trotter_free_energy(n, N, T, J=1.0, mu=None, x=0.0):
@@ -225,11 +279,7 @@ def trotter_free_energy(n, N, T, J=1.0, mu=None, x=0.0):
     converges like 1/N^2.  This is the quantity to extrapolate against the
     integral-equation result.
     """
-    lam = qtm_eigenvalue(n, N, T=T, J=J, mu=mu, x=x)
-    beta = 1.0 / T
-    return -T * (
-        np.log(lam.real) - N * np.log(1.0 + beta * J / N) + beta * J
-    )
+    return _phi_normalized(qtm_eigenvalue(n, N, T=T, J=J, mu=mu, x=x), N, T, J)
 
 
 def transfer_matrix(n, L, lam):

@@ -574,13 +574,14 @@ def check_functional_relation(data, relation, x, a=None, s=None, jvec=None):
             raise DomainError("t_system needs both a and s")
         if not 1 <= a <= data.n - 1 or s < 1:
             raise DomainError(f"need 1 <= a <= {data.n - 1} and s >= 1")
-        lhs = fused_eigenvalue(data, a, s, x - 0.5j, ctx) * fused_eigenvalue(
-            data, a, s, x + 0.5j, ctx
-        )
+        # x first: its box-value ladder is then lent to x -+ i/2
         rhs = fused_eigenvalue(data, a - 1, s, x, ctx) * fused_eigenvalue(
             data, a + 1, s, x, ctx
         ) + fused_eigenvalue(data, a, s - 1, x, ctx) * fused_eigenvalue(
             data, a, s + 1, x, ctx
+        )
+        lhs = fused_eigenvalue(data, a, s, x - 0.5j, ctx) * fused_eigenvalue(
+            data, a, s, x + 0.5j, ctx
         )
     elif relation == "general_fusion_move":
         if jvec is None:

@@ -125,13 +125,29 @@ class TestOracle:
     def test_spin2_report(self, capsys):
         assert run(["oracle", "spin2"]) == 0
 
-    def test_qtm_report(self, tmp_path, capsys):
+    def test_qtm_report(self, tmp_path, capsys, monkeypatch):
+        from qtmchain import cli, oracle
+
+        expected = (oracle.trotter_free_energy(4, 2, 2.0),
+                    oracle.qtm_eigenvalue(4, 2, T=2.0))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return expected[1]
+
+        monkeypatch.setattr(cli, "qtm_eigenvalue", counted)
+        monkeypatch.setattr(oracle, "qtm_eigenvalue", counted)
         out = tmp_path / "qtm.json"
         assert run(
             ["oracle", "qtm", "--n", "4", "--N", "2", "--temp", "2.0", "--out", str(out)]
         ) == 0
         rep = json.loads(out.read_text())
-        assert "trotter_f" in rep
+        # one power iteration gives both, f in trotter_free_energy's
+        # normalization
+        assert len(calls) == 1
+        assert rep["trotter_f"] == expected[0]
+        assert rep["eigenvalue"] == [expected[1].real, expected[1].imag]
 
 
 class TestDumpKernel:

@@ -16,7 +16,8 @@ from qtmchain import (
     trotter_free_energy,
     ybe_residual,
 )
-from qtmchain.errors import DomainError
+from qtmchain.errors import ConvergenceError, DomainError
+from qtmchain.oracle import qtm_matvec
 from qtmchain.spectral import eigenvalue_from_roots
 
 
@@ -174,21 +175,50 @@ class TestQtm:
         return lam * np.eye(n * n) + P
 
     @pytest.mark.parametrize(
-        "n, N, mu", [(3, 2, (0.2, -0.1, 0.05)), (4, 2, (0.3, 0.0, -0.1, 0.15)),
-                     (3, 4, (0.1, 0.0, -0.25))]
+        "n, N, mu, x",
+        [
+            pytest.param(n, N, mu, x, id=f"{n}-{N}-mu{i}" + ("-real" if x == 0 else ""))
+            for x in (0.4, 0.0)
+            for i, (n, N, mu) in enumerate(
+                [(3, 2, (0.2, -0.1, 0.05)), (4, 2, (0.3, 0.0, -0.1, 0.15)),
+                 (3, 4, (0.1, 0.0, -0.25))]
+            )
+        ],
     )
-    def test_qtm_matches_kron_reference(self, n, N, mu):
+    def test_qtm_matches_kron_reference(self, n, N, mu, x):
         # odd sites carry L(ix - tau), even sites L^{t_Q}(-ix - tau), and
-        # the e^{beta mu} twist sits on the auxiliary space
-        T, x = 1.3, 0.4
+        # the e^{beta mu} twist sits on the auxiliary space; at x = 0 every
+        # weight is -tau and a real basis vector gives a real column
+        T = 1.3
         tau = 1.0 / (T * N)
         laxes = [
             self.lax(n, 1j * x - tau) if i % 2 == 0 else self.lax(n, -1j * x - tau, True)
             for i in range(N)
         ]
         ref = self.kron_trace(n, N, laxes, np.exp(np.array(mu) / T))
-        got = qtm_matrix(n, N, T=T, mu=mu, x=x)
+        bmu = tuple(m / T for m in mu)
+        cols = [qtm_matvec(n, N, tau, bmu, x, e) for e in np.eye(n**N)]
+        if x == 0:
+            assert all(c.dtype == np.float64 for c in cols)
+        got = np.array(cols).T
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_real_path_equals_complex_path(self):
+        # the same products and sums in the same order: bit for bit
+        n, N, T = 5, 6, 2.0
+        mu = (0.3, -0.1, 0.0, 0.25, -0.4)
+        v = np.random.default_rng(5).standard_normal(n**N)
+        args = (n, N, 1.0 / (T * N), tuple(m / T for m in mu), 0.0)
+        real = qtm_matvec(*args, v)
+        cplx = qtm_matvec(*args, v.astype(complex))
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.array_equal(real, cplx.real) and not np.any(cplx.imag)
+
+    def test_stagnation_carries_history(self):
+        with pytest.raises(ConvergenceError) as err:
+            qtm_eigenvalue(4, 4, T=2.0, max_iter=3)
+        assert len(err.value.history) == err.value.iterations == 3
+        assert err.value.residual == err.value.history[-1] > 1e-12
 
     def test_transfer_matrix_matches_kron_reference(self):
         lam = 0.63
@@ -203,6 +233,19 @@ class TestQtm:
 
 
 class TestTrotterConvergence:
+    # trotter_free_energy(n, N, 2.0) of the QTM that threaded both auxiliary
+    # ends at once in complex arithmetic (the oracle's layout before its
+    # real path and one-start-at-a-time threading)
+    EARLIER = {
+        (4, 2): -2.7509374747077997, (4, 4): -2.755679429030616,
+        (4, 6): -2.7566755318839697, (5, 2): -3.2498591939709662,
+        (5, 4): -3.254004149275228, (5, 6): -3.254886221113968,
+    }
+
+    @pytest.mark.parametrize("n, N", sorted(EARLIER))
+    def test_values_kept(self, n, N):
+        assert abs(trotter_free_energy(n, N, 2.0) - self.EARLIER[n, N]) <= 1e-13
+
     def test_normalized_sequence_is_second_order(self):
         # away from the tau = 1/2 degeneracy the errors fall like 1/N^2
         from qtmchain import solve_nlie, free_energy
