@@ -22,9 +22,9 @@ sequences below match the printed constants and kernel blocks.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from .tableaux import (
     EvalContext,
     RangeTableau,
     RootData,
+    _points,
     canonical_move_tableaux,
     conjugate_data,
-    eval_range_tableau,
 )
 
 __all__ = [
@@ -48,6 +48,9 @@ __all__ = [
     "eval_f",
     "eval_f_conjugate",
     "check_y_relations",
+    "check_species_conjugation",
+    "species_conjugation_index",
+    "legacy_cross_relations",
     "counting_values",
 ]
 
@@ -122,25 +125,23 @@ def _canonical_defs(n):
     return pairs
 
 
-def _product(tableaux, data, x, ctx):
-    out = 1.0 + 0j
-    for t in tableaux:
-        out *= eval_range_tableau(data, t, x, ctx)
-    return out
-
-
 def eval_aux(defn, data, x, ctx=None):
-    """Numerator product over denominator product at x, a scalar or 1-D array."""
-    if ctx is None:
-        ctx = EvalContext(data)
-    num = _product(defn.numerator, data, x, ctx)
-    den = _product(defn.denominator, data, x, ctx)
-    if not (den != 0 if isinstance(den, complex) else np.all(den)):
-        at = np.ravel(x)[np.argmin(np.ravel(den) != 0)]
+    """Numerator product over denominator product at x, a scalar or 1-D array.
+
+    A scalar x is evaluated as an array of one point, so that it gets the
+    value that point gets inside an array, bit for bit."""
+    xs, scalar = _points(x)
+    ctx = ctx or EvalContext(data)
+    num, den = (
+        reduce(np.multiply, [ctx.tableau_value(t, xs) for t in tableaux])
+        for tableaux in (defn.numerator, defn.denominator)
+    )
+    if not den.all():
         raise ZeroDivisionError(
-            f"denominator of {defn.kind} {defn.label} vanished at x={at}"
+            f"denominator of {defn.kind} {defn.label} vanished at x={xs[np.argmin(den != 0)]}"
         )
-    return num / den
+    val = num / den
+    return complex(val[0]) if scalar else val
 
 
 # ----------------------------------------------------------------------
@@ -405,12 +406,20 @@ def counting_values(n, beta=0.0, mu=None):
 @lru_cache(maxsize=64)
 def _counting_values(n, beta_mu):
     """counting_values at beta = 1 and mu = beta_mu, the box weights
-    exp(1 * beta_mu_j) = exp(beta*mu_j) bit for bit."""
-    data = RootData.free(n, beta=1.0, mu=beta_mu)
-    ctx = EvalContext(data)
-    binf = []
-    Binf = []
-    for upper, lower in canonical_defs(n):
-        binf.append(eval_aux(lower, data, 0.0, ctx).real)
-        Binf.append(eval_aux(upper, data, 0.0, ctx).real)
-    return np.array(binf), np.array(Binf)
+    exp(1 * beta_mu_j) = exp(beta*mu_j) bit for bit.  Every tableau value
+    is real here, so each ratio is taken in float arithmetic, the
+    quotient of the two products correctly rounded."""
+    ctx = EvalContext(RootData.free(n, beta=1.0, mu=beta_mu))
+    x = np.zeros(1, dtype=complex)
+
+    def ratio(defn):
+        num, den = (
+            prod(ctx.tableau_value(t, x)[0].real for t in tableaux)
+            for tableaux in (defn.numerator, defn.denominator)
+        )
+        return num / den
+
+    pairs = canonical_defs(n)
+    return np.array([ratio(lower) for _, lower in pairs]), np.array(
+        [ratio(upper) for upper, _ in pairs]
+    )

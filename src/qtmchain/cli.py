@@ -29,7 +29,7 @@ from .oracle import (
     spin2_identity_residual,
     ybe_residual,
 )
-from .solver import asymptotic_constants, default_grid, solve_nlie
+from .solver import asymptotic_constants, asymptotic_residual, default_grid, solve_nlie
 from .spectral import (
     adjacency_matrix,
     bae_residuals,
@@ -165,9 +165,7 @@ def _suite_kernel(seed):
     for n in (4, 5):
         sy = kernel_system(n)
         ks = rng.uniform(-30, 30, size=50)
-        worst = max(
-            float(np.max(np.abs(sy.matrix(k) - sy.matrix(-k).T))) for k in ks
-        )
+        worst = float(np.max(np.abs(sy.matrix(ks) - sy.matrix(-ks).transpose(1, 0, 2))))
         report.append(
             {"relation": "hermiticity", "n": n, "draws": 50, "max_residual": worst}
         )
@@ -177,10 +175,10 @@ def _suite_kernel(seed):
              "max_residual": float(np.max(np.abs(c_unif)))}
         )
         mu = tuple(float(rng.uniform(-0.3, 0.3)) for _ in range(n))
-        asymptotic_constants(n, T=1.3, mu=mu)  # raises on inconsistency
+        logb_inf, logB_inf = asymptotic_constants(n, T=1.3, mu=mu)
         report.append(
             {"relation": "asymptotic_fixed_point", "n": n, "draws": 1,
-             "max_residual": 0.0}
+             "max_residual": asymptotic_residual(n, 1.3, mu, logb_inf, logB_inf)}
         )
     return report
 

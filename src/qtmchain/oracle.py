@@ -39,6 +39,7 @@ __all__ = [
 
 DIM_CAP = 200_000
 DENSE_CAP = 20_000  # largest dense block: build_hamiltonian, an ED sector
+QTM_TOL = 1e-12  # relative eigen-residual at which qtm_eigenvalue stops
 
 
 def _check_dim(n, L):
@@ -219,7 +220,7 @@ def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
     return cols.T
 
 
-def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, tol=1e-12, max_iter=50000):
+def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, max_iter=50000):
     """Dominant QTM eigenvalue by shifted power iteration.
 
     Deterministic uniform start; a fixed real shift (the first Rayleigh
@@ -251,7 +252,7 @@ def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, tol=1e-12, max_iter=50000):
         lam = complex(v.conj() @ Av)
         res = float(np.linalg.norm(Av - lam * v) / max(abs(lam), 1e-300))
         history.append(res)
-        if res < tol:
+        if res < QTM_TOL:
             return lam
     rate = (history[-1] / history[-10]) ** (1 / 9) if len(history) > 10 else np.nan
     raise ConvergenceError(

@@ -114,6 +114,7 @@ __all__ = [
     "Grid",
     "NlieState",
     "asymptotic_constants",
+    "asymptotic_residual",
     "solve_nlie",
     "log_eigenvalue",
     "free_energy",
@@ -870,6 +871,13 @@ def _iterate(step, x, precondition, W, reset, theta, tol, max_iter, state_W=None
     )
 
 
+def asymptotic_residual(n, T, mu, logb_inf, logB_inf):
+    """max |log binf + c + K-hat(0) log Binf|, the residual of the constant
+    fixed-point equation at (T, mu)."""
+    sys = kernel_system(n)
+    return float(np.max(np.abs(logb_inf + sys.constants(mu, 1.0 / T) + sys.matrix0() @ logB_inf)))
+
+
 def asymptotic_constants(n, T, mu=None):
     """log b(+-inf) from the weighted counting limits, cross-checked against
     the constant fixed-point equation log binf = -c - K-hat(0) log Binf
@@ -878,13 +886,10 @@ def asymptotic_constants(n, T, mu=None):
         raise DomainError("NLIE systems are tabulated for n in {4, 5}")
     if mu is None:
         mu = (0.0,) * n
-    beta = 1.0 / T
-    binf, Binf = counting_values(n, beta=beta, mu=mu)
+    binf, Binf = counting_values(n, beta=1.0 / T, mu=mu)
     logb_inf = np.log(binf)
     logB_inf = np.log(Binf)
-    sys = kernel_system(n)
-    c = sys.constants(mu, beta)
-    resid = np.max(np.abs(logb_inf + c + sys.matrix0() @ logB_inf))
+    resid = asymptotic_residual(n, T, mu, logb_inf, logB_inf)
     if resid > 1e-10:
         raise InconsistencyError(
             f"asymptotic fixed-point equation violated by {resid:.3e}; "

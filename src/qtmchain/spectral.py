@@ -35,6 +35,10 @@ __all__ = [
     "eigenvalue_from_roots",
 ]
 
+BETHE_TOL = 1e-12  # largest Bethe-equation residual at a returned root set
+RESIDUE_RADIUS, RESIDUE_POINTS = 0.02, 16  # the circles of residue_check
+MEAN_RADIUS, MEAN_POINTS = 0.05, 16  # the circle of eigenvalue_from_roots
+
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
@@ -216,7 +220,7 @@ def bae_residuals(data):
     return res
 
 
-def solve_bethe_roots(n, N, beta, mu=None, J=1.0, tol=1e-12, max_iter=80):
+def solve_bethe_roots(n, N, beta, mu=None, J=1.0, max_iter=80):
     """Roots of the dominant sector m_1 = ... = m_{n-1} = N/2.
 
     Newton iteration on the pole-free form of the Bethe equations, starting
@@ -271,7 +275,7 @@ def solve_bethe_roots(n, N, beta, mu=None, J=1.0, tol=1e-12, max_iter=80):
                     break
                 lam *= 0.5
             roots = roots + lam * step
-            if max(bae_residuals(data_of(roots)), default=0.0) < tol:
+            if max(bae_residuals(data_of(roots)), default=0.0) < BETHE_TOL:
                 return roots
         raise ConvergenceError(
             "Bethe Newton iteration stalled",
@@ -296,7 +300,7 @@ def _ring(radius, points):
     return radius * np.exp(2j * np.pi * (np.arange(points) + 0.5) / points)
 
 
-def residue_check(fact, data, radius=0.02, points=16):
+def residue_check(fact, data):
     """Largest relative residue of the partial sum at its removed poles.
 
     For every internal (removed) pole position the circle mean of
@@ -309,28 +313,28 @@ def residue_check(fact, data, radius=0.02, points=16):
                         for root in data.roots[lvl - 1]], dtype=complex)
     if not centres.size:
         return 0.0
-    ring = _ring(radius, points)
+    ring = _ring(RESIDUE_RADIUS, RESIDUE_POINTS)
     z = (centres[:, None] + ring).ravel()
-    vals = ring * eval_range_tableau(data, fact.tableau(), z).reshape(-1, points)
+    vals = ring * eval_range_tableau(data, fact.tableau(), z).reshape(-1, RESIDUE_POINTS)
     scale = np.abs(vals).max(axis=1)
     live = scale > 0.0
     return float(np.max(np.abs(vals.mean(axis=1))[live] / scale[live], initial=0.0))
 
 
-def eigenvalue_from_roots(data, x, a=1, radius=0.05, points=16):
-    """Lambda_{a,1}(x) via the circle mean, safe on top of Bethe roots.
+def eigenvalue_from_roots(data, x):
+    """Lambda_{1,1}(x) via the circle mean, safe on top of Bethe roots.
 
     The circle mean of an analytic function equals its center value; the
     individual eigenvalue terms have poles at the roots but the full sum
     does not once the Bethe equations hold.
     """
     x = complex(x)
-    tab = RangeTableau.full(a, 1, data.n)
+    tab = RangeTableau.full(1, 1, data.n)
     pole_dist = min(
         (abs(x + 0.5j * dh - r) for level in data.roots for r in level
          for dh in range(-data.n, data.n + 1)),
         default=np.inf,
     )
-    if pole_dist > 10 * radius:
+    if pole_dist > 10 * MEAN_RADIUS:
         return eval_range_tableau(data, tab, x)
-    return complex(eval_range_tableau(data, tab, x + _ring(radius, points)).mean())
+    return complex(eval_range_tableau(data, tab, x + _ring(MEAN_RADIUS, MEAN_POINTS)).mean())

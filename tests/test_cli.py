@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qtmchain import default_grid
+from qtmchain import asymptotic_constants, default_grid, kernel_system
 from qtmchain.cli import main
 
 
@@ -21,6 +21,24 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert all(c["max_residual"] <= 1e-10 for c in report["checks"])
+
+    def test_kernel_suite_reports_the_fixed_point_residual(self, tmp_path, capsys):
+        # the asymptotic check reports the residual it measures at the
+        # seed's draws, not a constant
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", "kernel", "--seed", "42", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        got = [c["max_residual"] for c in checks if c["relation"] == "asymptotic_fixed_point"]
+        rng = np.random.default_rng(42)
+        want = []
+        for n in (4, 5):
+            rng.uniform(-30, 30, size=50)
+            mu = tuple(float(rng.uniform(-0.3, 0.3)) for _ in range(n))
+            logb, logB = asymptotic_constants(n, T=1.3, mu=mu)
+            sy = kernel_system(n)
+            want.append(float(np.max(np.abs(logb + sy.constants(mu, 1 / 1.3) + sy.matrix0() @ logB))))
+        assert got == want
+        assert all(0.0 < r <= 1e-10 for r in got)
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

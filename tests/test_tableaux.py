@@ -14,11 +14,13 @@ from qtmchain import (
     canonical_defs,
     check_functional_relation,
     conjugate_data,
+    eval_aux,
     eval_lambda,
     eval_q,
     eval_range_tableau,
     fused_eigenvalue,
 )
+from qtmchain import tableaux
 from qtmchain.tableaux import conjugate_tableau, eval_range_tableau_naive
 
 from conftest import random_root_data, random_x
@@ -167,9 +169,8 @@ class TestRangeTableau:
                 assert abs(fast - slow) <= 1e-13 * abs(slow)
 
     def test_shared_context_matches_fresh(self, rng):
-        # one context memoizes box and tableau values, and lends the box
-        # values at x to x -+ i/2 where their arguments agree; every value
-        # through it, first or repeated, equals a fresh context's bit for bit
+        # one context memoizes box and tableau values; every value through
+        # it, first or repeated, equals a fresh context's bit for bit
         data = random_root_data(4, rng)
         ctx = EvalContext(data)
         tabs = [
@@ -195,25 +196,52 @@ class TestRangeTableau:
                     assert fused_eigenvalue(data, a, s, x, ctx) == fused_eigenvalue(data, a, s, x)
 
     def test_array_matches_scalar(self, rng):
-        # full, range and canonical tableaux at an array of x equal their
-        # values at each point alone
+        # full, range and canonical tableaux, fused eigenvalues and
+        # auxiliary functions at an array of x equal their values at each
+        # point alone, bit for bit
         for n in range(2, 6):
             tabs = [RangeTableau.full(a, s, n) for a in range(1, n + 1) for s in range(1, 5)]
             tabs += [
                 RangeTableau((((1, n), (2, n)), ((2, n), (2, n))), shift=0.5j),
                 RangeTableau.column([(1, 1), (1, n)]),
             ]
-            for pair in canonical_defs(n):
-                for defn in pair:
-                    tabs += [*defn.numerator, *defn.denominator]
+            defs = [defn for pair in canonical_defs(n) for defn in pair]
+            for defn in defs:
+                tabs += [*defn.numerator, *defn.denominator]
             data = random_root_data(n, rng)
             xs = np.array([random_x(rng) for _ in range(5)])
             for t in tabs:
                 vals = eval_range_tableau(data, t, xs)
                 assert vals.shape == xs.shape
-                for x, v in zip(xs, vals):
-                    one = eval_range_tableau(data, t, x)
-                    assert abs(v - one) <= 1e-15 * abs(one)
+                assert [eval_range_tableau(data, t, x) for x in xs] == list(vals)
+            for a in range(n + 1):
+                for s in range(5):
+                    vals = fused_eigenvalue(data, a, s, xs)
+                    assert [fused_eigenvalue(data, a, s, x) for x in xs] == list(vals)
+            for defn in defs:
+                vals = eval_aux(defn, data, xs)
+                assert [eval_aux(defn, data, x) for x in xs] == list(vals)
+
+    def test_one_ladder_per_point(self, rng, monkeypatch):
+        # a one-point ladder reaches at least n + 3: every fused eigenvalue
+        # up to n x 4 at x, x - i/2 and x + i/2 builds one ladder per point
+        built, box_ladder = [], tableaux._box_ladder
+
+        def counted(data, x, reach):
+            built.append(reach)
+            return box_ladder(data, x, reach)
+
+        monkeypatch.setattr(tableaux, "_box_ladder", counted)
+        for n in range(2, 6):
+            data = random_root_data(n, rng)
+            ctx = EvalContext(data)
+            x = random_x(rng)
+            built.clear()
+            for a in range(n + 1):
+                for s in range(5):
+                    for point in (x, x - 0.5j, x + 0.5j):
+                        fused_eigenvalue(data, a, s, point, ctx)
+            assert built == [n + 3] * 3
 
     def test_array_of_x_through_every_entry_point(self, rng):
         data = random_root_data(4, rng)
