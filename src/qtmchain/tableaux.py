@@ -512,7 +512,9 @@ def check_functional_relation(data, relation, x, a=None, s=None, jvec=None):
         if not 1 <= a <= data.n - 1 or s < 1:
             raise DomainError(f"need 1 <= a <= {data.n - 1} and s >= 1")
         lam = lambda b, t, y: fused_eigenvalue(data, b, t, y, ctx)
-        lhs = lam(a, s, x - 0.5j) * lam(a, s, x + 0.5j)
+        # x -/+ i/2 as one two-point array, whose ladder reaches only a + s
+        below, above = map(complex, lam(a, s, np.array([x - 0.5j, x + 0.5j])))
+        lhs = below * above
         rhs = lam(a - 1, s, x) * lam(a + 1, s, x) + lam(a, s - 1, x) * lam(a, s + 1, x)
     elif relation == "general_fusion_move":
         if jvec is None:

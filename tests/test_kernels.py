@@ -1,5 +1,6 @@
 """Kernel matrices, driving terms and integration constants."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,36 @@ from qtmchain import (
     integration_constants,
     kernel_system,
 )
-from qtmchain.kernels import REP_DIMS, kernel_entry_value, _tpow4
+from qtmchain.kernels import _ENTRIES, REP_DIMS, kernel_entry_value, _tpow4
+
+
+def direct_entry(n, entry_id, s4, flip, k):
+    """An assembled entry from its defining formula in float64: the common
+    kernel plus the extras at -k if flipped, times the shift e^{s4 k/4}."""
+    a, b, extras = _ENTRIES[n][entry_id]
+    kk = -k if flip else k
+    val = common_kernel(n, a, b, kk)
+    for c, alpha2, gamma2 in extras:
+        val = val + c * np.exp(0.5 * (alpha2 * kk - gamma2 * np.abs(kk)))
+    return np.exp(0.25 * s4 * k) * val
+
+
+def reference_entry(n, entry_id, s4, flip, k):
+    """The same formula in mpmath at the working precision, k = 0 by its
+    limit lo (n - hi)/n - delta_ab + sum of the extras' coefficients."""
+    a, b, extras = _ENTRIES[n][entry_id]
+    lo, hi = min(a, b), max(a, b)
+    k = mpmath.mpf(float(k))
+    kk = -k if flip else k
+    if k == 0:
+        val = mpmath.mpf(lo * (n - hi)) / n
+    else:
+        sh = lambda m: mpmath.sinh(m * kk / 2)
+        val = mpmath.exp(abs(kk) / 2) * sh(lo) * sh(n - hi) / (sh(1) * sh(n))
+    val -= a == b
+    for c, alpha2, gamma2 in extras:
+        val += c * mpmath.exp((alpha2 * kk - gamma2 * abs(kk)) / 2)
+    return mpmath.exp(s4 * k / 4) * val
 
 
 class TestCommonKernel:
@@ -53,8 +83,6 @@ class TestStructuralDifferences:
     def test_exponential_structure(self):
         # every entry minus the common kernel is the printed finite sum of
         # exponentials e^{alpha k - gamma |k|}
-        from qtmchain.kernels import _ENTRIES
-
         k = np.linspace(-6, 6, 41)
         for n in (4, 5):
             for entry_id, (a, b, extras) in _ENTRIES[n].items():
@@ -75,9 +103,9 @@ class TestAssembledMatrix:
     @pytest.mark.parametrize("n", [4, 5])
     def test_hermiticity(self, n):
         sy = kernel_system(n)
-        for k in np.linspace(-31.0, 31.0, 50):
-            dev = np.max(np.abs(sy.matrix(k) - sy.matrix(-k).T))
-            assert dev <= 1e-13
+        ks = np.linspace(-31.0, 31.0, 50)
+        dev = np.max(np.abs(sy.matrix(ks) - sy.matrix(-ks).transpose(1, 0, 2)))
+        assert dev <= 1e-13
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_reflection_closure(self, n):
@@ -119,6 +147,7 @@ class TestAssembledMatrix:
     @pytest.mark.parametrize("n", [4, 5])
     def test_zero_mode_limit(self, n):
         sy = kernel_system(n)
+        assert sy.matrix0().tobytes() == sy.matrix(0.0).tobytes()
         assert np.max(np.abs(sy.matrix0() - sy.matrix(1e-12))) < 1e-10
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -126,11 +155,30 @@ class TestAssembledMatrix:
         # the FFT convolutions filter no mode: no entry may grow in |k|
         assert kernel_system(n).max_growth() <= 0
 
-    def test_large_k_stability(self):
-        # series evaluation stays finite and matches directly computed values
-        # through the switch point
-        from qtmchain.kernels import _entry_direct
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_positions_match_high_precision_reference(self, n):
+        # every position against the defining formula at 80 digits, which
+        # covers the e^{96} cancellation of raw terms at |k| = 64; the
+        # measured worst deviation is 1.3e-15 (n = 5)
+        rng = np.random.default_rng(11)
+        ks = np.concatenate([
+            [0.0, 1e-13, -1e-13, 1e-6, -1e-6, 1.99, -1.99, 2.0, -2.0, 2.01, -2.01,
+             30.0, -30.0, 64.0, -64.0],
+            rng.uniform(-12.0, 12.0, 30),
+        ])
+        sy = kernel_system(n)
+        K = sy.matrix(ks)
+        with mpmath.workdps(80):
+            want = np.array([
+                [float(reference_entry(n, e, s4, bool(fl), k)) for k in ks]
+                for e, s4, fl in sy._triples
+            ])
+        dev = np.abs(K - want[sy._triple_of.reshape(sy.dim, sy.dim)])
+        assert np.max(dev) <= 2e-15
 
+    def test_large_k_stability(self):
+        # the exact forms stay finite and match the direct formula in float64,
+        # whose own cancellation error sets the bound
         for n in (4, 5):
             sy = kernel_system(n)
             ks = np.concatenate([-np.linspace(0.5, 6, 23), np.linspace(0.5, 6, 23)])
@@ -138,7 +186,7 @@ class TestAssembledMatrix:
                 for J in range(sy.dim):
                     e, s4, fl = sy.positions[I, J]
                     a = kernel_entry_value(n, e, ks, s4=s4, flip=bool(fl))
-                    b = _entry_direct(n, e, s4, bool(fl), ks)
+                    b = direct_entry(n, e, s4, bool(fl), ks)
                     assert np.max(np.abs(a - b)) < 5e-12
             assert np.all(np.isfinite(sy.matrix(137.0)))
 
@@ -182,6 +230,12 @@ class TestConstants:
         assert np.max(np.abs(c)) == 0.0
         c = integration_constants(n, (0.0,) * n, 1.0)
         assert np.max(np.abs(c)) == 0.0
+
+    def test_completed_c25_row_follows_the_rule(self):
+        # the rule's row 25 at n = 5 (a = 3, j = (3, 4, 5)) is the completed
+        # row; the print reads (3, 3, -2, 2, 2)
+        rows = np.array([integration_constants(5, mu, 5.0) for mu in np.eye(5)]).T
+        assert rows[24].tolist() == [3, 3, -2, -2, -2]
 
     def test_lengths(self):
         assert integration_constants(4, (0.1, 0, 0, 0), 2.0).shape == (14,)

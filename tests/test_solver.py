@@ -464,6 +464,13 @@ class TestSolver:
         with pytest.raises(DomainError):
             solve_nlie(4, T=-1.0)
 
+    def test_integer_half_width(self):
+        # Grid keeps a float width, so an int one solves as its float twin
+        assert Grid(50, 1024).half_width == 50.0
+        f_int = free_energy(solve_nlie(4, 1.0, grid=Grid(50, 1024)))
+        f_float = free_energy(solve_nlie(4, 1.0, grid=Grid(50.0, 1024)))
+        assert f_int == f_float
+
     def test_convergence_error_carries_the_record(self):
         with pytest.raises(ConvergenceError) as info:
             solve_nlie(4, 1.0, max_iter=5)

@@ -284,6 +284,22 @@ class TestFunctionalRelations:
             res = check_functional_relation(data, "t_system", random_x(rng), a=a, s=s)
             assert res <= 1e-10
 
+    def test_t_system_takes_two_ladders(self, rng, monkeypatch):
+        # x takes a one-point ladder reaching n + 3; x -/+ i/2 share one
+        # two-point ladder reaching only as far as the a x s rectangle asks
+        built, box_ladder = [], tableaux._box_ladder
+
+        def counted(data, x, reach):
+            built.append((len(x), reach))
+            return box_ladder(data, x, reach)
+
+        monkeypatch.setattr(tableaux, "_box_ladder", counted)
+        for n, a, s in ((2, 1, 1), (4, 2, 3), (5, 4, 2)):
+            built.clear()
+            data = random_root_data(n, rng)
+            check_functional_relation(data, "t_system", random_x(rng), a=a, s=s)
+            assert sorted(built) == [(1, n + 3), (2, a + s - 2)]
+
     def test_fusion_move_with_ranges(self, rng):
         for n, jvec in ((4, (1, 3)), (5, (2, 4)), (5, (1, 3, 4)), (4, (2,))):
             data = random_root_data(n, rng)
