@@ -45,6 +45,21 @@ class ConvergenceError(QtmChainError, RuntimeError):
         super().__init__(message)
 
 
+class BetheStateError(QtmChainError, RuntimeError):
+    """A solved Bethe-root set that is not the dominant state: its
+    eigenvalue Lambda(0) is not real and positive.  Carries the rank n,
+    the Trotter number N and Lambda(0) (lambda0)."""
+
+    def __init__(self, n, N, lambda0):
+        self.n = n
+        self.N = N
+        self.lambda0 = lambda0
+        super().__init__(
+            f"Bethe roots of n={n}, N={N} are not the dominant state: "
+            f"Lambda(0) = {lambda0:.6g}"
+        )
+
+
 class InconsistencyError(QtmChainError, RuntimeError):
     """Cross-check between two independently transcribed quantities failed."""
 

@@ -296,6 +296,8 @@ def _exact_values(n, triples, k):
     den = np.polyval(_denominator(n)[::-1].astype(float), u)
     out = np.empty((len(triples), k.size))
     for side, mask in ((1, k >= 0), (-1, k < 0)):
+        if not mask.any():
+            continue
         forms = [_entry_form(n, int(e), int(s4), bool(fl), side) for e, s4, fl in triples]
         width = max(len(rem) for rem, _ in forms)
         coeffs = np.array([np.pad(rem, (width - len(rem), 0)) for rem, _ in forms])
@@ -422,9 +424,19 @@ class KernelSystem:
         """The k = 0 kernel matrix, matrix(0.0), computed once (a copy)."""
         return self._matrix0.copy()
 
+    def limit(self):
+        """K-hat(+inf) = matrix(inf), the large-k limit, exact in integers
+        (entries -1, 0, 1, 2); K-hat(-inf) is its transpose."""
+        return self._single(np.inf)
+
     @cached_property
     def _matrix0(self):
-        values = _exact_values(self.n, self._triples, np.zeros(1))[:, 0]
+        return self._single(0.0)
+
+    def _single(self, k):
+        # matrix(k) at one k, gathered here rather than through matrix, so
+        # that the traced matrix calls are the grid tables alone
+        values = _exact_values(self.n, self._triples, np.array([k]))[:, 0]
         return values.take(self._triple_of).reshape(self.dim, self.dim)
 
     # -- driving -------------------------------------------------------

@@ -16,11 +16,16 @@ The iteration (_iterate) preconditions the step of this map with an
 approximate inverse of its Jacobian I + K W(x), W = b/(1+b), and mixes it
 with the last two steps (Anderson mixing); the tangent equations of a
 converged state take the same iteration.  The approximate inverse is
-v -> v - Q * (W v), with the one table Q(k) = (I + K-hat(k) Winf)^-1 K-hat(k)
-of the asymptote, per Fourier mode of the window (_precondition).  At
-W = Winf it is the exact inverse of the linearization at the asymptote,
-(I + K-hat Winf)^-1 = I - Q Winf, and where W vanishes it is the identity,
-the Jacobian's own inverse there.  The tangent solves take the converged
+v -> v - Q * (W v), with Q(k) = (I + K-hat(k) Winf)^-1 K-hat(k) of the
+asymptote per Fourier mode of the window (_precondition).  K-hat(k) tends
+to an integer matrix K-hat(+inf) as k grows, so Q is kept as a table only
+below the cut past which K-hat lies within _LIMIT_DEVIATION = 5e-3 of
+that limit (|k| = 24 at n = 5, 12 at n = 4); every mode past it takes the
+one limit Q_inf and its transpose (_limit_cut, _preconditioner).  At
+W = Winf the map is the exact inverse of the linearization at the
+asymptote, (I + K-hat Winf)^-1 = I - Q Winf, on the table's modes, and
+within 1e-3 of it past them; where W vanishes it is the identity, the
+Jacobian's own inverse there.  The tangent solves take the converged
 state's W(x); the nonlinear solve takes Winf until its residual falls
 below _STATE_SWITCH, and the current iterate's W(x) from then on, which
 at low T, where W(x) nearly vanishes across the centre of the window,
@@ -79,8 +84,9 @@ transpose of mode M-m (_contract).  The Nyquist mode M/2 has no partner
 on the grid and is not its own transpose (entries that tend to 2 theta(k)
 read 0 at k = -pi/dx against 2 at +pi/dx), so it is stored as sampled, at
 k = -pi/dx, and never mirrored.  Every table of the module is of this one
-kind.  The state is expanded to the full grid once, when a solve ends
-(NlieState.logb stays (F, M)).
+kind; the preconditioner's stops at its cut, and _contract applies its
+limit past it.  The state is expanded to the full grid once, when a solve
+ends (NlieState.logb stays (F, M)).
 
 The largest quantum-transfer-matrix eigenvalue in the infinite-Trotter
 limit is reconstructed as
@@ -96,6 +102,7 @@ term is one sum over the M Fourier modes (_ell), with no convolution.
 """
 
 import logging
+import operator
 import threading
 import time
 import warnings
@@ -135,7 +142,11 @@ class Grid:
     def __post_init__(self):
         # a float width: numpy refuses an int's negative powers (_far_field)
         object.__setattr__(self, "half_width", float(self.half_width))
-        m = self.points
+        try:
+            m = operator.index(self.points)  # an int, numpy's too
+        except TypeError:
+            raise DomainError("grid points must be an integer") from None
+        object.__setattr__(self, "points", m)
         if m < 8 or m & (m - 1):
             raise DomainError("grid points must be a power of two >= 8")
         if self.half_width <= 0:
@@ -249,6 +260,10 @@ class _GridSystem:
         # the window's modes k_m = 2 pi m / 2L are the padded grid's even
         # ones: its half table, for the preconditioner, is a strided view
         self.Kmat = self.Kpad[::2]  # (M/2+1, F, F)
+        # K-hat's limit K-hat(+inf), exact in integers, and the cut below
+        # which the preconditioner keeps a table: above it K-hat is its limit
+        self.K_inf = sys.limit()
+        self.cut = _limit_cut(self.Kmat, self.K_inf)
         self.K0 = sys.matrix0()
         self.far = _far_field(M, grid.half_width)
         # the weights d-hat(-k_m)/M of _ell on all M modes; d-hat is analytic
@@ -414,31 +429,40 @@ class _Workspace:
 _CONTRACT_BLOCK = 128
 
 
-def _contract(table, ghat, ws=None):
+def _contract(table, ghat, ws=None, limit=None):
     """Per-mode product out[:, m] = T(k_m) ghat[:, m] of a half table with a
     real spectrum, on all M modes.
 
-    table: real (M/2+1, F, F), T(k_m) for the modes m = 0..M/2 of a table
-    with T(-k) = T(k)^T, so a mode M-m, m = 1..M/2-1, applies table[m]^T.
-    ghat: real (F, M).  The table is read in blocks of _CONTRACT_BLOCK
-    modes, each serving both signs of k, by real batched matmuls.  The
-    copies of ghat's two halves and the result are the "blocks" of ws (a
-    _Workspace).  Returns real (F, M), a transposed view of them."""
-    half, F, _ = table.shape
+    table: real (m_c, F, F), T(k_m) for the modes m = 0..m_c-1 of a table
+    with T(-k) = T(k)^T, so a mode M-m, 0 < m < min(m_c, M/2), applies
+    table[m]^T.  ghat: real (F, M).  A table of every mode 0..M/2
+    (m_c = M/2+1) holds the Nyquist mode as it is; a shorter one takes
+    limit, real (F, F), for the modes m_c..M/2-1 and limit^T for their
+    mirrors and the Nyquist mode (_preconditioner), one GEMM per sign of k.
+    The table is read in blocks of _CONTRACT_BLOCK modes, each serving both
+    signs of k, by real batched matmuls.  The copies of ghat's two halves
+    and the result are the "blocks" of ws (a _Workspace).  Returns real
+    (F, M), a transposed view of them."""
+    cut, F, _ = table.shape
     M = ghat.shape[1]
+    low = min(cut, M // 2)  # the modes 1..low-1 are mirrored from the table
     blocks = (ws or _Workspace()).get("blocks", (2 * M, F))
-    out, plus, minus = blocks[:M], blocks[M: M + half], blocks[M + half:]
-    np.copyto(plus, ghat[:, :half].T)
-    np.copyto(minus, ghat[:, : M // 2: -1].T)  # mode M-m at m-1
+    out, plus, minus = blocks[:M], blocks[M: M + cut], blocks[M + cut: M + cut + low - 1]
+    np.copyto(plus, ghat[:, :cut].T)
+    np.copyto(minus, ghat[:, : M - low: -1].T)  # mode M-m at m-1
     plus, minus = plus[:, :, None], minus[:, None, :]
-    out_plus = out[:half, :, None]
-    out_minus = out[: M // 2: -1, None, :]
-    for start in range(0, half, _CONTRACT_BLOCK):
-        stop = min(start + _CONTRACT_BLOCK, half)
+    out_plus = out[:cut, :, None]
+    out_minus = out[: M - low: -1, None, :]
+    for start in range(0, cut, _CONTRACT_BLOCK):
+        stop = min(start + _CONTRACT_BLOCK, cut)
         np.matmul(table[start:stop], plus[start:stop], out=out_plus[start:stop])
-        lo, hi = max(start, 1), min(stop, half - 1)
+        lo, hi = max(start, 1), min(stop, low)
         if lo < hi:
             np.matmul(minus[lo - 1: hi - 1], table[lo:hi], out=out_minus[lo - 1: hi - 1])
+    if cut <= M // 2:
+        # k > 0 past the cut, then the Nyquist mode and the mirrors M-m
+        np.matmul(ghat[:, cut: M // 2].T, limit.T, out=out[cut: M // 2])
+        np.matmul(ghat[:, M // 2: M - cut + 1].T, limit, out=out[M // 2: M - cut + 1])
     return out.T
 
 
@@ -687,46 +711,87 @@ _DIVERGENCE = 1e3
 _STATE_SWITCH = 1.0
 
 
-def _preconditioner(Kmat, W):
-    """The half table Q(k) = A(k)^-1 K-hat(k) of the modes 0..M/2 (the shape
-    of Kmat), where A(k) = I + K-hat(k) diag(W) is the map's linearization
-    at the asymptote and W = b/(1+b) there lies in (0, 1).
+# The preconditioner keeps its table for the window modes below the cut
+# m_c, one past the last mode k_m >= 0 where max|K-hat(k_m) - K-hat(+inf)|
+# is _LIMIT_DEVIATION or more (_limit_cut); past it Q is that of the limit.
+# K-hat reaches its limit like e^{-|k|/4} at n = 5 (0.27, 3.7e-2, 5.0e-3
+# and 6.7e-4 at |k| = 8, 16, 24 and 32) and like e^{-|k|/2} at n = 4
+# (5.0e-3 at |k| = 12), so the default window keeps 382 of its 1025 modes
+# at n = 5 and 191 at n = 4.  Over the four sweep-C points (n = 5), which
+# take 142 iterations with the whole table, 5e-3 and 1e-3 (cut at
+# |k| = 30) take 142, cuts at |k| = 16, 12 and 8 take 144, 152 and 169,
+# and zero in place of the limit past |k| = 16 takes 167.
+_LIMIT_DEVIATION = 5e-3
+
+
+def _limit_cut(Kmat, K_inf):
+    """The cut m_c of a window table Kmat (M/2+1, F, F) with limit K_inf =
+    K-hat(+inf): one past the last mode m < M/2 where
+    max|K-hat(k_m) - K_inf| >= _LIMIT_DEVIATION, and M/2+1, the whole
+    table, where the Nyquist mode (sampled at k = -pi/dx) departs that far
+    from K-hat(-inf) = K_inf^T.  Mode 0 is always kept.  The table is read
+    in blocks of _INVERSE_CHUNK modes."""
+    half = len(Kmat)
+    deviation = np.empty(half)
+    for start in range(0, half - 1, _INVERSE_CHUNK):
+        stop = min(start + _INVERSE_CHUNK, half - 1)
+        deviation[start:stop] = np.max(np.abs(Kmat[start:stop] - K_inf), axis=(1, 2))
+    deviation[-1] = np.max(np.abs(Kmat[-1] - K_inf.T))
+    far = np.flatnonzero(deviation >= _LIMIT_DEVIATION)
+    return int(far[-1]) + 1 if far.size else 1
+
+
+def _preconditioner(Kmat, K_inf, W):
+    """(Q, Q_inf): the half table Q(k) = A(k)^-1 K-hat(k) of the modes of
+    Kmat, a window table's modes below its cut (_limit_cut), and the limit
+    Q_inf = (I + K_inf diag(W))^-1 K_inf, where A(k) = I + K-hat(k) diag(W)
+    is the map's linearization at the asymptote, K_inf = K-hat(+inf), and
+    W = b/(1+b) there lies in (0, 1).
 
     Q(-k) = (I + K-hat^T W)^-1 K-hat^T = K-hat^T (I + W K-hat^T)^-1 =
-    Q(k)^T, so _contract applies Q on every mode and the mirror needs no
-    table of its own.  I - Q(k) W = A(k)^-1, the linearization's inverse
-    (_precondition).  The Nyquist mode is solved as sampled.  A is solved
-    against K-hat in blocks of _INVERSE_CHUNK modes, so that no temporary
-    approaches the size of the result."""
+    Q(k)^T, so _contract applies Q on the table's modes and their mirrors,
+    Q_inf on the modes k >= 0 past the cut, and Q_inf^T, the Q of
+    K-hat(-inf) = K_inf^T, on their mirrors and the Nyquist mode.  On the
+    table's modes I - Q(k) W = A(k)^-1, the linearization's inverse
+    (_precondition); past the cut I - Q_inf W differs from it by
+    A(k)^-1 (K-hat(k) - K_inf) W A_inf^-1, whose entries the deviation
+    below _LIMIT_DEVIATION bounds (at most 9.3e-4 on the default window,
+    n = 4 and 5 at T = 1 and 2).  A table of every mode solves the
+    Nyquist mode as sampled.  A is solved against K-hat in blocks of
+    _INVERSE_CHUNK modes, so that no temporary approaches the size of the
+    result."""
     eye = np.eye(len(W))
     Q = np.empty_like(Kmat)
     for start in range(0, len(Kmat), _INVERSE_CHUNK):
         K = Kmat[start: start + _INVERSE_CHUNK]
         Q[start: start + _INVERSE_CHUNK] = np.linalg.solve(K * W + eye, K)
-    return Q
+    return Q, np.linalg.solve(K_inf * W + eye, K_inf)
 
 
-def _precondition(Q, W, v, ws=None):
+def _precondition(Q, Q_inf, W, v, ws=None):
     """v - Q * (W v) for a half-space grid vector v (F, M/2+1), with the
-    table Q of _preconditioner applied mode by mode: the approximate
-    inverse of the Jacobian I + K W of the map at the weights W, (F, 1) or
-    (F, M/2+1).  At the asymptote's own W it is the linearization's exact
-    inverse A^-1 = I - Q W, and at W = 0 it is the identity.  It takes the
-    "padded", "spectrum" and "blocks" of ws (a _Workspace), never the
-    buffer of v, and returns a view of its "padded"."""
+    table Q and limit Q_inf of _preconditioner applied mode by mode
+    (_contract): the approximate inverse of the Jacobian I + K W of the map
+    at the weights W, (F, 1) or (F, M/2+1).  At the asymptote's own W it
+    is the linearization's exact inverse A^-1 = I - Q W on the modes of the
+    table, and within the limit's deviation of it past them; at W = 0 it
+    is the identity.  It takes the "padded", "spectrum" and "blocks" of ws
+    (a _Workspace), never the buffer of v, and returns a view of its
+    "padded"."""
     ws = ws or _Workspace()
     F, half = v.shape
     M = 2 * (half - 1)
     wv = np.multiply(W, v, out=ws.get("padded", v.shape, complex))
     spec = np.fft.irfft(np.conjugate(wv, out=wv), M, axis=1, norm="forward",
                         out=ws.get("spectrum", (F, M)))
-    out = np.fft.ihfft(_contract(Q, spec, ws), axis=1, out=wv)
+    out = np.fft.ihfft(_contract(Q, spec, ws, Q_inf), axis=1, out=wv)
     return np.subtract(v, out, out=out)
 
 
 def _asymptote_preconditioner(gsys, logb_inf):
     """The preconditioning map (W, v) -> v - Q * (W v) (_precondition) with
-    the table Q of the asymptote logb_inf, and whether this call built it.
+    the table Q of the asymptote logb_inf below the grid's cut and its
+    limit past it (_preconditioner), and whether this call built it.
 
     gsys keeps the last map built on its grid, in one slot keyed by
     logb_inf.  At mu = 0 the asymptote is that of the counting values,
@@ -740,8 +805,9 @@ def _asymptote_preconditioner(gsys, logb_inf):
         if gsys.kept is not None and gsys.kept[0] == key:
             return gsys.kept[1], False
         gsys.kept = None
-        Q = _preconditioner(gsys.Kmat, _weight(logb_inf).real)
-        precondition = partial(_precondition, Q)
+        Q, Q_inf = _preconditioner(gsys.Kmat[: gsys.cut], gsys.K_inf,
+                                   _weight(logb_inf).real)
+        precondition = partial(_precondition, Q, Q_inf)
         gsys.kept = (key, precondition)
     return precondition, True
 
@@ -916,8 +982,9 @@ def solve_nlie(
     K * log B over the real line (_convolve): the step of that map,
     preconditioned and weighted by 1 - damping, is Anderson-mixed with the
     last two steps, until max|map(log b) - log b| < tol.  The
-    preconditioner is v -> v - Q * (W v) (_precondition), the inverse of
-    the window's linearization at the asymptote while W = Winf; once
+    preconditioner is v -> v - Q * (W v) (_precondition), while W = Winf
+    the inverse of the window's linearization at the asymptote on the
+    modes below the cut, and that of its large-k limit past it; once
     max|map(log b) - log b| < _STATE_SWITCH it takes the iterate's own
     W(x) = b/(1+b), and after the retry below Winf again until then.
     Returns a converged NlieState; raises ConvergenceError on NaNs or on
@@ -1112,8 +1179,9 @@ def _tangent_solver(state):
     floor.  One preconditioner serves them all: state.precondition, the
     map that the nonlinear solve of state took, at the converged state's
     own W(x) from the first step on (the operator is
-    I + K W, so v -> v - Q * (W v) inverts it exactly where W = Winf and
-    where W = 0; at low T, where W nearly vanishes across the centre of the
+    I + K W, so v -> v - Q * (W v) inverts it exactly where W = 0, and
+    where W = Winf on the modes below the grid's cut, within 1e-3 past it;
+    at low T, where W nearly vanishes across the centre of the
     window, u_beta takes 11 steps where Winf took 35).  Like the NLIE, the
     solves run on the half space x <= 0: W, the drives and s keep the
     symmetry, and so do u_theta and every second derivative.

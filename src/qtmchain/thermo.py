@@ -29,8 +29,10 @@ explicit beta and mu terms enters S, C, n_i or chi.  One point takes one
 nonlinear solve and linear solves: 2 for S and C, n more for the
 densities, and n(n+1)/2 more for chi.  All of them take the solver's one
 iteration (solver._iterate, preconditioned and Anderson-mixed) with the
-one preconditioner table the nonlinear solve took, kept in its state
-(NlieState.precondition) and taken at the state's own W(x), and like it
+preconditioner the nonlinear solve took, kept in its state
+(NlieState.precondition) and taken at the state's own W(x): one table of
+the modes below the grid's cut, where K-hat(k) still departs from its
+large-k limit, and the limit's one matrix past it.  Like that solve
 they run on the half space x <= 0: W, every drive and every source keep
 the symmetry u(-x) = conj(u(x)) of the converged state.  The
 grid keeps its last preconditioner, so at mu = 0, where the asymptote is

@@ -151,6 +151,21 @@ class TestAssembledMatrix:
         assert np.max(np.abs(sy.matrix0() - sy.matrix(1e-12))) < 1e-10
 
     @pytest.mark.parametrize("n", [4, 5])
+    def test_limit_at_infinity(self, n):
+        # K-hat(+inf) = limit() is exact in integers (entries -1, 0, 1, 2)
+        # and K-hat(-inf) its transpose, bit for bit; K-hat reaches it like
+        # e^{-|k|/4} at n = 5 and e^{-|k|/2} at n = 4 (6.7e-4 and 2.3e-7 at
+        # |k| = 32), so at |k| = 200 both sides lie within 1e-20 of it
+        sy = kernel_system(n)
+        plus, minus = sy.matrix(np.inf), sy.matrix(-np.inf)
+        assert sy.limit().tobytes() == plus.tobytes()
+        assert np.array_equal(plus, np.round(plus))
+        assert set(np.unique(plus)) <= {-1.0, 0.0, 1.0, 2.0}
+        assert np.array_equal(minus, plus.T)
+        assert np.max(np.abs(sy.matrix(200.0) - plus)) < 1e-20
+        assert np.max(np.abs(sy.matrix(-200.0) - minus)) < 1e-20
+
+    @pytest.mark.parametrize("n", [4, 5])
     def test_growth_budget(self, n):
         # the FFT convolutions filter no mode: no entry may grow in |k|
         assert kernel_system(n).max_growth() <= 0

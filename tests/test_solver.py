@@ -23,6 +23,7 @@ from qtmchain.errors import DomainError
 from qtmchain.kernels import kernel_entry_value
 from qtmchain.solver import (
     _FIT_SAMPLES,
+    _LIMIT_DEVIATION,
     _TAIL_FIT_TOL,
     _contract,
     _convolve,
@@ -258,75 +259,149 @@ class TestSolverKernels:
         assert out.shape == (F, M)
         assert np.all(np.abs(out - ref) <= bound)
 
+    @pytest.mark.parametrize("cut", [1, 100, 256])
+    def test_contract_past_the_cut(self, cut):
+        # a table cut below M/2+1 takes the limit on the modes k > 0 past
+        # the cut, and its transpose on their mirrors and the Nyquist mode:
+        # against einsum over the whole table it stands for, to the bound
+        # of test_contract_against_einsum
+        M, F = 512, 14
+        half = M // 2 + 1
+        rng = np.random.default_rng(cut)
+        table = rng.standard_normal((half, F, F))
+        limit = rng.standard_normal((F, F))
+        table[cut:] = limit
+        table[-1] = limit.T
+        full = np.concatenate([table, table[half - 2: 0: -1].swapaxes(1, 2)])
+        ghat = rng.standard_normal((F, M))
+        ref = np.einsum("mrf,fm->rm", full, ghat)
+        bound = 2 * F * EPS * np.einsum("mrf,fm->rm", np.abs(full), np.abs(ghat))
+        out = _contract(table[:cut], ghat, limit=limit)
+        assert out.shape == (F, M)
+        assert np.all(np.abs(out - ref) <= bound)
+
+    @pytest.mark.parametrize("n, kept", [(4, 191), (5, 382)])
+    def test_preconditioner_cut(self, n, kept):
+        # the default window keeps Q for the modes below the cut alone:
+        # 191 and 382 of its 1025 (|k| < 12 and 24), at most 20 % and 40 %.
+        # Every mode past the cut lies within _LIMIT_DEVIATION of the limit
+        # K-hat(+inf) (the Nyquist mode, sampled at -pi/dx, of K-hat(-inf),
+        # its transpose), and the last kept mode does not.  A coarse
+        # window, whose modes all depart from the limit, keeps every mode
+        grid = default_grid(1.0)
+        gsys = _grid_system(n, grid.half_width, grid.points)
+        K, K_inf, cut = gsys.Kmat, gsys.K_inf, gsys.cut
+        assert cut == kept and cut <= (0.2 if n == 4 else 0.4) * len(K)
+        assert np.array_equal(K_inf, kernel_system(n).limit())
+        assert np.all(np.max(np.abs(K[cut:-1] - K_inf), axis=(1, 2)) < _LIMIT_DEVIATION)
+        assert np.max(np.abs(K[-1] - K_inf.T)) < _LIMIT_DEVIATION
+        assert np.max(np.abs(K[cut - 1] - K_inf)) >= _LIMIT_DEVIATION
+        coarse = _grid_system(n, 50.0, 64)
+        assert coarse.cut == len(coarse.Kmat)
+        # a solve's map holds the table below the cut and the limit's Q
+        gsys.kept = None
+        Q, Q_inf = solve_nlie(n, 1.0).precondition.args
+        assert Q.shape == (cut,) + K_inf.shape and Q_inf.shape == K_inf.shape
+
     @pytest.mark.parametrize(
         "n, T, mu", [(4, 1.0, None), (5, 1.0, None), (4, 2.0, (0.3, 0.0, 0.0, -0.3))]
     )
     def test_half_inverse_against_inv(self, n, T, mu):
-        # the map at the asymptote's W, I - Q W on every mode (Q stored for
-        # the modes 0..M/2, its transposes for the rest, as _precondition
-        # applies it), against np.linalg.inv of the full A = I + K-hat W,
-        # mode by mode: an inverse computed in float64 is within
+        # the map at the asymptote's W, I - Q W on every mode (Q kept for
+        # the modes below the cut, its transposes for their mirrors, and
+        # the limit Q_inf past the cut, as _precondition applies them),
+        # against np.linalg.inv of the full A = I + K-hat W, mode by mode.
+        # On the table's modes an inverse computed in float64 is within
         # F eps cond(A) |A^-1| of the exact one, and the product with W and
-        # the difference add two roundings
+        # the difference add two roundings.  Past the cut the map is
+        # A_inf^-1 = (I + K_inf W)^-1, with K_inf = K-hat(+inf) on k > 0
+        # and its transpose on the mirrors and the Nyquist mode, and
+        # A_inf^-1 - A^-1 = A^-1 (K-hat - K_inf) W A_inf^-1: its entries
+        # are within |A^-1| |(K-hat - K_inf) W| |A_inf^-1| (infinity
+        # norms), where every entry of K-hat - K_inf is below
+        # _LIMIT_DEVIATION
         grid = default_grid(T)
         gsys = _grid_system(n, grid.half_width, grid.points)
         logb_inf, _ = asymptotic_constants(n, T, mu)
         W = _weight(logb_inf).real
         assert np.all((W > 0) & (W < 1))
-        K, M, F = gsys.Kmat, grid.points, len(W)
+        K, M, F, cut = gsys.Kmat, grid.points, len(W), gsys.cut
         full = np.concatenate([K, K[M // 2 - 1: 0: -1].swapaxes(1, 2)])
         A = full * W + np.eye(F)
         ref = np.linalg.inv(A)
-        Q = _preconditioner(K, W)
-        assert Q.shape == K.shape  # the half table only
+        Q, Q_inf = _preconditioner(K[:cut], gsys.K_inf, W)
+        assert Q.shape == (cut, F, F)  # the table below the cut only
         # column f of every mode's map, from the spectrum e_f on all modes
         QW = np.stack(
-            [_contract(Q, np.outer(W * np.eye(F)[f], np.ones(M))) for f in range(F)],
+            [_contract(Q, np.outer(W * np.eye(F)[f], np.ones(M)), limit=Q_inf)
+             for f in range(F)],
             axis=2,
         ).transpose(1, 0, 2)
         out = np.eye(F) - QW
         scale = np.linalg.cond(A) * np.max(np.abs(ref), axis=(1, 2))
         err = np.max(np.abs(out - ref), axis=(1, 2))
-        assert np.all(err <= 4 * F * EPS * scale)  # k = 0 and Nyquist included
+        rounding = 4 * F * EPS * scale
+        kept = np.zeros(M, bool)
+        kept[:cut] = kept[M - cut + 1:] = True
+        assert np.all(err[kept] <= rounding[kept])  # k = 0 included
+        limit = np.where((np.arange(M) < M // 2)[:, None, None], gsys.K_inf, gsys.K_inf.T)
+        deviation = (full - limit)[~kept]
+        assert np.max(np.abs(deviation)) < _LIMIT_DEVIATION
+        norm = lambda X: np.max(np.sum(np.abs(X), axis=-1), axis=-1)  # noqa: E731
+        A_inf = limit[~kept] * W + np.eye(F)
+        bound = norm(ref[~kept]) * norm(deviation * W) * norm(np.linalg.inv(A_inf))
+        assert np.all(err[~kept] <= bound + rounding[~kept])  # Nyquist included
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_preconditioner_table_transpose(self, n):
         # Q(-k) = Q(k)^T (the push-through identity), which lets _contract
-        # apply the half table on every mode: Q solved from the samples at
-        # -k against the transposes of the table's modes, each solve within
+        # apply the table below the cut on both signs of k, and Q_inf^T,
+        # the Q of K-hat(-inf) = K_inf^T, on the mirrors and the Nyquist
+        # mode past it: Q solved from the samples at -k against the
+        # transposes of the table's modes, each solve within
         # F eps cond(A) |Q| of the exact one
         grid = default_grid(1.0)
         gsys = _grid_system(n, grid.half_width, grid.points)
         W = _weight(asymptotic_constants(n, 1.0)[0]).real
-        m = np.array([1, 2, 7, 100, grid.points // 2 - 1])
-        Q = _preconditioner(gsys.Kmat, W)[m]
+        eye = np.eye(len(W))
+        m = np.array([1, 2, 7, 100, gsys.cut - 1])
+        Q, Q_inf = _preconditioner(gsys.Kmat[: gsys.cut], gsys.K_inf, W)
+        Q = Q[m]
         Kneg = np.ascontiguousarray(gsys.Kmat[m].swapaxes(1, 2))  # K-hat(-k)
-        Qneg = _preconditioner(Kneg, W)
-        cond = np.max(np.linalg.cond(gsys.Kmat[m] * W + np.eye(len(W))))
+        Qneg, Qneg_inf = _preconditioner(Kneg, kernel_system(n).matrix(-np.inf), W)
+        cond = np.max(np.linalg.cond(gsys.Kmat[m] * W + eye))
         bound = 2 * len(W) * EPS * cond * np.max(np.abs(Q))
         assert np.max(np.abs(Qneg - Q.swapaxes(1, 2))) <= bound
+        cond = np.linalg.cond(gsys.K_inf * W + eye)
+        bound = 2 * len(W) * EPS * cond * np.max(np.abs(Q_inf))
+        assert np.max(np.abs(Qneg_inf - Q_inf.T)) <= bound
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_precondition_exact_at_asymptote_and_identity_at_zero(self, n):
         # the operator v -> v + K * (W v) of the window, per Fourier mode,
-        # is inverted exactly by _precondition at W = Winf (to the bound of
-        # test_half_inverse_against_inv, F eps cond(A) times 4); at W = 0
-        # both are the identity, bit for bit
+        # is inverted exactly by _precondition at W = Winf on the modes of
+        # its table (to the bound of test_half_inverse_against_inv,
+        # F eps cond(A) times 4), here for a v whose spectrum lies below
+        # the cut; at W = 0 both are the identity, bit for bit
         grid = default_grid(1.0)
         gsys = _grid_system(n, grid.half_width, grid.points)
-        M = grid.points
+        M, cut = grid.points, gsys.cut
         W = _weight(asymptotic_constants(n, 1.0)[0]).real[:, None]
-        Q = _preconditioner(gsys.Kmat, W[:, 0])
+        Q, Q_inf = _preconditioner(gsys.Kmat[:cut], gsys.K_inf, W[:, 0])
         rng = np.random.default_rng(3)
-        v = rng.standard_normal((len(W), M // 2 + 1)) + 1j * rng.standard_normal(
-            (len(W), M // 2 + 1))
-        v.imag[:, [0, -1]] = 0.0  # real at x = -L and x = 0, as in the solver
+        # a real spectrum on the modes below the cut and their mirrors: v
+        # is real at x = -L and x = 0, as in the solver
+        spec = np.zeros((len(W), M))
+        spec[:, :cut] = rng.standard_normal((len(W), cut))
+        spec[:, M - cut + 1:] = rng.standard_normal((len(W), cut - 1))
+        v = ihfft(spec * M, axis=1)
+        assert np.all(v.imag[:, [0, -1]] == 0)
         Av = v + ihfft(_contract(gsys.Kmat, hfft(W * v, n=M, axis=1)), axis=1)
-        back = _precondition(Q, W, Av)
-        cond = np.max(np.linalg.cond(gsys.Kmat * W[:, 0] + np.eye(len(W))))
+        back = _precondition(Q, Q_inf, W, Av)
+        cond = np.max(np.linalg.cond(gsys.Kmat[:cut] * W[:, 0] + np.eye(len(W))))
         bound = 4 * len(W) * EPS * cond * np.max(np.abs(v))
         assert np.max(np.abs(back - v)) <= bound
-        assert np.array_equal(_precondition(Q, np.zeros_like(W), v), v)
+        assert np.array_equal(_precondition(Q, Q_inf, np.zeros_like(W), v), v)
 
     def test_log1p_exp_against_long_double(self):
         # reference: 1 + e^z in extended precision, with the modulus taken
@@ -417,7 +492,7 @@ class TestWorkspace:
         grid = default_grid(1.0)
         gsys = _grid_system(5, grid.half_width, grid.points)
         W = _weight(asymptotic_constants(5, 1.0)[0]).real[:, None]
-        Q = _preconditioner(gsys.Kmat, W[:, 0])
+        Q, Q_inf = _preconditioner(gsys.Kmat[: gsys.cut], gsys.K_inf, W[:, 0])
         rng = np.random.default_rng(13)
         shape = (len(W), grid.points // 2 + 1)
         inputs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -426,7 +501,8 @@ class TestWorkspace:
         ws = _Workspace()
         for g in inputs + inputs:
             assert np.array_equal(_convolve(gsys, g, g_inf, ws), _convolve(gsys, g, g_inf))
-            assert np.array_equal(_precondition(Q, W, g, ws), _precondition(Q, W, g))
+            assert np.array_equal(_precondition(Q, Q_inf, W, g, ws),
+                                  _precondition(Q, Q_inf, W, g))
 
     def test_warm_steps_allocate_no_grid_array(self, monkeypatch):
         # a warm nonlinear step, tangent step and preconditioner application
@@ -470,6 +546,37 @@ class TestSolver:
         f_int = free_energy(solve_nlie(4, 1.0, grid=Grid(50, 1024)))
         f_float = free_energy(solve_nlie(4, 1.0, grid=Grid(50.0, 1024)))
         assert f_int == f_float
+
+    def test_non_integer_point_count(self):
+        # a point count that is no integer is outside the domain; numpy's
+        # integers are integers, and are kept as int
+        for points in (1024.0, "1024", 1024.5):
+            with pytest.raises(DomainError):
+                Grid(50.0, points)
+        grid = Grid(50.0, np.int64(1024))
+        assert grid == Grid(50.0, 1024) and type(grid.points) is int
+
+    @pytest.mark.parametrize("n, T, beta_mu", [(4, 0.2, 3.0), (5, 0.05, 0.0)])
+    def test_cut_table_solves_as_the_whole_table(self, n, T, beta_mu, monkeypatch):
+        # the limit past the cut leaves the solve as the whole table has
+        # it: the same iterations, and f within 1e-14 (measured: equal at
+        # T = 0.05, and to 15 digits at |beta mu| = 3 along the Cartan
+        # direction h_j = (n+1)/2 - j, where a zero of 1 + b nears the axis)
+        h = (n + 1) / 2 - np.arange(1, n + 1)
+        mu = tuple(T * beta_mu * h / np.max(np.abs(h)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # |beta mu| > 1
+            cut = solve_nlie(n, T, mu=mu)
+            monkeypatch.setattr(solver, "_LIMIT_DEVIATION", 0.0)
+            solver._cached_grid_system.cache_clear()
+            try:
+                whole = solve_nlie(n, T, mu=mu)
+                gsys = _grid_system(n, cut.grid.half_width, cut.grid.points)
+                assert gsys.cut == len(gsys.Kmat)
+            finally:
+                solver._cached_grid_system.cache_clear()
+        assert whole.iterations == cut.iterations
+        assert abs(free_energy(whole) - free_energy(cut)) <= 1e-14
 
     def test_convergence_error_carries_the_record(self):
         with pytest.raises(ConvergenceError) as info:

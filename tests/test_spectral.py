@@ -12,7 +12,7 @@ from qtmchain import (
     residue_check,
     solve_bethe_roots,
 )
-from qtmchain.errors import ConvergenceError, UnsupportedSubsetError
+from qtmchain.errors import BetheStateError, ConvergenceError, UnsupportedSubsetError
 from qtmchain.spectral import eval_eaf_polynomial
 
 from conftest import random_root_data, random_x
@@ -170,6 +170,16 @@ class TestBetheRoots:
         data = solve_bethe_roots(5, 4, beta=0.9, mu=np.linspace(0.2, -0.2, 5))
         assert [len(lvl) for lvl in data.roots] == [2, 2, 2, 2]
         assert max(bae_residuals(data)) <= 1e-10
+
+    def test_non_dominant_set_raises(self):
+        # at n = 4, N = 12, beta = 0.5 the Newton iteration lands on a Bethe
+        # solution whose Lambda(0) is -0.996: not the dominant state, whose
+        # Lambda(0) is real and positive, and its f would be NaN
+        with pytest.raises(BetheStateError) as info:
+            solve_bethe_roots(4, 12, beta=0.5)
+        err = info.value
+        assert (err.n, err.N) == (4, 12)
+        assert err.lambda0.real == pytest.approx(-0.996, abs=1e-3)
 
     def test_stall_reports_the_start_residual(self):
         with pytest.raises(ConvergenceError) as info:

@@ -86,16 +86,19 @@ class TestThermoPoint:
         assert not failures
         assert len(built) == 1 + len(temps)
         assert sum(p.meta["preconditioners_built"] for p in pts) == len(temps)
-        # the kept map holds one table, a fresh Q = A^-1 K-hat bit for bit,
-        # and takes its weights per call
+        # the kept map holds one table, a fresh Q = A^-1 K-hat of the modes
+        # below the grid's cut, and the limit's Q_inf, bit for bit, and
+        # takes its weights per call
         logb_inf, _ = solver.asymptotic_constants(4, 1.0)
         solve_nlie(4, 1.0)
         key, precondition = gsys.kept
         assert key == logb_inf.tobytes()
         W = solver._weight(logb_inf).real
         assert precondition.func is solver._precondition
-        assert len(precondition.args) == 1
-        assert np.array_equal(precondition.args[0], orig(gsys.Kmat, W))
+        assert len(precondition.args) == 2
+        Q, Q_inf = orig(gsys.Kmat[: gsys.cut], gsys.K_inf, W)
+        assert np.array_equal(precondition.args[0], Q)
+        assert np.array_equal(precondition.args[1], Q_inf)
 
     def test_low_temperature_iteration_budget(self):
         # 38 iterations over the three solves (18 + 11 + 9) with the
