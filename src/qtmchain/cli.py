@@ -41,9 +41,11 @@ from .tableaux import EvalContext, RootData, check_functional_relation
 from .thermo import parse_t_range, sweep
 
 FMT = "%.12e"
+_FUSION_DRAWS, _FUSION_XS = 25, 5  # root-data draws per n, x per draw
+_AUX_DRAWS, _AUX_XS, _Y_DRAWS = 12, 3, 4
 
 
-def random_root_data(n, rng, max_roots=2, allow_mu=True):
+def random_root_data(n, rng, max_roots=2):
     """Random draw used by every verification suite (seed-reproducible)."""
     N = int(rng.choice([0, 2, 4]))
     tau = float(rng.uniform(0.1, 0.8))
@@ -54,7 +56,7 @@ def random_root_data(n, rng, max_roots=2, allow_mu=True):
         )
         for _ in range(n - 1)
     )
-    mu = tuple(float(rng.uniform(-0.4, 0.4)) if allow_mu else 0.0 for _ in range(n))
+    mu = tuple(float(rng.uniform(-0.4, 0.4)) for _ in range(n))
     return RootData(n=n, N=N, tau=tau, mu=mu, beta=1.0, roots=roots)
 
 
@@ -64,14 +66,14 @@ def random_x(rng):
     return complex(rng.uniform(-2.0, 2.0), rng.uniform(0.85, 1.3))
 
 
-def _suite_fusion(seed, draws=25, xs=5):
+def _suite_fusion(seed):
     rng = np.random.default_rng(seed)
     report = []
     for n in range(2, 6):
         worst = 0.0
-        for _ in range(draws):
+        for _ in range(_FUSION_DRAWS):
             data = random_root_data(n, rng)
-            for _ in range(xs):
+            for _ in range(_FUSION_XS):
                 x = random_x(rng)
                 a = int(rng.integers(1, n))
                 s = int(rng.integers(1, 4))
@@ -79,44 +81,43 @@ def _suite_fusion(seed, draws=25, xs=5):
                     worst, check_functional_relation(data, "t_system", x, a=a, s=s)
                 )
         report.append(
-            {"relation": "t_system", "n": n, "draws": draws, "max_residual": worst}
+            {"relation": "t_system", "n": n, "draws": _FUSION_DRAWS, "max_residual": worst}
         )
     return report
 
 
-def _suite_aux(seed, draws=12, xs=3):
+def _suite_aux(seed):
     rng = np.random.default_rng(seed)
     report = []
     for n in range(2, 6):
         worst = 0.0
-        for _ in range(draws):
+        for _ in range(_AUX_DRAWS):
             data = random_root_data(n, rng)
             ctx = EvalContext(data)
-            for _ in range(xs):
+            for _ in range(_AUX_XS):
                 x = random_x(rng)
                 for upper, lower in canonical_defs(n):
                     B = eval_aux(upper, data, x, ctx)
                     b = eval_aux(lower, data, x, ctx)
                     worst = max(worst, abs(B - 1.0 - b) / (1.0 + abs(B)))
         report.append(
-            {"relation": "B=1+b", "n": n, "draws": draws, "max_residual": worst}
+            {"relation": "B=1+b", "n": n, "draws": _AUX_DRAWS, "max_residual": worst}
         )
     for n in (4, 5):
         worst = 0.0
-        for _ in range(max(3, draws // 3)):
+        for _ in range(_Y_DRAWS):
             data = random_root_data(n, rng, max_roots=1)
             res = check_y_relations(n, data, random_x(rng))
             worst = max(worst, max(res.values()))
         report.append(
-            {"relation": "y_system", "n": n, "draws": max(3, draws // 3),
-             "max_residual": worst}
+            {"relation": "y_system", "n": n, "draws": _Y_DRAWS, "max_residual": worst}
         )
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(_AUX_DRAWS):
         data = random_root_data(4, rng)
         worst = max(worst, max(legacy_cross_relations(data, random_x(rng)).values()))
     report.append(
-        {"relation": "legacy_f_relations", "n": 4, "draws": draws,
+        {"relation": "legacy_f_relations", "n": 4, "draws": _AUX_DRAWS,
          "max_residual": worst}
     )
     for n in (3, 4, 5):

@@ -21,13 +21,17 @@ u = e^{-|k|/4} with integer coefficients (_entry_form): with
 S_m(u) = 1 + u + ... + u^{m-1}, the common kernel plus delta_ab is
 u^{2(hi-lo)} S_{4 lo} S_{4(n-hi)} / D, D = S_4 S_{4n}, an exponential is a
 power of u, and the shift e^{s4 k/4} is u^{-s4} for k > 0.  Each position's
-numerator is summed once in integers, so the raw terms that grow like
-e^{|k|} after the T-sandwich cancel exactly, and what is left is evaluated
-as R(u)/D(u) at every real k, k = 0 included.  All exponent bookkeeping is
-integer arithmetic in units of k/4.
+numerator R is summed once in integers, so the raw terms that grow like
+e^{|k|} after the T-sandwich cancel exactly; all exponent bookkeeping is
+integer arithmetic in units of k/4.  KernelSystem reads every property of
+K-hat from one table of the R per side of k = 0: its values (_evaluate),
+the growth check, and the kink jumps at k = 0 that set the algebraic tail
+of K(x) (_kink_jumps).
 """
 
 from functools import cached_property, lru_cache
+from itertools import product
+from math import comb, factorial
 
 import numpy as np
 
@@ -259,7 +263,7 @@ def _entry_form(n, entry_id, s4, flip, side):
     """Exact form of one entry on one side of k = 0 (side = sign k).
 
     Returns (R, E) with K-hat(k) = R(u)/D(u) + sum_r E_r e^{r|k|/4}: R's
-    float coefficients, highest power first, and the pairs (rate r > 0,
+    integer coefficients, lowest power first, and the pairs (rate r > 0,
     integer E_r) in ascending rate.  The numerator over D is summed in
     integers, then its negative powers are divided out from the lowest up
     (exact, as D(0) = 1).
@@ -281,48 +285,79 @@ def _entry_form(n, entry_id, s4, flip, side):
         if num[i]:
             grow.append((-(low + i), int(num[i])))
             num[i : i + len(den)] -= num[i] * den
-    rem = num[-low:].astype(float)[::-1]
+    rem = num[-low:]
     rem.flags.writeable = False
     return rem, tuple(sorted(grow))
 
 
-def _exact_values(n, triples, k):
-    """(len(triples), len(k)) values of the entries (entry_id, s4, flip) at
-    the real k: on each side of k = 0, one Horner pass in u over all entries
-    (a zero leading coefficient changes nothing, so each value is its
-    entry's own), the division by D(u), then the growing exponentials."""
+def _tables(n, triples):
+    """{side: (R, grow)} for the entries (entry_id, s4, flip): R (rows, W)
+    their numerators over D, zero-padded, and grow their growing
+    exponentials as (row, rate, E)."""
+    tables = {}
+    for side in (1, -1):
+        forms = [_entry_form(n, int(e), int(s4), bool(fl), side) for e, s4, fl in triples]
+        width = max(len(rem) for rem, _ in forms)
+        R = np.array([np.pad(rem, (0, width - len(rem))) for rem, _ in forms])
+        tables[side] = R, [(t, rate, c) for t, (_, g) in enumerate(forms) for rate, c in g]
+    return tables
+
+
+def _evaluate(n, tables, k):
+    """(rows, len(k)) values of the tabled entries at the real k: on each
+    side of k = 0, one Horner pass in u over all rows (a zero leading
+    coefficient changes nothing, so each value is its entry's own), the
+    division by D(u), then the growing exponentials."""
     kappa = np.abs(k)
     u = np.exp(-0.25 * kappa)
     den = np.polyval(_denominator(n)[::-1].astype(float), u)
-    out = np.empty((len(triples), k.size))
+    out = np.empty((len(tables[1][0]), k.size))
     for side, mask in ((1, k >= 0), (-1, k < 0)):
         if not mask.any():
             continue
-        forms = [_entry_form(n, int(e), int(s4), bool(fl), side) for e, s4, fl in triples]
-        width = max(len(rem) for rem, _ in forms)
-        coeffs = np.array([np.pad(rem, (width - len(rem), 0)) for rem, _ in forms])
-        us, val = u[mask], np.zeros((len(forms), mask.sum()))
-        for column in coeffs.T:
+        R, grow = tables[side]
+        us, val = u[mask], np.zeros((len(R), mask.sum()))
+        for column in R.T[::-1].astype(float):
             val *= us
             val += column[:, None]
         val /= den[mask]
-        for t, (_, grow) in enumerate(forms):
-            for rate, c in grow:
-                val[t] += c * np.exp(0.25 * rate * kappa[mask])
+        for t, rate, c in grow:
+            val[t] += c * np.exp(0.25 * rate * kappa[mask])
         out[:, mask] = val
     return out
 
 
-def kernel_entry_value(n, entry_id, k, s4=0, flip=False):
-    """One assembled kernel entry K-hat(k) at every real k (_entry_form).
+def _kink_jumps(n, tables, orders):
+    """(rows, orders) jumps da_p = a_p^+ - a_p^-, p = 1..orders, of the
+    one-sided expansions K-hat(k) = sum_p a_p^+- k^p at k = 0 of tabled
+    entries without growing exponentials.  On a side u^m = e^{-m|k|/4}, so
+    R and D expand with the integer moments r_p = sum_m R_m (-m)^p, and R/D
+    by one series division in integers: Q_p = r_p d_0^p - sum_{j=1..p}
+    C(p, j) d_j d_0^{j-1} Q_{p-j} is 4^p p! d_0^{p+1} times the coefficient
+    of |k|^p = (side k)^p.  Each jump is one rounding of a ratio of ints."""
+    def moments(poly):  # in Python ints, which do not overflow
+        V = [[(-m) ** p for p in range(orders + 1)] for m in range(poly.shape[-1])]
+        return poly.astype(object) @ np.array(V, dtype=object)
 
-    Growing exponentials belong only to raw catalogue entries (s4 = 0).
+    d = moments(_denominator(n))
+    Q = {}
+    for side in (1, -1):
+        r, Q[side] = moments(tables[side][0]), []
+        for p in range(orders + 1):
+            Q[side].append(r[:, p] * d[0] ** p - sum(
+                comb(p, j) * d[j] * d[0] ** (j - 1) * Q[side][p - j] for j in range(1, p + 1)))
+    return np.array([(Q[1][p] - (-1) ** p * Q[-1][p]) / (4**p * factorial(p) * d[0] ** (p + 1))
+                     for p in range(1, orders + 1)], dtype=float).T
+
+
+def kernel_entry_value(n, entry_id, k, s4=0, flip=False):
+    """One assembled kernel entry K-hat(k) at every real k (_entry_form);
+    growing exponentials belong only to raw catalogue entries (s4 = 0).
     Every assembled position of n = 4 and 5 lies within 1.3e-15 of an
     80-digit evaluation of the direct formula for |k| <= 64, k = 0 and
-    |k| = 1e-13 included.
-    """
+    |k| = 1e-13 included."""
     k = np.asarray(k, dtype=float)
-    val = _exact_values(n, [(entry_id, s4, flip)], np.atleast_1d(k))[0]
+    val = _evaluate(n, _tables(n, [(entry_id, s4, flip)]), np.atleast_1d(k))[0]
     return float(val[0]) if k.ndim == 0 else val
 
 
@@ -331,9 +366,9 @@ class KernelSystem:
 
     positions[I][J] = (entry_id, s4, flip) resolves every matrix element to
     a catalogued entry, a net shift-matrix exponent (units of k/4) and an
-    optional k -> -k reflection from the Hermiticity relation.  Each
-    distinct triple (39 of 196 at n = 4, 213 of 900 at n = 5) is evaluated
-    once, and the positions gather its value.
+    optional k -> -k reflection from the Hermiticity relation.  The
+    distinct triples (39 of 196 at n = 4, 213 of 900 at n = 5) have one
+    table per side (_tables), built once, and the positions gather values.
     """
 
     def __init__(self, n):
@@ -344,44 +379,34 @@ class KernelSystem:
         self.dim = sum(self.dims)
         self.offsets = np.concatenate(([0], np.cumsum(self.dims)))
         self._build_positions()
+        self._tables = _tables(n, self._triples)
 
     def _build_positions(self):
         n = self.n
-        nrep = n - 1
-        core = {}  # (i, j) -> (coreid matrix, flip matrix)
-        for (i, j), mat in _BLOCKS[n].items():
-            core[(i, j)] = (np.array(mat), False)
-
-        def reflected(i, j):
-            # K_{i,j}[p,q] = y^{sandwich} * core_{n-j,n-i}[dj-1-q, di-1-p]
-            src, sflip = core[(nrep - j + 1, nrep - i + 1)]
-            return src[::-1, ::-1].T.copy(), sflip
-
-        def hermitian(i, j):
-            src, sflip = core[(j, i)]
-            return src.T.copy(), not sflip
-
-        order = {
-            4: [((2, 1), "H"), ((3, 1), "H"), ((2, 3), "R"), ((3, 2), "H"), ((3, 3), "R")],
-            5: [((2, 1), "H"), ((3, 1), "H"), ((4, 1), "H"), ((3, 2), "H"),
-                ((2, 4), "R"), ((4, 2), "H"), ((3, 3), "R"), ((3, 4), "R"),
-                ((4, 3), "H"), ((4, 4), "R")],
-        }[n]
-        for (i, j), how in order:
-            core[(i, j)] = reflected(i, j) if how == "R" else hermitian(i, j)
+        core = {ij: (np.array(mat), False) for ij, mat in _BLOCKS[n].items()}
+        # a block not printed is the Hermitian partner of a known block,
+        # K_{i,j}(k) = K_{j,i}(-k)^t, where one exists, and otherwise the
+        # reflection of K_{n-j,n-i}: [p, q] = core_{n-j,n-i}[dj-1-q, di-1-p]
+        for i, j in product(range(1, n), repeat=2):
+            if (i, j) in core:
+                continue
+            if (j, i) in core:
+                src, sflip = core[(j, i)]
+                core[(i, j)] = src.T, not sflip
+            else:
+                src, sflip = core[(n - j, n - i)]
+                core[(i, j)] = src[::-1, ::-1].T, sflip
 
         positions = np.empty((self.dim, self.dim, 3), dtype=int)
-        for i in range(1, nrep + 1):
-            for j in range(1, nrep + 1):
-                mat, flip = core[(i, j)]
-                block = positions[self.offsets[i - 1]: self.offsets[i],
-                                  self.offsets[j - 1]: self.offsets[j]]
-                # the full matrix is T^-1 C T with one global diagonal T, so
-                # the sandwich exponent is t_col - t_row for every block; the
-                # Hermiticity k -> -k flip lives entirely in the core.
-                block[..., 0] = mat
-                block[..., 1] = np.array(_tpow4(n, j)) - np.array(_tpow4(n, i))[:, None]
-                block[..., 2] = flip
+        for (i, j), (mat, flip) in core.items():
+            block = positions[self.offsets[i - 1]: self.offsets[i],
+                              self.offsets[j - 1]: self.offsets[j]]
+            # the full matrix is T^-1 C T with one global diagonal T, so
+            # the sandwich exponent is t_col - t_row for every block; the
+            # Hermiticity k -> -k flip lives entirely in the core.
+            block[..., 0] = mat
+            block[..., 1] = np.array(_tpow4(n, j)) - np.array(_tpow4(n, i))[:, None]
+            block[..., 2] = flip
         self.positions = positions
         # the distinct triples, and each position's index among them
         self._triples, self._triple_of = np.unique(
@@ -398,11 +423,8 @@ class KernelSystem:
         these entries unfiltered, so a positive rate would amplify roundoff
         without bound: it means a transcription error and is rejected.
         """
-        worst = max(
-            (rate for e, s4, fl in self._triples for side in (1, -1)
-             for rate, _ in _entry_form(self.n, int(e), int(s4), bool(fl), side)[1]),
-            default=0,
-        )
+        worst = max((rate for _, grow in self._tables.values() for _, rate, _ in grow),
+                    default=0)
         if worst > 0:
             raise InconsistencyError(
                 f"kernel of n={self.n} grows like e^{{{worst}|k|/4}}; "
@@ -416,8 +438,7 @@ class KernelSystem:
         The array is a view of a mode-major (len(k), dim, dim) buffer, the
         layout the solver contracts in; transpose(2, 0, 1) recovers it."""
         k = np.asarray(k, dtype=float)
-        values = _exact_values(self.n, self._triples, np.atleast_1d(k)).T
-        out = values.take(self._triple_of, axis=1).reshape(-1, self.dim, self.dim)
+        out = self._gather(_evaluate(self.n, self._tables, np.atleast_1d(k)))
         return out[0] if k.ndim == 0 else out.transpose(1, 2, 0)
 
     def matrix0(self):
@@ -429,15 +450,24 @@ class KernelSystem:
         (entries -1, 0, 1, 2); K-hat(-inf) is its transpose."""
         return self._single(np.inf)
 
+    def jumps(self, orders):
+        """(orders, dim, dim) kink jumps da_p of K-hat at k = 0, p = 1..orders
+        (_kink_jumps): they set the algebraic tail of K(x)."""
+        self.max_growth()
+        return self._gather(_kink_jumps(self.n, self._tables, orders))
+
     @cached_property
     def _matrix0(self):
         return self._single(0.0)
 
     def _single(self, k):
-        # matrix(k) at one k, gathered here rather than through matrix, so
-        # that the traced matrix calls are the grid tables alone
-        values = _exact_values(self.n, self._triples, np.array([k]))[:, 0]
-        return values.take(self._triple_of).reshape(self.dim, self.dim)
+        # matrix(k) not through matrix: traced matrix calls are grid tables
+        return self._gather(_evaluate(self.n, self._tables, np.array([k])))[0]
+
+    def _gather(self, values):
+        """(..., dim, dim) positions of the triples' values (rows, ...)."""
+        shape = values.shape[:0:-1] + (self.dim, self.dim)
+        return values.T.take(self._triple_of, axis=-1).reshape(shape)
 
     # -- driving -------------------------------------------------------
 

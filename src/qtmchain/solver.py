@@ -50,12 +50,12 @@ The kernel's tail.  The FFT product is circular: with the plain samples
 K-hat(k_m) it would convolve with the periodized kernel sum_n K(u + 4nL).
 The kernel transforms are one-sided power series at k = 0 (the |k|
 kinks), so K has algebraic tails K(X) ~ sum_q C_q X^-q, q = 2, 3, ..., and
-those periodic images do not vanish: at L = 40 they shift a convolution by
-7e-5.  Each table is therefore corrected once, at set-up (_remove_images),
-so that the FFT convolves with K itself over the lags [-2L, 2L).  The image
-sum is taken from the tail expansion through X^-4, whose coefficients are
-fitted to the samples at k = 0; _remove_images gives the measured
-accuracy, and the same C_q carry the far field of the closed window.
+those periodic images do not vanish (up to 3.4e-4 on a table of half-width
+40).  Each table is therefore corrected once, at set-up (_remove_images),
+so that the FFT convolves with K itself over the lags [-2L, 2L), by the
+tail expansion through X^-4, whose coefficients C_q follow exactly from
+the kink jumps of K-hat at k = 0 (KernelSystem.jumps); _remove_images gives
+the measured accuracy, and the same C_q carry the far field of the window.
 
 Conventions: transforms follow g-hat(k) = int e^{-ikx} g(x) dx, so the
 asymptote of a convolution is K-hat(0) times the asymptote of the input,
@@ -149,8 +149,8 @@ class Grid:
         object.__setattr__(self, "points", m)
         if m < 8 or m & (m - 1):
             raise DomainError("grid points must be a power of two >= 8")
-        if self.half_width <= 0:
-            raise DomainError("half width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise DomainError("half width must be positive and finite")
 
     @property
     def dx(self):
@@ -256,7 +256,7 @@ class _GridSystem:
         )  # (M+1, F, F)
         # the kernel's algebraic tail K(X) ~ sum_q tail[q-2] X^-q, q = 2..4:
         # the images it removes, and the far field of _convolve
-        self.tail = _remove_images(self.Kpad, pad)
+        self.tail = _remove_images(self.Kpad, pad, sys.jumps(_TAIL_ORDERS))
         # the window's modes k_m = 2 pi m / 2L are the padded grid's even
         # ones: its half table, for the preconditioner, is a strided view
         self.Kmat = self.Kpad[::2]  # (M/2+1, F, F)
@@ -299,26 +299,18 @@ def _grid_system(n, half_width, points):
         return _cached_grid_system(n, half_width, points)
 
 
-# Periodic images are removed through tail order X^-(_TAIL_ORDERS+1); the
-# one-sided coefficients come from interpolating _FIT_SAMPLES samples on
-# either side of k = 0 (degree _FIT_SAMPLES - 1).
+# Periodic images are removed through tail order X^-(_TAIL_ORDERS+1)
 _TAIL_ORDERS = 3
-_FIT_SAMPLES = 9
 
 
 @lru_cache(maxsize=8)
 def _image_basis(points, half_width):
-    """The per-grid pieces of _remove_images: (basis (M, P), fit (P, 2N)).
-
-    fit maps the samples at k = 0, +dk, ..., +(N-1)dk followed by those at
-    k = 0, -dk, ..., -(N-1)dk to the kink jumps da_p = a_p^+ - a_p^- of
-    the one-sided expansions K-hat(k) = sum_p a_p^+- k^p, p = 1..P.
-    Column p-1 of basis is the grid transform of the images that a unit
-    da_p leaves, (p!/2pi) i^{p+1} fft(dx S_{p+1}), with
+    """The per-grid piece of _remove_images, basis (M, P), real and
+    read-only: column p-1 is the grid transform of the images that a unit
+    kink jump da_p leaves, (p!/2pi) i^{p+1} fft(dx S_{p+1}), with
     S_q(u) = (2L)^-q [zeta(q, 1 + u/2L) + (-1)^q zeta(q, 1 - u/2L)]
     = sum_{n != 0} (u + 2nL)^-q over the circular lags u in [-L, L); the
-    lag -L takes the mean of its values at -L and +L.  Both are real and
-    read-only."""
+    lag -L takes the mean of its values at -L and +L."""
     M, L = points, half_width
     dx = 2.0 * L / M
     s = np.fft.fftfreq(M)  # u / 2L on the circular lags, -1/2 at index M/2
@@ -329,20 +321,11 @@ def _image_basis(points, half_width):
         S[M // 2] = 0.5 * (S[M // 2] + zeta(q, 1.5) + (-1) ** q * zeta(q, 0.5))
         S *= dx / (2.0 * L) ** q
         basis[:, p - 1] = (factorial(p) / (2 * np.pi) * 1j ** q * np.fft.fft(S)).real
-    # Taylor coefficients at 0 of the interpolant through t = 0..N-1
-    t = np.arange(_FIT_SAMPLES, dtype=float)
-    taylor = np.linalg.inv(np.vander(t, increasing=True))
-    dk = np.pi / L
-    fit = np.empty((_TAIL_ORDERS, 2 * _FIT_SAMPLES))
-    for p in range(1, _TAIL_ORDERS + 1):
-        # the k < 0 side is sampled at k = -t dk: its t^p coefficient is a_p^- (-dk)^p
-        fit[p - 1, :_FIT_SAMPLES] = taylor[p] / dk**p
-        fit[p - 1, _FIT_SAMPLES:] = -taylor[p] / (-dk) ** p
-    basis.flags.writeable = fit.flags.writeable = False
-    return basis, fit
+    basis.flags.writeable = False
+    return basis
 
 
-def _remove_images(khat, grid):
+def _remove_images(khat, grid, jumps):
     """Correct a half kernel table, in place, for the periodic images.
 
     khat: C-contiguous (M/2+1, F, F), the samples at the modes 0..M/2 of
@@ -352,41 +335,27 @@ def _remove_images(khat, grid):
     the kernel sum_n K(u + 2nL) on the lags u in [-L, L); subtracting the
     transform of the image sum R(u) = sum_{n != 0} K(u + 2nL) leaves K
     itself, so _convolve computes the linear convolution over the window.
-    R comes from the algebraic tail
-    K(X) ~ sum_p (p!/2pi) [a_p^+ (-iX)^{-p-1} + (-1)^p a_p^- (iX)^{-p-1}],
-    p = 1..3 (through X^-4), with the one-sided coefficients fitted to the
-    samples themselves at k = 0 (those at k = -t dk read as khat[t]^T); the
-    analytic part of K-hat (a_p^+ = a_p^-) leaves no tail.  This assumes
-    K-hat is smooth away from k = 0 and analytic on either side within the
-    N dk of the fit.  Measured on a Gaussian input (integral 3.4) against
-    quadrature of the real-line integral, worst over every distinct entry
-    of n = 4 and 5: 1.9e-9 at L = 40 and 4.9e-12 at L = 100 (the images
-    were 3.4e-4 and 5.4e-5).  The error left is the truncated tail, 1/X^5
-    and beyond, and it grows as the window shrinks (up to 5.6e-5 at L = 10
-    on the entries tried).
+    R comes from the algebraic tail of K through X^-4,
+    K(X) ~ sum_p (p!/2pi) [a_p^+ (-iX)^{-p-1} + (-1)^p a_p^- (iX)^{-p-1}]
+    = sum_p (p!/2pi) i^{p+1} da_p X^{-p-1}, p = 1..3, set by the kink
+    jumps da_p = a_p^+ - a_p^- of K-hat at k = 0: jumps (P, F, F), exact
+    from the kernel's forms (KernelSystem.jumps).  Measured on a Gaussian
+    input (integral 3.4) at the grid points nearest x = -3.1, 0 and 2.4
+    against quadrature of the real-line integral, worst over every
+    position of n = 4 and 5: 7.2e-6 at L = 10 (M = 512), 1.3e-9 at L = 40
+    (M = 2048) and 5.1e-12 at L = 100 (M = 4096), where the images were
+    5.8e-3, 3.4e-4 and 5.4e-5.  The error left is the truncated tail, 1/X^5
+    and beyond, and it grows as the window shrinks.
 
     Returns the tail coefficients C (P, F, F), complex, of
     K(X) ~ sum_q C[q-2] X^-q, q = p+1 = 2..4, for either sign of X:
     C[p-1] = (p!/2pi) i^{p+1} da_p."""
-    M = grid.points
-    if M < 2 * _FIT_SAMPLES:
-        raise DomainError(
-            f"the image correction needs at least {2 * _FIT_SAMPLES} grid points"
-        )
-    basis, fit = _image_basis(M, grid.half_width)
-    half = len(khat)
-    flat = khat.reshape(half, -1)
-    N = _FIT_SAMPLES
-    mirrored = khat[1:N].swapaxes(1, 2).reshape(N - 1, -1)
-    samples = np.concatenate([flat[:N], flat[:1], mirrored])
-    jumps = fit @ samples  # (P, entries)
-    chunk = 256
-    for start in range(0, half, chunk):
-        stop = min(start + chunk, half)
-        flat[start:stop] -= basis[start:stop] @ jumps
-    p = np.arange(1, _TAIL_ORDERS + 1)
-    scale = np.array([factorial(v) for v in p]) / (2 * np.pi) * 1j ** (p + 1)
-    return (scale[:, None] * jumps).reshape((_TAIL_ORDERS,) + khat.shape[1:])
+    basis = _image_basis(grid.points, grid.half_width)[: len(khat)]
+    flat, da = khat.reshape(len(khat), -1), jumps.reshape(_TAIL_ORDERS, -1)
+    for start in range(0, len(khat), 256):
+        flat[start: start + 256] -= basis[start: start + 256] @ da
+    p = np.arange(1, _TAIL_ORDERS + 1)  # p! = cumprod(p)
+    return (np.cumprod(p) / (2 * np.pi) * 1j ** (p + 1))[:, None, None] * jumps
 
 
 class _Workspace:
@@ -1001,8 +970,8 @@ def solve_nlie(
     largest |A_2|, |A_3| of the fitted tail sum_p A_p |x|^-p.  The state
     keeps the preconditioning map it took (_tangent_solver takes it over).
     """
-    if T <= 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < T < np.inf:
+        raise DomainError("temperature must be positive and finite")
     if mu is None:
         mu = (0.0,) * n
     mu = tuple(float(v) for v in mu)
@@ -1062,7 +1031,6 @@ def solve_nlie(
             "edge; widen the grid",
             stacklevel=2,
         )
-    asym_resid = float(np.max(np.abs(logb_inf + c + gsys.K0 @ logB_inf)))
     state = NlieState(
         n=n,
         T=float(T),
@@ -1079,7 +1047,7 @@ def solve_nlie(
             "tail_fit_residual": fit,
             "tail_A2": float(np.max(np.abs(A[:, 0]))),
             "tail_A3": float(np.max(np.abs(A[:, 1]))),
-            "asymptote_equation_residual": asym_resid,
+            "asymptote_equation_residual": asymptotic_residual(n, T, mu, logb_inf, logB_inf),
             "restarts": restarts,
             "residual_history": history,
             "setup_s": t_iterate - t_setup,

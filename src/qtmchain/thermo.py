@@ -172,8 +172,8 @@ def thermo_point(
     its window (its diagnostics): how closely the fit carries
     log B - log Binf near the edge, and max |A_2|, max |A_3|.
     """
-    if T <= 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < T < np.inf:
+        raise DomainError("temperature must be positive and finite")
     if mu is None:
         mu = (0.0,) * n
     mu = tuple(float(v) for v in mu)

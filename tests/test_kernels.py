@@ -41,6 +41,25 @@ def reference_entry(n, entry_id, s4, flip, k):
     return mpmath.exp(s4 * k / 4) * val
 
 
+def branch_entry(n, entry_id, s4, flip, side):
+    """The defining formula in mpmath on the analytic branch of one side of
+    k = 0, |k| read as side * k: a function of k whose singularity at
+    k = 0 is removable."""
+    a, b, extras = _ENTRIES[n][entry_id]
+    lo, hi = min(a, b), max(a, b)
+
+    def value(k):
+        kk = -k if flip else k
+        kappa = side * k
+        sh = lambda m: mpmath.sinh(m * kk / 2)
+        val = mpmath.exp(kappa / 2) * sh(lo) * sh(n - hi) / (sh(1) * sh(n)) - (a == b)
+        for c, alpha2, gamma2 in extras:
+            val += c * mpmath.exp((alpha2 * kk - gamma2 * kappa) / 2)
+        return mpmath.exp(s4 * k / 4) * val
+
+    return value
+
+
 class TestCommonKernel:
     def test_zero_limits(self):
         assert common_kernel(4, 1, 1, 0.0) == pytest.approx(-0.25, abs=1e-14)
@@ -190,6 +209,40 @@ class TestAssembledMatrix:
             ])
         dev = np.abs(K - want[sy._triple_of.reshape(sy.dim, sy.dim)])
         assert np.max(dev) <= 2e-15
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_kink_jumps_match_high_precision_reference(self, n):
+        # the jumps of the one-sided Taylor coefficients at k = 0, p = 1..3,
+        # against 50-digit Taylor series of each side's branch of the
+        # defining formula, for every distinct triple; measured worst
+        # deviation 2.2e-16 (n = 5), one rounding of the exact ratio
+        sy = kernel_system(n)
+        with mpmath.workdps(50):
+            want = []
+            for e, s4, fl in sy._triples:
+                plus, minus = (
+                    mpmath.taylor(branch_entry(n, e, int(s4), bool(fl), side), 0, 3,
+                                  singular=True)
+                    for side in (1, -1)
+                )
+                want.append([float(plus[p] - minus[p]) for p in (1, 2, 3)])
+        want = np.array(want).T[:, sy._triple_of].reshape(3, sy.dim, sy.dim)
+        assert np.max(np.abs(sy.jumps(3) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_reflection_rule_on_entry_ids(self, n):
+        # every block, printed or derived, is the reflection of block
+        # (n-j, n-i) in its entry ids and flips; the shift exponents are
+        # the T-sandwich's (_tpow4) and do not obey it at n = 5
+        sy = kernel_system(n)
+        off = sy.offsets
+        for i in range(1, n):
+            for j in range(1, n):
+                block = sy.positions[off[i - 1]:off[i], off[j - 1]:off[j]]
+                src = sy.positions[off[n - j - 1]:off[n - j], off[n - i - 1]:off[n - i]]
+                mirrored = src[::-1, ::-1].swapaxes(0, 1)
+                assert np.array_equal(block[..., 0], mirrored[..., 0]), (i, j)
+                assert np.array_equal(block[..., 2], mirrored[..., 2]), (i, j)
 
     def test_large_k_stability(self):
         # the exact forms stay finite and match the direct formula in float64,

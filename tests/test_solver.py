@@ -22,7 +22,6 @@ from qtmchain import solver
 from qtmchain.errors import DomainError
 from qtmchain.kernels import kernel_entry_value
 from qtmchain.solver import (
-    _FIT_SAMPLES,
     _LIMIT_DEVIATION,
     _TAIL_FIT_TOL,
     _contract,
@@ -171,11 +170,13 @@ class TestConvolution:
         far = np.concatenate(list(gsys.tail @ np.hstack([a, a.conj()])), axis=1) @ gsys.far.H
         assert np.max(np.abs(out - far - direct)) >= 1e-9
 
-    def test_too_few_points_raises(self):
-        # 8 points, padded to 16 for the convolution, hold 8 modes a side,
-        # short of the 9-sample fit at k = 0
-        with pytest.raises(DomainError):
-            _grid_system(4, 10.0, 8)
+    def test_smallest_grid_builds(self):
+        # the image correction reads the kernel's exact kink jumps, not
+        # samples at k = 0, so the smallest grid (8 points, padded to 16 for
+        # the convolution) builds
+        gsys = _grid_system(4, 10.0, 8)
+        assert gsys.Kpad.shape == (9, 14, 14)
+        assert np.all(np.isfinite(gsys.Kpad))
 
     def test_tail_violation_exceeds_fit_tol(self):
         # a 1/|x| tail, which no term of the far field carries: its fit by
@@ -217,22 +218,21 @@ class TestSolverKernels:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_half_table_image_correction(self, n):
-        # the solver's half table, its k < 0 fit samples read as
-        # transposes, against the correction of the full table built here,
-        # its k < 0 fit samples read from the modes M - t themselves: the
-        # same table, and the corrected modes M-m remain the transposes of
-        # the modes m to rounding (4.4e-16 measured).  The table is that of
-        # the padded grid (2L, 2M) on which the convolution runs; the
-        # window's table, for the preconditioner, is its even modes
+        # the solver's half table against the correction of the full table
+        # built here from the kernel's exact kink jumps: the same table, and
+        # the corrected modes M-m remain the transposes of the modes m to
+        # rounding (1.1e-16 measured).  The table is that of the padded grid
+        # (2L, 2M) on which the convolution runs; the window's table, for
+        # the preconditioner, is its even modes
         window = default_grid(1.0)
         gsys = _grid_system(n, window.half_width, window.points)
         grid = Grid(2 * window.half_width, 2 * window.points)
-        M, half, N = grid.points, grid.points // 2 + 1, _FIT_SAMPLES
-        K = kernel_system(n).matrix(grid.k).transpose(2, 0, 1)
+        M, half = grid.points, grid.points // 2 + 1
+        sys = kernel_system(n)
+        K = sys.matrix(grid.k).transpose(2, 0, 1)
         flat = K.reshape(M, -1)
-        basis, fit = _image_basis(M, grid.half_width)
-        samples = np.concatenate([flat[:N], flat[:1], flat[M - np.arange(1, N)]])
-        full = (flat - basis @ (fit @ samples)).reshape(K.shape)
+        basis = _image_basis(M, grid.half_width)
+        full = (flat - basis @ sys.jumps(3).reshape(3, -1)).reshape(K.shape)
         table = gsys.Kpad
         assert np.shares_memory(gsys.Kmat, table)
         assert np.array_equal(gsys.Kmat, table[::2])
@@ -539,6 +539,19 @@ class TestSolver:
     def test_invalid_temperature(self):
         with pytest.raises(DomainError):
             solve_nlie(4, T=-1.0)
+
+    def test_non_finite_input_raises(self, monkeypatch):
+        # a NaN or infinite width or temperature is refused up front, before
+        # a grid is built or an iteration taken
+        for width in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                Grid(width, 2048)
+        built = []
+        monkeypatch.setattr(solver, "_grid_system", lambda *args: built.append(args))
+        for T in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                solve_nlie(4, T)
+        assert not built
 
     def test_integer_half_width(self):
         # Grid keeps a float width, so an int one solves as its float twin

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qtmchain import free_energy, solve_nlie, solver, thermo, thermo_point
+from qtmchain.errors import DomainError
 from qtmchain.thermo import parse_t_range, sweep
 
 
@@ -27,6 +28,15 @@ class TestThermoPoint:
         one = thermo_point(5, 1.0, with_chi=False, workers=1)
         two = thermo_point(5, 1.0, with_chi=False, workers=2)
         assert one.row() == two.row()
+
+    def test_non_finite_temperature_raises(self, monkeypatch):
+        # refused up front, before a grid is built or an iteration taken
+        built = []
+        monkeypatch.setattr(solver, "_grid_system", lambda *args: built.append(args))
+        for T in (float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                thermo_point(4, T, with_chi=False)
+        assert not built
 
     def test_positive_specific_heat(self):
         pt = thermo_point(4, 0.8, with_chi=False, with_densities=False)
