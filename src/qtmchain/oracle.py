@@ -94,6 +94,8 @@ def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
     each group's block the bond moves (_bond_moves) restricted to it;
     block sizes stay small, and one above DENSE_CAP raises DomainError.
     """
+    if not 0 < T < np.inf:
+        raise DomainError("temperature must be positive and finite")
     _check_dim(n, L)
     if mu is None:
         mu = (0.0,) * n
@@ -206,6 +208,8 @@ def qtm_matvec(n, N, tau, beta_mu, x, v):
 
 def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
     """Dense QTM built column by column (small N only)."""
+    if not 0 < T < np.inf:
+        raise DomainError("temperature must be positive and finite")
     if n**N > 4096:
         raise DomainError("dense QTM capped at dimension 4096")
     if mu is None:
@@ -229,6 +233,8 @@ def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, max_iter=50000):
     sites and the buffers of _thread_sites are made once.  Stagnation
     raises with a gap estimate and the residual history attached.
     """
+    if not 0 < T < np.inf:
+        raise DomainError("temperature must be positive and finite")
     _check_dim(n, N)
     if mu is None:
         mu = (0.0,) * n
@@ -271,7 +277,7 @@ def _phi_normalized(lam, N, T, J=1.0):
     return -T * (np.log(lam.real) - N * np.log(1.0 + beta * J / N) + beta * J)
 
 
-def trotter_free_energy(n, N, T, J=1.0, mu=None, x=0.0):
+def trotter_free_energy(n, N, T, J=1.0, mu=None):
     """Finite-Trotter free energy in the infinite-Trotter normalization.
 
     -T log Lambda_N(0) alone approaches the thermodynamic f only like 1/N,
@@ -280,7 +286,7 @@ def trotter_free_energy(n, N, T, J=1.0, mu=None, x=0.0):
     converges like 1/N^2.  This is the quantity to extrapolate against the
     integral-equation result.
     """
-    return _phi_normalized(qtm_eigenvalue(n, N, T=T, J=J, mu=mu, x=x), N, T, J)
+    return _phi_normalized(qtm_eigenvalue(n, N, T=T, J=J, mu=mu), N, T, J)
 
 
 def transfer_matrix(n, L, lam):

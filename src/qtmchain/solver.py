@@ -206,7 +206,7 @@ class NlieState:
     damping: float
     diagnostics: dict = field(default_factory=dict)
     # the preconditioning map the solve took, for its tangent solves
-    precondition: object = field(default=None, init=False, repr=False, compare=False)
+    precondition: object = field(default=None, repr=False, compare=False)
 
     @property
     def beta(self):
@@ -241,6 +241,10 @@ class NlieState:
 # cached grid-sampled system data
 
 class _GridSystem:
+    """Grid-sampled data of one (n, grid), built once (_grid_system) and
+    read-only after; precondition is the map of the mu = 0 asymptote, the
+    same at every T, which every mu = 0 solve on the grid takes."""
+
     def __init__(self, n, grid):
         self.n = n
         self.grid = grid
@@ -278,10 +282,7 @@ class _GridSystem:
         phase = (-1.0) ** np.arange(M)
         dhat = sys.driving_hat(grid.k)
         self.d_x = 2.0 * np.pi * np.fft.ihfft(dhat * phase, axis=1) / grid.dx
-        # (logb_inf.tobytes(), map): the preconditioning map last built on
-        # this grid and its asymptote, kept by _asymptote_preconditioner
-        self.kept = None
-        self.kept_lock = threading.Lock()
+        self.precondition = _asymptote_map(self, np.log(counting_values(n)[0]))
 
 
 _grid_lock = threading.Lock()
@@ -757,28 +758,12 @@ def _precondition(Q, Q_inf, W, v, ws=None):
     return np.subtract(v, out, out=out)
 
 
-def _asymptote_preconditioner(gsys, logb_inf):
+def _asymptote_map(gsys, logb_inf):
     """The preconditioning map (W, v) -> v - Q * (W v) (_precondition) with
     the table Q of the asymptote logb_inf below the grid's cut and its
-    limit past it (_preconditioner), and whether this call built it.
-
-    gsys keeps the last map built on its grid, in one slot keyed by
-    logb_inf.  At mu = 0 the asymptote is that of the counting values,
-    the same at every T, so one table serves every solve of the grid;
-    another asymptote replaces the map.  The slot is emptied before the
-    replacement is built, so the grid never keeps two tables, and it is
-    locked while read or rebuilt, so threads that need the same map build
-    it once."""
-    key = logb_inf.tobytes()
-    with gsys.kept_lock:
-        if gsys.kept is not None and gsys.kept[0] == key:
-            return gsys.kept[1], False
-        gsys.kept = None
-        Q, Q_inf = _preconditioner(gsys.Kmat[: gsys.cut], gsys.K_inf,
-                                   _weight(logb_inf).real)
-        precondition = partial(_precondition, Q, Q_inf)
-        gsys.kept = (key, precondition)
-    return precondition, True
+    limit past it (_preconditioner)."""
+    W = _weight(logb_inf).real
+    return partial(_precondition, *_preconditioner(gsys.Kmat[: gsys.cut], gsys.K_inf, W))
 
 
 def _weight(logb):
@@ -960,9 +945,9 @@ def solve_nlie(
     sustained residual growth (after one automatic retry with damping
     0.5).  iterations and residual_history count every step, those before
     the retry included, and max_iter bounds their total.  diagnostics
-    records whether the preconditioner's table was built for this solve
-    (preconditioner_built) or was the one its grid kept
-    (_asymptote_preconditioner); state_preconditioned_from, the first
+    records whether the solve built a preconditioner's table of its own
+    (preconditioner_built: at mu != 0; at mu = 0 it takes its grid's,
+    _GridSystem.precondition); state_preconditioned_from, the first
     step preconditioned with the iterate's own W(x), or None if every step
     took Winf; and the far field that closes the window:
     tail_fit_residual, how closely the fit carries log B - log Binf near
@@ -998,7 +983,8 @@ def solve_nlie(
     # residual is below _STATE_SWITCH, and by the map at the iterate's own
     # W(x) from then on
     t_setup = time.perf_counter()
-    precondition, built = _asymptote_preconditioner(gsys, logb_inf)
+    built = any(mu)
+    precondition = _asymptote_map(gsys, logb_inf) if built else gsys.precondition
     W_inf = _weight(logb_inf).real[:, None]
     # the NLIE linearized at the asymptote, log b = log binf + u and
     # log B ~ log Binf + W u, solves exactly as u = -beta J A^-1 d
@@ -1055,8 +1041,8 @@ def solve_nlie(
             "preconditioner_built": built,
             "state_preconditioned_from": state_from,
         },
+        precondition=precondition,
     )
-    state.precondition = precondition
     return state
 
 
@@ -1105,7 +1091,7 @@ def log_eigenvalue(state, x=0.0):
     at x = 40 and by up to 1.1e-5 at x = 49.9."""
     x = np.asarray(x, dtype=float)
     half = state.grid.half_width / 2
-    if np.any(np.abs(x) > half):
+    if not np.all(np.abs(x) <= half):
         raise DomainError(f"x lies outside [-{half}, {half}], the inner half of "
                           "the solution's window")
     beta = state.beta

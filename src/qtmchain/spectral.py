@@ -246,6 +246,8 @@ def solve_bethe_roots(n, N, beta, mu=None, J=1.0, max_iter=80):
     """
     if N <= 0 or N % 2:
         raise DomainError("need a positive even Trotter number")
+    if not 0 < beta < np.inf:
+        raise DomainError("beta must be positive and finite")
     if mu is None:
         mu = (0.0,) * n
     tau = -beta * J / N

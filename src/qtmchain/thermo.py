@@ -34,9 +34,9 @@ preconditioner the nonlinear solve took, kept in its state
 the modes below the grid's cut, where K-hat(k) still departs from its
 large-k limit, and the limit's one matrix past it.  Like that solve
 they run on the half space x <= 0: W, every drive and every source keep
-the symmetry u(-x) = conj(u(x)) of the converged state.  The
-grid keeps its last preconditioner, so at mu = 0, where the asymptote is
-the same at every T, the points of a sweep invert it once.
+the symmetry u(-x) = conj(u(x)) of the converged state.  At mu = 0 the
+asymptote is the same at every T and the map is the grid's own, one
+table for the points of a sweep; a mu != 0 point builds its own once.
 
 Every solve, nonlinear and tangent, convolves over the real line: the
 solver's one convolution closes the window by the far field of its input,
@@ -164,23 +164,22 @@ def thermo_point(
     run on) share the independent ones.  A failed tangent solve raises
     ConvergenceError with the location attached.  meta totals every solve
     of the point, nonlinear and tangent: solves, iterations, the worst
-    residual, slowest_solve_s and preconditioners_built (0 when the grid
-    kept the map of this asymptote); state_preconditioned_from is the
+    residual, slowest_solve_s and preconditioners_built (1 at mu != 0,
+    where the nonlinear solve builds the table of its own asymptote; 0 at
+    mu = 0, where it takes its grid's); state_preconditioned_from is the
     nonlinear solve's first step preconditioned with its iterate's own
     W(x) (its diagnostics), or None.  tail_fit_residual, tail_A2 and
     tail_A3 are the nonlinear solve's record of the far field that closes
     its window (its diagnostics): how closely the fit carries
     log B - log Binf near the edge, and max |A_2|, max |A_3|.
     """
-    if not 0 < T < np.inf:
-        raise DomainError("temperature must be positive and finite")
     if mu is None:
         mu = (0.0,) * n
     mu = tuple(float(v) for v in mu)
-    beta = 1.0 / T
 
     t0 = time.perf_counter()
-    state = solve_nlie(n, T, mu=mu, J=J)
+    state = solve_nlie(n, T, mu=mu, J=J)  # refuses a T not positive and finite
+    beta = 1.0 / T
     records = [(state.iterations, state.residual, time.perf_counter() - t0)]
     solve = _tangent_solver(state)
     f = free_energy(state)
@@ -269,7 +268,10 @@ def sweep(
     of `workers` threads (default: one per CPU this process may run on),
     the calling thread one of them; a point's own solves run in its
     thread.  Per-point failures are recorded, as (T, repr(error)) in
-    ascending T, and the sweep continues.  Returns (points, failures)."""
+    ascending T, and the sweep continues; a mu of the wrong length raises
+    DomainError before any point runs.  Returns (points, failures)."""
+    if mu is not None and len(mu) != n:
+        raise DomainError(f"expected {n} chemical potentials, got {len(mu)}")
     temps = sorted(float(t) for t in temperatures)
 
     def point(T):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qtmchain import asymptotic_constants, default_grid, kernel_system
-from qtmchain.cli import main
+from qtmchain.cli import _SUITE_TOL, main
 
 
 def run(args):
@@ -39,6 +39,21 @@ class TestVerify:
             want.append(float(np.max(np.abs(logb + sy.constants(mu, 1 / 1.3) + sy.matrix0() @ logB))))
         assert got == want
         assert all(0.0 < r <= 1e-10 for r in got)
+
+    def test_default_suite_passes(self, tmp_path, capsys):
+        # the default --suite all runs every suite, each check under the
+        # suite tolerance
+        out = tmp_path / "report.json"
+        assert run(["verify", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] is True and report["seed"] == 42
+        assert all(c["max_residual"] <= _SUITE_TOL for c in report["checks"])
+        assert {c["relation"] for c in report["checks"]} == {
+            "t_system",  # fusion
+            "B=1+b", "y_system", "legacy_f_relations", "species_conjugation",  # aux
+            "bae", "eaf_residues",  # eaf
+            "hermiticity", "constants_sum_zero", "asymptotic_fixed_point",  # kernel
+        }
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -128,9 +143,14 @@ class TestSweep:
         assert 0 < float(m[4]) < 1e-6
         assert 0 < float(m[5]) < 1e-3
         assert 0.1 < float(m[6]) < 0.3
-        # both points have the mu = 0 asymptote: one inverse, or none when
-        # the grid already keeps it
-        assert int(m[7]) <= 1
+        # both points have the mu = 0 asymptote and take their grid's map
+        assert int(m[7]) == 0
+
+
+    def test_wrong_mu_length_exit_code(self, capsys):
+        # a configuration error, as for solve: no point runs
+        assert run(["sweep", "--n", "4", "--temp", "1:2:2lin", "--mu", "0.1,0.2"]) == 2
+        assert "FAILED" not in capsys.readouterr().err
 
 
 class TestOracle:

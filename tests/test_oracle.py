@@ -16,6 +16,8 @@ from qtmchain import (
     trotter_free_energy,
     ybe_residual,
 )
+from qtmchain import oracle
+from qtmchain.cli import main
 from qtmchain.errors import ConvergenceError, DomainError
 from qtmchain.oracle import qtm_matvec
 from qtmchain.spectral import eigenvalue_from_roots
@@ -105,6 +107,29 @@ class TestFiniteFreeEnergy:
         # more (T, J) of the same chains
         got = finite_free_energy(n, L, T, mu=mu, periodic=periodic)
         assert abs(got - ref) <= 4e-15
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_invalid_temperature_raises(T, monkeypatch, capsys):
+    # a T (beta) that is not positive and finite is refused, as solve_nlie
+    # refuses it, before any state is enumerated or any site made
+    work = []
+    monkeypatch.setattr(oracle, "_bond_moves", lambda *a: work.append(a))
+    monkeypatch.setattr(oracle, "_qtm_sites", lambda *a: work.append(a))
+    calls = [
+        lambda: finite_free_energy(4, 4, T),
+        lambda: qtm_eigenvalue(4, 4, T),
+        lambda: trotter_free_energy(4, 4, T),
+        lambda: qtm_matrix(4, 2, T),
+        lambda: solve_bethe_roots(4, 2, beta=T),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    assert not work
+    monkeypatch.undo()
+    for which in ("ed", "qtm"):
+        assert main(["oracle", which, "--temp", str(T)]) == 2
 
 
 class TestQtm:

@@ -298,9 +298,8 @@ class TestSolverKernels:
         assert np.max(np.abs(K[cut - 1] - K_inf)) >= _LIMIT_DEVIATION
         coarse = _grid_system(n, 50.0, 64)
         assert coarse.cut == len(coarse.Kmat)
-        # a solve's map holds the table below the cut and the limit's Q
-        gsys.kept = None
-        Q, Q_inf = solve_nlie(n, 1.0).precondition.args
+        # the grid's map holds the table below the cut and the limit's Q
+        Q, Q_inf = gsys.precondition.args
         assert Q.shape == (cut,) + K_inf.shape and Q_inf.shape == K_inf.shape
 
     @pytest.mark.parametrize(
@@ -825,7 +824,8 @@ class TestEigenvalue:
         state = solve_nlie(4, T=2.0)
         half = state.grid.half_width / 2
         assert np.all(np.isfinite(log_eigenvalue(state, np.array([-half, half]))))
-        for x in (half + 0.1, np.array([0.0, -1.5 * half])):
+        for x in (half + 0.1, np.array([0.0, -1.5 * half]), np.nan, -np.inf,
+                  np.array([0.0, np.nan])):
             with pytest.raises(DomainError):
                 log_eigenvalue(state, x)
 

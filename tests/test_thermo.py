@@ -72,38 +72,37 @@ class TestThermoPoint:
         assert calls == [(4, 1.0), (4, 2.0)]
 
     def test_one_preconditioner_per_point(self, monkeypatch):
-        # the grid keeps its last preconditioner: at mu = 0 the asymptote is
-        # the same at every T, so one inverse serves every point, and a
-        # point's tangent solves take the map of their own nonlinear solve
+        # the grid owns the map of the mu = 0 asymptote, the same at every
+        # T: a mu = 0 point builds no table, and its state and tangent
+        # solves take the grid's map
+        grid = solver.default_grid(1.0)
+        gsys = solver._grid_system(4, grid.half_width, grid.points)
         built = []
         orig = solver._preconditioner
         monkeypatch.setattr(
             solver, "_preconditioner", lambda *a: built.append(1) or orig(*a)
         )
-        grid = solver.default_grid(1.0)
-        gsys = solver._grid_system(4, grid.half_width, grid.points)
-        gsys.kept = None
-        pt = thermo_point(4, 1.0, with_chi=False, with_densities=False)
-        assert len(built) == pt.meta["preconditioners_built"] == 1
-        pt = thermo_point(4, 2.0, with_chi=False, with_densities=False)
-        solver._tangent_solver(solve_nlie(4, 1.0))
-        assert len(built) == 1 and pt.meta["preconditioners_built"] == 0
+        for T in (1.0, 2.0):
+            pt = thermo_point(4, T, with_chi=False, with_densities=False)
+            assert pt.meta["preconditioners_built"] == 0
+            state = solve_nlie(4, T)
+            assert state.precondition is gsys.precondition
+            assert state.diagnostics["preconditioner_built"] is False
+        solver._tangent_solver(state)
+        assert len(built) == 0
         # mu != 0: every point has an asymptote of its own, inverted once
-        # for its three solves although the other thread's points replace
-        # the kept map meanwhile
+        # for its three solves, on whichever thread it runs
         temps = [2.0, 3.0, 4.0, 6.0]
         pts, failures = sweep(4, temps, mu=(0.3, 0.0, 0.0, -0.3), workers=2)
         assert not failures
-        assert len(built) == 1 + len(temps)
-        assert sum(p.meta["preconditioners_built"] for p in pts) == len(temps)
-        # the kept map holds one table, a fresh Q = A^-1 K-hat of the modes
-        # below the grid's cut, and the limit's Q_inf, bit for bit, and
-        # takes its weights per call
+        assert len(built) == len(temps)
+        assert [p.meta["preconditioners_built"] for p in pts] == [1] * len(temps)
+        # the grid's map holds one table, a fresh Q = A^-1 K-hat of the
+        # modes below the grid's cut, and the limit's Q_inf, bit for bit,
+        # and takes its weights per call
         logb_inf, _ = solver.asymptotic_constants(4, 1.0)
-        solve_nlie(4, 1.0)
-        key, precondition = gsys.kept
-        assert key == logb_inf.tobytes()
         W = solver._weight(logb_inf).real
+        precondition = gsys.precondition
         assert precondition.func is solver._precondition
         assert len(precondition.args) == 2
         Q, Q_inf = orig(gsys.Kmat[: gsys.cut], gsys.K_inf, W)
@@ -225,14 +224,28 @@ class TestSweep:
         for a, b in zip(one, two):
             assert a.row() == b.row()
 
-    def test_cold_concurrent_sweep_builds_once(self):
+    def test_cold_concurrent_sweep_builds_once(self, monkeypatch):
         # points that start together on a grid not yet built share one grid
-        # system, so at mu = 0 one preconditioner serves them all
+        # system, so at mu = 0 its one preconditioner serves them all
+        built = []
+        orig = solver._preconditioner
+        monkeypatch.setattr(
+            solver, "_preconditioner", lambda *a: built.append(1) or orig(*a)
+        )
         solver._cached_grid_system.cache_clear()
         pts, failures = sweep(4, [1.0, 2.0, 3.0, 4.0], workers=2)
         assert not failures
-        assert sum(p.meta["preconditioners_built"] for p in pts) == 1
+        assert len(built) == 1
+        assert sum(p.meta["preconditioners_built"] for p in pts) == 0
         assert solver._cached_grid_system.cache_info().misses == 1
+
+    def test_wrong_mu_length_raises(self, monkeypatch):
+        # every point would fail alike: refused before any point runs
+        started = []
+        monkeypatch.setattr(thermo, "thermo_point", lambda *a, **kw: started.append(a))
+        with pytest.raises(DomainError):
+            sweep(4, [1.0, 2.0], mu=(0.1, 0.2))
+        assert not started
 
     def test_failed_point_is_recorded(self):
         pts, failures = sweep(4, [2.0, -1.0, 1.0], workers=2)
