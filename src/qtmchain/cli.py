@@ -23,7 +23,7 @@ from .errors import QtmChainError
 from .kernels import kernel_system
 from .oracle import (
     _phi_normalized,
-    build_hamiltonian,
+    _sector_spectra,
     finite_free_energy,
     qtm_eigenvalue,
     spin2_identity_residual,
@@ -43,6 +43,21 @@ from .thermo import parse_t_range, sweep
 FMT = "%.12e"
 _FUSION_DRAWS, _FUSION_XS = 25, 5  # root-data draws per n, x per draw
 _AUX_DRAWS, _AUX_XS, _Y_DRAWS = 12, 3, 4
+
+
+def _emit(text, path, echo=False):
+    """Write text to the file at path when one is given, and to stdout
+    when none is, or when echo is set."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    if echo or not path:
+        sys.stdout.write(text)
+
+
+def _row(relation, n, draws, worst):
+    """One check of a verify report."""
+    return {"relation": relation, "n": n, "draws": draws, "max_residual": worst}
 
 
 def random_root_data(n, rng, max_roots=2):
@@ -80,9 +95,7 @@ def _suite_fusion(seed):
                 worst = max(
                     worst, check_functional_relation(data, "t_system", x, a=a, s=s)
                 )
-        report.append(
-            {"relation": "t_system", "n": n, "draws": _FUSION_DRAWS, "max_residual": worst}
-        )
+        report.append(_row("t_system", n, _FUSION_DRAWS, worst))
     return report
 
 
@@ -100,26 +113,19 @@ def _suite_aux(seed):
                     B = eval_aux(upper, data, x, ctx)
                     b = eval_aux(lower, data, x, ctx)
                     worst = max(worst, abs(B - 1.0 - b) / (1.0 + abs(B)))
-        report.append(
-            {"relation": "B=1+b", "n": n, "draws": _AUX_DRAWS, "max_residual": worst}
-        )
+        report.append(_row("B=1+b", n, _AUX_DRAWS, worst))
     for n in (4, 5):
         worst = 0.0
         for _ in range(_Y_DRAWS):
             data = random_root_data(n, rng, max_roots=1)
             res = check_y_relations(n, data, random_x(rng))
             worst = max(worst, max(res.values()))
-        report.append(
-            {"relation": "y_system", "n": n, "draws": _Y_DRAWS, "max_residual": worst}
-        )
+        report.append(_row("y_system", n, _Y_DRAWS, worst))
     worst = 0.0
     for _ in range(_AUX_DRAWS):
         data = random_root_data(4, rng)
         worst = max(worst, max(legacy_cross_relations(data, random_x(rng)).values()))
-    report.append(
-        {"relation": "legacy_f_relations", "n": 4, "draws": _AUX_DRAWS,
-         "max_residual": worst}
-    )
+    report.append(_row("legacy_f_relations", 4, _AUX_DRAWS, worst))
     for n in (3, 4, 5):
         worst = 0.0
         for _ in range(3):
@@ -127,10 +133,7 @@ def _suite_aux(seed):
             worst = max(
                 worst, max(check_species_conjugation(n, data, random_x(rng)).values())
             )
-        report.append(
-            {"relation": "species_conjugation", "n": n, "draws": 3,
-             "max_residual": worst}
-        )
+        report.append(_row("species_conjugation", n, 3, worst))
     return report
 
 
@@ -139,10 +142,7 @@ def _suite_eaf(seed):
     report = []
     for n in (2, 3, 4, 5):
         data = solve_bethe_roots(n, 2, beta=float(rng.uniform(0.4, 0.9)))
-        report.append(
-            {"relation": "bae", "n": n, "draws": 1,
-             "max_residual": max(bae_residuals(data))}
-        )
+        report.append(_row("bae", n, 1, max(bae_residuals(data))))
         worst = 0.0
         for a in range(1, n):
             adj = adjacency_matrix(n, a)
@@ -154,9 +154,7 @@ def _suite_eaf(seed):
                     except QtmChainError:
                         continue
                     worst = max(worst, residue_check(fact, data))
-        report.append(
-            {"relation": "eaf_residues", "n": n, "draws": 1, "max_residual": worst}
-        )
+        report.append(_row("eaf_residues", n, 1, worst))
     return report
 
 
@@ -167,20 +165,13 @@ def _suite_kernel(seed):
         sy = kernel_system(n)
         ks = rng.uniform(-30, 30, size=50)
         worst = float(np.max(np.abs(sy.matrix(ks) - sy.matrix(-ks).transpose(1, 0, 2))))
-        report.append(
-            {"relation": "hermiticity", "n": n, "draws": 50, "max_residual": worst}
-        )
+        report.append(_row("hermiticity", n, 50, worst))
         c_unif = sy.constants((1.0,) * n, 1.0)
-        report.append(
-            {"relation": "constants_sum_zero", "n": n, "draws": 1,
-             "max_residual": float(np.max(np.abs(c_unif)))}
-        )
+        report.append(_row("constants_sum_zero", n, 1, float(np.max(np.abs(c_unif)))))
         mu = tuple(float(rng.uniform(-0.3, 0.3)) for _ in range(n))
         logb_inf, logB_inf = asymptotic_constants(n, T=1.3, mu=mu)
-        report.append(
-            {"relation": "asymptotic_fixed_point", "n": n, "draws": 1,
-             "max_residual": asymptotic_residual(n, 1.3, mu, logb_inf, logB_inf)}
-        )
+        report.append(_row("asymptotic_fixed_point", n, 1,
+                           asymptotic_residual(n, 1.3, mu, logb_inf, logB_inf)))
     return report
 
 
@@ -207,11 +198,7 @@ def cmd_verify(args):
         "checks": report,
         "passed": not failed,
     }
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out, echo=True)
     return 0 if not failed else 1
 
 
@@ -226,8 +213,7 @@ def cmd_solve(args):
     )
     payload = state.to_dict()
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh)
+        _emit(json.dumps(payload), args.out)
     print(
         f"n={args.n} T={args.temp}: converged in {state.iterations} iterations, "
         f"residual {state.residual:.3e}, f = {payload['f']:.12f}"
@@ -250,12 +236,7 @@ def cmd_sweep(args):
         cols += [f"chi_{i+1}{j+1}" for i in range(n) for j in range(n)]
     lines = [",".join(cols)]
     lines += [",".join(FMT % v for v in pt.row()) for pt in points]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     for T, err in failures:
         print(f"FAILED at T={T}: {err}", file=sys.stderr)
     print(_sweep_summary(points), file=sys.stderr)
@@ -287,18 +268,11 @@ def cmd_oracle(args):
     out = {"oracle": args.which}
     ok = True
     if args.which == "ed":
-        H = build_hamiltonian(args.n, args.L, periodic=not args.open)
-        ev = np.linalg.eigvalsh(H)
-        out.update(
-            {
-                "n": args.n, "L": args.L,
-                "ground_energy_per_site": float(ev[0] / args.L),
-                "f": finite_free_energy(
-                    args.n, args.L, args.temp, J=args.J, periodic=not args.open
-                ),
-                "T": args.temp,
-            }
-        )
+        # f first: it refuses T before any block is built
+        f = finite_free_energy(args.n, args.L, args.temp, J=args.J, periodic=not args.open)
+        e0 = min(energies[0] for _, energies in _sector_spectra(args.n, args.L, not args.open))
+        out.update({"n": args.n, "L": args.L, "ground_energy_per_site": float(e0 / args.L),
+                    "f": f, "T": args.temp})
     elif args.which == "qtm":
         lam = qtm_eigenvalue(args.n, args.N, T=args.temp, J=args.J)
         out.update(
@@ -316,24 +290,14 @@ def cmd_oracle(args):
         res, const = spin2_identity_residual()
         out.update({"residual": res, "fitted_constant": const})
         ok = res < 1e-12
-    text = json.dumps(out, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(json.dumps(out, indent=2, sort_keys=True) + "\n", args.out, echo=True)
     return 0 if ok else 1
 
 
 def cmd_dump_kernel(args):
     sy = kernel_system(args.n)
     K = sy.matrix(args.k)
-    lines = [",".join(FMT % v for v in row) for row in K]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("".join(",".join(FMT % v for v in row) + "\n" for row in K), args.out)
     return 0
 
 

@@ -307,7 +307,10 @@ def _evaluate(n, tables, k):
     """(rows, len(k)) values of the tabled entries at the real k: on each
     side of k = 0, one Horner pass in u over all rows (a zero leading
     coefficient changes nothing, so each value is its entry's own), the
-    division by D(u), then the growing exponentials."""
+    division by D(u), then the growing exponentials.  NaN, on neither
+    side, raises DomainError; +-inf are the limits."""
+    if np.isnan(k).any():
+        raise DomainError("kernel evaluated at k = NaN")
     kappa = np.abs(k)
     u = np.exp(-0.25 * kappa)
     den = np.polyval(_denominator(n)[::-1].astype(float), u)

@@ -17,8 +17,13 @@ threaded in blocks small enough to stay in cache (one at a time at
 n = 5, N >= 6), so the state holds n * n^N numbers there, not n^2 * n^N,
 in two buffers reused from site to site and from one power step to the
 next; at x = 0 every weight is real and so are the state and the
-iteration.  The exact-diagonalization and dense-matrix paths carry
-explicit dimension caps.
+iteration.
+
+Exact diagonalization has one path, _sector_spectra: the eigvalsh of H
+one species-count sector at a time.  finite_free_energy sums its spectra,
+and the CLI reads the ground energy from them; build_hamiltonian's dense
+H is a reference for tests.  Every diagonalization and dense-matrix path
+carries an explicit dimension cap.
 """
 
 import numpy as np
@@ -45,6 +50,15 @@ QTM_TOL = 1e-12  # relative eigen-residual at which qtm_eigenvalue stops
 def _check_dim(n, L):
     if n**L > DIM_CAP:
         raise DomainError(f"Hilbert dimension {n}^{L} exceeds the cap {DIM_CAP}")
+
+
+def _potentials(n, mu):
+    """mu, or n zeros for None; DomainError unless it holds n entries."""
+    if mu is None:
+        return (0.0,) * n
+    if len(mu) != n:
+        raise DomainError(f"expected {n} chemical potentials, got {len(mu)}")
+    return mu
 
 
 def _digits(n, L):
@@ -86,20 +100,16 @@ def build_hamiltonian(n, L, periodic=True):
     return H
 
 
-def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
-    """f_L = -(T/L) log tr exp(-beta (J H - sum_j mu_j N_j)).
+def _sector_spectra(n, L, periodic):
+    """The spectrum of H = sum_i P_{i,i+1}, one sector at a time.
 
-    The Hamiltonian conserves every species count, so the trace is taken
-    sector by sector: the basis states grouped by their sorted digits,
-    each group's block the bond moves (_bond_moves) restricted to it;
-    block sizes stay small, and one above DENSE_CAP raises DomainError.
-    """
-    if not 0 < T < np.inf:
-        raise DomainError("temperature must be positive and finite")
+    H conserves every species count, so its blocks are the basis states
+    grouped by their sorted digits, each group's block the bond moves
+    (_bond_moves) restricted to it.  Returns one (counts, energies) pair
+    per sector: the n species counts and the eigvalsh of its block.
+    Block sizes stay small; the n^L cap and a block above DENSE_CAP raise
+    DomainError."""
     _check_dim(n, L)
-    if mu is None:
-        mu = (0.0,) * n
-    beta = 1.0 / T
     digits, moves = _bond_moves(n, L, periodic)
     contents, group = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
     sizes = np.bincount(group)
@@ -107,18 +117,26 @@ def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
         raise DomainError(f"a sector of {sizes.max()} states exceeds {DENSE_CAP}")
     members = np.split(np.argsort(group, kind="stable"), np.cumsum(sizes)[:-1])
     local = np.empty(n**L, dtype=np.int64)  # a state's place in its group
-    logterms = []
+    spectra = []
     for content, states in zip(contents, members):
-        counts = np.bincount(content, minlength=n)
         cols = np.arange(len(states))
         local[states] = cols
         block = np.zeros((len(states), len(states)))
         for dst in local[moves[:, states]]:
             block[dst, cols] += 1.0
-        energies = np.linalg.eigvalsh(block)
-        muterm = beta * float(np.dot(mu, counts))
-        logterms.append(muterm - beta * J * energies)
-    allterms = np.concatenate(logterms)
+        spectra.append((np.bincount(content, minlength=n), np.linalg.eigvalsh(block)))
+    return spectra
+
+
+def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
+    """f_L = -(T/L) log tr exp(-beta (J H - sum_j mu_j N_j)), summed over
+    the sector spectra (_sector_spectra) by one log-sum-exp."""
+    if not 0 < T < np.inf:
+        raise DomainError("temperature must be positive and finite")
+    mu = _potentials(n, mu)
+    beta = 1.0 / T
+    allterms = np.concatenate([beta * float(np.dot(mu, counts)) - beta * J * energies
+                               for counts, energies in _sector_spectra(n, L, periodic)])
     top = allterms.max()
     logZ = top + np.log(np.sum(np.exp(allterms - top)))
     return -(T / L) * logZ
@@ -202,7 +220,7 @@ def qtm_matvec(n, N, tau, beta_mu, x, v):
     through v one at a time (_thread_sites); the twist e^{beta mu} acts
     on the auxiliary space.  beta_mu are the products beta * mu_j.  At
     x = 0 a real v gives a real result, equal to the complex one."""
-    twist = np.exp(np.asarray(beta_mu, dtype=float))
+    twist = np.exp(np.asarray(_potentials(n, beta_mu), dtype=float))
     return _thread_sites(twist, v, _qtm_sites(N, tau, x))
 
 
@@ -210,10 +228,9 @@ def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
     """Dense QTM built column by column (small N only)."""
     if not 0 < T < np.inf:
         raise DomainError("temperature must be positive and finite")
+    mu = _potentials(n, mu)
     if n**N > 4096:
         raise DomainError("dense QTM capped at dimension 4096")
-    if mu is None:
-        mu = (0.0,) * n
     beta = 1.0 / T
     tau = beta * J / N
     dim = n**N
@@ -235,9 +252,8 @@ def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, max_iter=50000):
     """
     if not 0 < T < np.inf:
         raise DomainError("temperature must be positive and finite")
+    mu = _potentials(n, mu)
     _check_dim(n, N)
-    if mu is None:
-        mu = (0.0,) * n
     beta = 1.0 / T
     sites = _qtm_sites(N, beta * J / N, x)
     twist = np.exp(np.array([beta * m for m in mu], dtype=float))

@@ -44,34 +44,37 @@ def report(num, ok, detail):
 
 
 def test_criterion_01_combinatorial_identities():
-    """T-system and all canonical B = 1+b pairs, n = 2..5, 100 draws x 10 x."""
+    """T-system and all canonical B = 1+b pairs, n = 2..5, 100 draws x 10 x.
+
+    Each draw's 10 x are drawn first and evaluated as one array; every
+    array value equals its scalar value bit for bit (test_array_matches_scalar)."""
     rng = np.random.default_rng(42)
     t0 = time.time()
     worst_t = worst_b = 0.0
+
+    def worst(diff, ref):
+        return float(np.max(np.abs(diff) / (1.0 + np.abs(ref))))
+
     for n in range(2, 6):
         defs = canonical_defs(n)
         for _ in range(100):
             data = random_root_data(n, rng)
             ctx = EvalContext(data)
-            for _ in range(10):
-                x = random_x(rng)
-                lam = {}
-                for a in range(0, n + 1):
-                    for s in range(0, 5):
-                        for xx in (x, x - 0.5j, x + 0.5j):
-                            lam[(a, s, xx)] = fused_eigenvalue(data, a, s, xx, ctx)
-                for a in range(1, n):
-                    for s in (1, 2, 3):
-                        lhs = lam[(a, s, x - 0.5j)] * lam[(a, s, x + 0.5j)]
-                        rhs = (
-                            lam[(a - 1, s, x)] * lam[(a + 1, s, x)]
-                            + lam[(a, s - 1, x)] * lam[(a, s + 1, x)]
-                        )
-                        worst_t = max(worst_t, abs(lhs - rhs) / (1.0 + abs(lhs)))
-                for upper, lower in defs:
-                    B = eval_aux(upper, data, x, ctx)
-                    b = eval_aux(lower, data, x, ctx)
-                    worst_b = max(worst_b, abs(B - 1.0 - b) / (1.0 + abs(B)))
+            x = np.array([random_x(rng) for _ in range(10)])
+            lam = {(a, s, d): fused_eigenvalue(data, a, s, x + d, ctx)
+                   for a in range(0, n + 1) for s in range(0, 5) for d in (0, -0.5j, 0.5j)}
+            for a in range(1, n):
+                for s in (1, 2, 3):
+                    lhs = lam[(a, s, -0.5j)] * lam[(a, s, 0.5j)]
+                    rhs = (
+                        lam[(a - 1, s, 0)] * lam[(a + 1, s, 0)]
+                        + lam[(a, s - 1, 0)] * lam[(a, s + 1, 0)]
+                    )
+                    worst_t = max(worst_t, worst(lhs - rhs, lhs))
+            for upper, lower in defs:
+                B = eval_aux(upper, data, x, ctx)
+                b = eval_aux(lower, data, x, ctx)
+                worst_b = max(worst_b, worst(B - 1.0 - b, B))
     dt = time.time() - t0
     ok = worst_t <= 1e-10 and worst_b <= 1e-10 and dt <= 120.0
     report(

@@ -187,6 +187,36 @@ class TestOracle:
         assert rep["trotter_f"] == expected[0]
         assert rep["eigenvalue"] == [expected[1].real, expected[1].imag]
 
+    @pytest.mark.parametrize("flag", [[], ["--open"]])
+    def test_ed_report(self, flag, tmp_path, capsys, monkeypatch):
+        # f is finite_free_energy's, bit for bit, and the ground energy comes
+        # from the same sector spectra: no dense n^L Hamiltonian is built or
+        # diagonalized (the dense minimum is taken here, before the spies)
+        from qtmchain import oracle
+
+        n, L, periodic = 4, 5, not flag
+        f = oracle.finite_free_energy(n, L, 1.0, periodic=periodic)
+        H = oracle.build_hamiltonian(n, L, periodic=periodic)
+        dense = np.linalg.eigvalsh(H)[0] / L
+        rows, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            rows.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dense Hamiltonian built")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(oracle, "build_hamiltonian", refused)
+        out = tmp_path / "ed.json"
+        assert run(["oracle", "ed", "--n", str(n), "--L", str(L), *flag,
+                    "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["f"] == f
+        assert abs(rep["ground_energy_per_site"] - dense) <= 1e-14
+        assert rows and max(rows) < n**L
+
 
 class TestDumpKernel:
     def test_csv_shape(self, tmp_path, capsys):
@@ -203,3 +233,41 @@ class TestDumpKernel:
             [[float(v) for v in r.split(",")] for r in out2.read_text().strip().split("\n")]
         )
         assert np.max(np.abs(mat - mat2.T)) < 1e-12
+
+    def test_nan_k_exit_code(self, capsys):
+        assert run(["dump-kernel", "--n", "4", "--k", "nan"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestWriter:
+    """Every command writes through one function: verify and oracle echo
+    their --out file on stdout, sweep and dump-kernel write their table to
+    --out in place of stdout, and solve --out writes the state beside its
+    summary line."""
+
+    @pytest.mark.parametrize("args", [["verify", "--suite", "kernel"], ["oracle", "ybe"]])
+    def test_report_echoed(self, args, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--n", "4", "--temp", "1:2:2log"],
+        ["dump-kernel", "--n", "4", "--k", "0.5"],
+    ])
+    def test_table_to_file_alone(self, args, tmp_path, capsys):
+        assert run(args) == 0
+        table = capsys.readouterr().out
+        out = tmp_path / "table.csv"
+        assert run([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == table
+
+    def test_solve_state_beside_summary(self, tmp_path, capsys):
+        out = tmp_path / "state.json"
+        assert run(["solve", "--n", "4", "--temp", "2.0", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text))  # compact, no newline
+        summary = capsys.readouterr().out
+        assert re.fullmatch(r"n=4 T=2\.0: converged in \d+ iterations, residual \S+, "
+                            r"f = \S+\n", summary), summary

@@ -9,6 +9,7 @@ from qtmchain import (
     integration_constants,
     kernel_system,
 )
+from qtmchain.errors import DomainError
 from qtmchain.kernels import _ENTRIES, REP_DIMS, kernel_entry_value, _tpow4
 
 
@@ -183,6 +184,19 @@ class TestAssembledMatrix:
         assert np.array_equal(minus, plus.T)
         assert np.max(np.abs(sy.matrix(200.0) - plus)) < 1e-20
         assert np.max(np.abs(sy.matrix(-200.0) - minus)) < 1e-20
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_nan_k_raises(self, n):
+        # a NaN k lies on neither side of k = 0, so no side's pass would
+        # fill its column; it is refused, and +-inf stay the limits
+        sy = kernel_system(n)
+        for k in (np.nan, np.array([0.5, np.nan, 1.0])):
+            with pytest.raises(DomainError):
+                sy.matrix(k)
+            with pytest.raises(DomainError):
+                kernel_entry_value(n, 1, k)
+        assert np.all(np.isfinite(sy.matrix(np.array([-np.inf, 0.5, np.inf]))))
+        assert np.isfinite(kernel_entry_value(n, 1, np.inf))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_growth_budget(self, n):

@@ -112,7 +112,8 @@ class TestFiniteFreeEnergy:
 @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
 def test_invalid_temperature_raises(T, monkeypatch, capsys):
     # a T (beta) that is not positive and finite is refused, as solve_nlie
-    # refuses it, before any state is enumerated or any site made
+    # refuses it, before any state is enumerated or any site made, and so
+    # by the oracle commands
     work = []
     monkeypatch.setattr(oracle, "_bond_moves", lambda *a: work.append(a))
     monkeypatch.setattr(oracle, "_qtm_sites", lambda *a: work.append(a))
@@ -126,10 +127,29 @@ def test_invalid_temperature_raises(T, monkeypatch, capsys):
     for call in calls:
         with pytest.raises(DomainError):
             call()
-    assert not work
-    monkeypatch.undo()
     for which in ("ed", "qtm"):
         assert main(["oracle", which, "--temp", str(T)]) == 2
+    assert not work
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu: finite_free_energy(4, 4, 1.0, mu=mu),
+    lambda mu: qtm_eigenvalue(4, 4, 1.0, mu=mu),
+    lambda mu: trotter_free_energy(4, 4, 1.0, mu=mu),
+    lambda mu: qtm_matrix(4, 2, 1.0, mu=mu),
+    lambda mu: qtm_matvec(4, 2, 0.5, mu, 0.0, np.ones(16)),
+], ids=["finite_free_energy", "qtm_eigenvalue", "trotter_free_energy",
+        "qtm_matrix", "qtm_matvec"])
+@pytest.mark.parametrize("mu", [(0.1, 0.2), (0.0,) * 5])
+def test_wrong_mu_length_raises(call, mu, monkeypatch):
+    # n chemical potentials or none, refused as sweep and RootData refuse
+    # them, before any state is enumerated or any site made
+    work = []
+    monkeypatch.setattr(oracle, "_bond_moves", lambda *a: work.append(a))
+    monkeypatch.setattr(oracle, "_qtm_sites", lambda *a: work.append(a))
+    with pytest.raises(DomainError, match="expected 4 chemical potentials"):
+        call(mu)
+    assert not work
 
 
 class TestQtm:
