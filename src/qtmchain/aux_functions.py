@@ -30,6 +30,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import DomainError
+from .errors import finite_real, finite_vector, integer_at_least, tabulated_rank
 from .tableaux import (
     EvalContext,
     RangeTableau,
@@ -167,9 +168,7 @@ _F = {
 
 def eval_f(n, data, x, ctx=None):
     """Y-system dressing function f for n = 4 or 5 (self-conjugated for n=4)."""
-    if n not in (4, 5):
-        raise DomainError("f is defined for n in {4, 5}")
-    if data.n != n:
+    if tabulated_rank(n) != data.n:
         raise DomainError("data rank does not match requested n")
     return eval_aux(_F[n], data, x, ctx)
 
@@ -187,10 +186,8 @@ _F5BAR = _column_def(
 
 def eval_f_conjugate(n, data, x, ctx=None):
     """Representation conjugate of f (distinct from f only for n = 5)."""
-    if n == 4:
+    if tabulated_rank(n) == 4:
         return eval_f(4, data, x, ctx)
-    if n != 5:
-        raise DomainError("conjugate f is defined for n in {4, 5}")
     return eval_aux(_F5BAR, data, x, ctx)
 
 
@@ -210,8 +207,7 @@ def check_y_relations(n, data, x, ctx=None):
     the canonical uppercase functions in their defining (unshifted) form.
     Returns {a: residual}.
     """
-    if n not in (4, 5):
-        raise DomainError("Y-relations implemented for n in {4, 5}")
+    tabulated_rank(n)
     if ctx is None:
         ctx = EvalContext(data)
     x = complex(x)
@@ -398,9 +394,10 @@ def counting_values(n, beta=0.0, mu=None):
     beta and mu only through beta*mu: they are cached per (n, beta*mu),
     which at mu = 0 is one entry for every beta, and returned as copies.
     """
-    if mu is None:
-        mu = (0.0,) * n
-    binf, Binf = _counting_values(n, tuple(beta * float(m) for m in mu))
+    n = integer_at_least("rank n", n, 2)
+    beta = finite_real("beta", beta)
+    mu = finite_vector("chemical potentials", mu, n)
+    binf, Binf = _counting_values(n, tuple(beta * m for m in mu))
     return binf.copy(), Binf.copy()
 
 

@@ -22,9 +22,8 @@ from .aux_functions import (
 from .errors import QtmChainError
 from .kernels import kernel_system
 from .oracle import (
+    _exact,
     _phi_normalized,
-    _sector_spectra,
-    finite_free_energy,
     qtm_eigenvalue,
     spin2_identity_residual,
     ybe_residual,
@@ -268,9 +267,7 @@ def cmd_oracle(args):
     out = {"oracle": args.which}
     ok = True
     if args.which == "ed":
-        # f first: it refuses T before any block is built
-        f = finite_free_energy(args.n, args.L, args.temp, J=args.J, periodic=not args.open)
-        e0 = min(energies[0] for _, energies in _sector_spectra(args.n, args.L, not args.open))
+        f, e0 = _exact(args.n, args.L, args.temp, J=args.J, periodic=not args.open)
         out.update({"n": args.n, "L": args.L, "ground_energy_per_site": float(e0 / args.L),
                     "f": f, "T": args.temp})
     elif args.which == "qtm":

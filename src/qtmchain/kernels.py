@@ -36,7 +36,7 @@ from math import comb, factorial
 import numpy as np
 
 from .aux_functions import function_order
-from .errors import DomainError, InconsistencyError
+from .errors import DomainError, InconsistencyError, finite_real, finite_vector, tabulated_rank
 
 __all__ = [
     "common_kernel",
@@ -238,11 +238,9 @@ def integration_constants(n, mu, beta):
     the printed rows, and for n=5 the c_25 row (3, 3, -2, -2, -2) where the
     print reads (3, 3, -2, 2, 2), which does not annihilate uniform mu.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.size != n:
-        raise DomainError(f"need {n} chemical potentials")
-    if n not in (4, 5):
-        raise DomainError("integration constants exist for n in {4, 5}")
+    n = tabulated_rank(n)
+    mu = np.array(finite_vector("chemical potentials", mu, n))
+    beta = finite_real("beta", beta)
     rows = [[a - n * (i in j) for i in range(1, n + 1)]
             for a in range(1, n) for j in function_order(n, a)]
     return np.array([beta / n * np.dot(row, mu) for row in rows])
@@ -375,9 +373,7 @@ class KernelSystem:
     """
 
     def __init__(self, n):
-        if n not in (4, 5):
-            raise DomainError("kernel systems are tabulated for n in {4, 5}")
-        self.n = n
+        self.n = n = tabulated_rank(n)
         self.dims = REP_DIMS[n]
         self.dim = sum(self.dims)
         self.offsets = np.concatenate(([0], np.cumsum(self.dims)))

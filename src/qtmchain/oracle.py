@@ -20,15 +20,17 @@ next; at x = 0 every weight is real and so are the state and the
 iteration.
 
 Exact diagonalization has one path, _sector_spectra: the eigvalsh of H
-one species-count sector at a time.  finite_free_energy sums its spectra,
-and the CLI reads the ground energy from them; build_hamiltonian's dense
-H is a reference for tests.  Every diagonalization and dense-matrix path
+one species-count sector at a time.  _exact sums its spectra once into the
+free energy, which finite_free_energy returns, and the ground energy,
+which the CLI reports beside it; build_hamiltonian's dense H is a
+reference for tests.  Every diagonalization and dense-matrix path
 carries an explicit dimension cap.
 """
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .errors import finite_real, finite_vector, integer_at_least, positive_real, trotter_number
 
 __all__ = [
     "build_hamiltonian",
@@ -47,18 +49,20 @@ DENSE_CAP = 20_000  # largest dense block: build_hamiltonian, an ED sector
 QTM_TOL = 1e-12  # relative eigen-residual at which qtm_eigenvalue stops
 
 
-def _check_dim(n, L):
-    if n**L > DIM_CAP:
-        raise DomainError(f"Hilbert dimension {n}^{L} exceeds the cap {DIM_CAP}")
+def _sites(n, L, cap=DIM_CAP):
+    """(n, L, n^L) for a rank n >= 2 and L >= 1 sites; DomainError where the
+    dimension n^L exceeds cap."""
+    n, L = integer_at_least("rank n", n, 2), integer_at_least("sites L", L, 1)
+    if n**L > cap:
+        raise DomainError(f"dimension {n}^{L} exceeds the cap {cap}")
+    return n, L, n**L
 
 
-def _potentials(n, mu):
-    """mu, or n zeros for None; DomainError unless it holds n entries."""
-    if mu is None:
-        return (0.0,) * n
-    if len(mu) != n:
-        raise DomainError(f"expected {n} chemical potentials, got {len(mu)}")
-    return mu
+def _thermal(n, T, mu, J):
+    """(T, mu, J) of a chain of rank n, checked: T positive and finite, n
+    finite chemical potentials (zeros for None) and a finite J."""
+    return (positive_real("temperature", T), finite_vector("chemical potentials", mu, n),
+            finite_real("J", J))
 
 
 def _digits(n, L):
@@ -88,10 +92,7 @@ def _bond_moves(n, L, periodic):
 
 def build_hamiltonian(n, L, periodic=True):
     """H = sum_i P_{i,i+1} (adjacent transpositions, optional wrap), dense."""
-    _check_dim(n, L)
-    dim = n**L
-    if dim > DENSE_CAP:
-        raise DomainError(f"dense Hamiltonian materialization capped at {DENSE_CAP}")
+    n, L, dim = _sites(n, L, DENSE_CAP)
     _, moves = _bond_moves(n, L, periodic)
     H = np.zeros((dim, dim))
     src = np.arange(dim)
@@ -107,9 +108,7 @@ def _sector_spectra(n, L, periodic):
     grouped by their sorted digits, each group's block the bond moves
     (_bond_moves) restricted to it.  Returns one (counts, energies) pair
     per sector: the n species counts and the eigvalsh of its block.
-    Block sizes stay small; the n^L cap and a block above DENSE_CAP raise
-    DomainError."""
-    _check_dim(n, L)
+    Block sizes stay small; a block above DENSE_CAP raises DomainError."""
     digits, moves = _bond_moves(n, L, periodic)
     contents, group = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
     sizes = np.bincount(group)
@@ -131,15 +130,22 @@ def _sector_spectra(n, L, periodic):
 def finite_free_energy(n, L, T, mu=None, J=1.0, periodic=True):
     """f_L = -(T/L) log tr exp(-beta (J H - sum_j mu_j N_j)), summed over
     the sector spectra (_sector_spectra) by one log-sum-exp."""
-    if not 0 < T < np.inf:
-        raise DomainError("temperature must be positive and finite")
-    mu = _potentials(n, mu)
+    return _exact(n, L, T, mu, J, periodic)[0]
+
+
+def _exact(n, L, T, mu=None, J=1.0, periodic=True):
+    """(f_L, E0) from one pass of _sector_spectra, its arguments checked
+    first: finite_free_energy's f_L, and the ground energy E0 of
+    H = sum_i P_{i,i+1}, the least of the sectors' lowest energies."""
+    n, L, _ = _sites(n, L)
+    T, mu, J = _thermal(n, T, mu, J)
     beta = 1.0 / T
+    spectra = _sector_spectra(n, L, periodic)
     allterms = np.concatenate([beta * float(np.dot(mu, counts)) - beta * J * energies
-                               for counts, energies in _sector_spectra(n, L, periodic)])
+                               for counts, energies in spectra])
     top = allterms.max()
     logZ = top + np.log(np.sum(np.exp(allterms - top)))
-    return -(T / L) * logZ
+    return -(T / L) * logZ, min(energies[0] for _, energies in spectra)
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +212,6 @@ def _thread_work(twist, v, sites):
 
 def _qtm_sites(N, tau, x):
     """The (lam, transposed) pairs of the QTM's N sites: real at x = 0."""
-    if N % 2 or N <= 0:
-        raise DomainError("Trotter number must be positive and even")
     odd, even = (-tau, -tau) if x == 0 else (1j * x - tau, -1j * x - tau)
     return [(odd, False), (even, True)] * (N // 2)
 
@@ -220,20 +224,19 @@ def qtm_matvec(n, N, tau, beta_mu, x, v):
     through v one at a time (_thread_sites); the twist e^{beta mu} acts
     on the auxiliary space.  beta_mu are the products beta * mu_j.  At
     x = 0 a real v gives a real result, equal to the complex one."""
-    twist = np.exp(np.asarray(_potentials(n, beta_mu), dtype=float))
+    n = integer_at_least("rank n", n, 2)
+    N = trotter_number(N)
+    twist = np.exp(np.asarray(finite_vector("chemical potentials (as beta*mu)", beta_mu, n)))
     return _thread_sites(twist, v, _qtm_sites(N, tau, x))
 
 
 def qtm_matrix(n, N, T, J=1.0, mu=None, x=0.0):
     """Dense QTM built column by column (small N only)."""
-    if not 0 < T < np.inf:
-        raise DomainError("temperature must be positive and finite")
-    mu = _potentials(n, mu)
-    if n**N > 4096:
-        raise DomainError("dense QTM capped at dimension 4096")
+    N = trotter_number(N)
+    n, _, dim = _sites(n, N, 4096)
+    T, mu, J = _thermal(n, T, mu, J)
     beta = 1.0 / T
     tau = beta * J / N
-    dim = n**N
     bmu = tuple(beta * m for m in mu)
     cols = np.array(
         [qtm_matvec(n, N, tau, bmu, x, e) for e in np.eye(dim, dtype=complex)]
@@ -250,14 +253,12 @@ def qtm_eigenvalue(n, N, T, J=1.0, mu=None, x=0.0, max_iter=50000):
     sites and the buffers of _thread_sites are made once.  Stagnation
     raises with a gap estimate and the residual history attached.
     """
-    if not 0 < T < np.inf:
-        raise DomainError("temperature must be positive and finite")
-    mu = _potentials(n, mu)
-    _check_dim(n, N)
+    N = trotter_number(N)
+    n, _, dim = _sites(n, N)
+    T, mu, J = _thermal(n, T, mu, J)
     beta = 1.0 / T
     sites = _qtm_sites(N, beta * J / N, x)
     twist = np.exp(np.array([beta * m for m in mu], dtype=float))
-    dim = n**N
     v = np.full(dim, 1.0 / np.sqrt(dim))
     work = _thread_work(twist, v, sites)
     mv = lambda w: _thread_sites(twist, w, sites, work)
@@ -307,10 +308,7 @@ def trotter_free_energy(n, N, T, J=1.0, mu=None):
 
 def transfer_matrix(n, L, lam):
     """Row-to-row transfer matrix tr_A prod_i L_{A,i}(lam, 0), dense."""
-    _check_dim(n, L)
-    dim = n**L
-    if dim > 2048:
-        raise DomainError("dense transfer matrix capped at dimension 2048")
+    n, L, dim = _sites(n, L, 2048)
     sites = [(lam, False)] * L
     cols = np.array(
         [_thread_sites(np.ones(n), e, sites) for e in np.eye(dim, dtype=complex)]

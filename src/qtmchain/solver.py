@@ -102,7 +102,6 @@ term is one sum over the M Fourier modes (_ell), with no convolution.
 """
 
 import logging
-import operator
 import threading
 import time
 import warnings
@@ -115,6 +114,7 @@ from scipy.special import digamma, zeta
 
 from .aux_functions import counting_values
 from .errors import ConvergenceError, DomainError, InconsistencyError
+from .errors import finite_real, finite_vector, integer_at_least, positive_real, tabulated_rank
 from .kernels import kernel_system
 
 __all__ = [
@@ -141,16 +141,11 @@ class Grid:
 
     def __post_init__(self):
         # a float width: numpy refuses an int's negative powers (_far_field)
-        object.__setattr__(self, "half_width", float(self.half_width))
-        try:
-            m = operator.index(self.points)  # an int, numpy's too
-        except TypeError:
-            raise DomainError("grid points must be an integer") from None
+        object.__setattr__(self, "half_width", positive_real("half width", self.half_width))
+        m = integer_at_least("grid points", self.points, 8)  # an int, numpy's too
         object.__setattr__(self, "points", m)
-        if m < 8 or m & (m - 1):
-            raise DomainError("grid points must be a power of two >= 8")
-        if not 0 < self.half_width < np.inf:
-            raise DomainError("half width must be positive and finite")
+        if m & (m - 1):
+            raise DomainError(f"grid points must be a power of two, got {m}")
 
     @property
     def dx(self):
@@ -904,10 +899,9 @@ def asymptotic_constants(n, T, mu=None):
     """log b(+-inf) from the weighted counting limits, cross-checked against
     the constant fixed-point equation log binf = -c - K-hat(0) log Binf
     (InconsistencyError beyond 1e-10)."""
-    if n not in (4, 5):
-        raise DomainError("NLIE systems are tabulated for n in {4, 5}")
-    if mu is None:
-        mu = (0.0,) * n
+    n = tabulated_rank(n)
+    T = positive_real("temperature", T)
+    mu = finite_vector("chemical potentials", mu, n)
     binf, Binf = counting_values(n, beta=1.0 / T, mu=mu)
     logb_inf = np.log(binf)
     logB_inf = np.log(Binf)
@@ -941,13 +935,14 @@ def solve_nlie(
     modes below the cut, and that of its large-k limit past it; once
     max|map(log b) - log b| < _STATE_SWITCH it takes the iterate's own
     W(x) = b/(1+b), and after the retry below Winf again until then.
-    Returns a converged NlieState; raises ConvergenceError on NaNs or on
-    sustained residual growth (after one automatic retry with damping
-    0.5).  iterations and residual_history count every step, those before
-    the retry included, and max_iter bounds their total.  diagnostics
-    records whether the solve built a preconditioner's table of its own
-    (preconditioner_built: at mu != 0; at mu = 0 it takes its grid's,
-    _GridSystem.precondition); state_preconditioned_from, the first
+    An n, T, mu or J outside its domain raises DomainError before any
+    work.  Returns a converged NlieState; raises ConvergenceError on NaNs
+    or on sustained residual growth (after one automatic retry with
+    damping 0.5).  iterations and residual_history count every step,
+    those before the retry included, and max_iter bounds their total.
+    diagnostics records whether the solve built a preconditioner's table
+    of its own (preconditioner_built: at mu != 0; at mu = 0 it takes its
+    grid's, _GridSystem.precondition); state_preconditioned_from, the first
     step preconditioned with the iterate's own W(x), or None if every step
     took Winf; and the far field that closes the window:
     tail_fit_residual, how closely the fit carries log B - log Binf near
@@ -955,11 +950,10 @@ def solve_nlie(
     largest |A_2|, |A_3| of the fitted tail sum_p A_p |x|^-p.  The state
     keeps the preconditioning map it took (_tangent_solver takes it over).
     """
-    if not 0 < T < np.inf:
-        raise DomainError("temperature must be positive and finite")
-    if mu is None:
-        mu = (0.0,) * n
-    mu = tuple(float(v) for v in mu)
+    n = tabulated_rank(n)
+    T = positive_real("temperature", T)
+    mu = finite_vector("chemical potentials", mu, n)
+    J = finite_real("J", J)
     beta = 1.0 / T
     if J < 0:
         warnings.warn(
@@ -1019,9 +1013,9 @@ def solve_nlie(
         )
     state = NlieState(
         n=n,
-        T=float(T),
+        T=T,
         mu=mu,
-        J=float(J),
+        J=J,
         grid=grid,
         logb=_expand(logb),
         logb_inf=logb_inf,
@@ -1048,6 +1042,7 @@ def solve_nlie(
 
 def gamma_term(n, x):
     """(1/n)[psi(1+ix/n) + psi(1-ix/n) - psi(1/n+ix/n) - psi(1/n-ix/n)]."""
+    n = integer_at_least("rank n", n, 2)
     z = 1j * np.asarray(x, dtype=complex) / n
     val = (
         digamma(1.0 + z)

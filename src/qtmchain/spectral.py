@@ -20,12 +20,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    BetheStateError,
-    ConvergenceError,
-    DomainError,
-    UnsupportedSubsetError,
-)
+from .errors import BetheStateError, ConvergenceError, DomainError, UnsupportedSubsetError
+from .errors import finite_real, finite_vector, integer_at_least, positive_real, trotter_number
+from .oracle import _phi_normalized
 from .tableaux import RangeTableau, RootData, eval_q, eval_range_tableau
 
 __all__ = [
@@ -236,20 +233,50 @@ def solve_bethe_roots(n, N, beta, mu=None, J=1.0, max_iter=80):
     potentials homotopically.  Small even N only; robustness beyond N ~ 6
     is best effort.  A solved set whose Lambda(0) is not real and positive
     (DOMINANT_IMAG_TOL) is not the dominant state, and raises
-    BetheStateError; a set with a positive Lambda(0) that is not the
-    dominant one still passes (n = 4, N = 10 at beta = 0.5).
+    BetheStateError.  From N = 6 on, every N' = 2, 4, ..., N - 2 is solved
+    so too, and each N' >= 6 must also follow the Trotter law: its free
+    energy f_N' = -T log Lambda(0), in the infinite-Trotter normalization
+    (oracle._phi_normalized), lies within (beta J / N')^2 of the N'^-2
+    extrapolation from N' - 2 and N' - 4 (BetheStateError otherwise).
+
+    That bound traces to the spread of N^2 (f_N - f_inf), f_inf the NLIE's,
+    over N = 2 to 8 at T = 2: 0.0262 to 0.0296 at n = 4 and 0.0230 to
+    0.0263 at n = 5.  A spread D moves the two-point extrapolation of N by
+    at most (4/3 + N^2/(4(N - 3))) D, 0.015 at N = 8, which is 0.06
+    (beta J)^2.  Over beta = 0.1 to 1.5 (n = 4, 5; N = 6, 8, 10) the
+    dominant sets measured at most 0.15 (beta J)^2, where N = 6 is not yet
+    in the N^-2 regime (beta = 1.5), and the wrong sets with a positive
+    Lambda(0) at least 5.1 (beta J)^2 (n = 5, N = 10, beta = 0.1); at
+    beta = 0.5 the n = 4, N = 10 set misses the law's f = -2.7572 at
+    -2.4749.
 
     The Trotter coupling enters the Phi factors as tau = -beta*J/N: with
     this sign the reconstructed eigenvalue sum matches the staggered
     quantum-transfer-matrix product (checked against dense diagonalization;
     the opposite sign describes the J -> -J chain).
     """
-    if N <= 0 or N % 2:
-        raise DomainError("need a positive even Trotter number")
-    if not 0 < beta < np.inf:
-        raise DomainError("beta must be positive and finite")
-    if mu is None:
-        mu = (0.0,) * n
+    n = integer_at_least("rank n", n, 2)
+    N = trotter_number(N)
+    beta = positive_real("beta", beta)
+    mu = finite_vector("chemical potentials", mu, n)
+    J = finite_real("J", J)
+    data, lam = _dominant_roots(n, N, beta, mu, J, max_iter)
+    if N < 6:
+        return data
+    lams = {M: _dominant_roots(n, M, beta, mu, J, max_iter)[1] for M in range(2, N, 2)}
+    lams[N] = lam
+    f = {M: _phi_normalized(lams[M], M, 1.0 / beta, J) for M in lams}
+    for M in range(6, N + 1, 2):
+        slope = (f[M - 4] - f[M - 2]) / ((M - 4) ** -2 - (M - 2) ** -2)
+        law = f[M - 2] + slope * (M**-2 - (M - 2) ** -2)
+        if abs(f[M] - law) > (beta * J / M) ** 2:
+            raise BetheStateError(n, M, lams[M])
+    return data
+
+
+def _dominant_roots(n, N, beta, mu, J, max_iter):
+    """(data, Lambda(0)) of solve_bethe_roots at one N, its arguments
+    checked: the Newton solve and the check of Lambda(0)."""
     tau = -beta * J / N
     m = N // 2
 
@@ -297,7 +324,6 @@ def solve_bethe_roots(n, N, beta, mu=None, J=1.0, max_iter=80):
         )
 
     # homotopy in mu from the symmetric point
-    mu = tuple(float(v) for v in mu)
     steps = 1 if all(abs(v) < 1e-14 for v in mu) else 4
     for s in range(1, steps + 1):
         mu_now = tuple(v * s / steps for v in mu)
@@ -306,7 +332,7 @@ def solve_bethe_roots(n, N, beta, mu=None, J=1.0, max_iter=80):
     lam = eigenvalue_from_roots(data, 0.0)
     if not (lam.real > 0 and abs(lam.imag) <= DOMINANT_IMAG_TOL * abs(lam)):
         raise BetheStateError(n, N, lam)
-    return data
+    return data, lam
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, PoleError
+from .errors import finite_real, finite_vector, integer_at_least, trotter_number
 
 __all__ = [
     "RootData",
@@ -61,10 +62,6 @@ __all__ = [
 POLE_SCALE = 1e-13
 
 
-def _as_complex_tuple(seq):
-    return tuple(complex(z) for z in seq)
-
-
 @dataclass(frozen=True)
 class RootData:
     """Complete spectral input: rank, Trotter data and Bethe roots.
@@ -82,27 +79,20 @@ class RootData:
     roots: tuple
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"rank n must be >= 2, got {self.n}")
-        if self.N < 0 or self.N % 2:
-            raise DomainError(f"Trotter number must be even and >= 0, got {self.N}")
-        if len(self.mu) != self.n:
-            raise DomainError(f"expected {self.n} chemical potentials, got {len(self.mu)}")
-        if len(self.roots) != self.n - 1:
-            raise DomainError(
-                f"expected {self.n - 1} root levels, got {len(self.roots)}"
-            )
-        object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
-        object.__setattr__(
-            self, "roots", tuple(_as_complex_tuple(level) for level in self.roots)
-        )
+        n = integer_at_least("rank n", self.n, 2)
+        if len(self.roots) != n - 1:
+            raise DomainError(f"expected {n - 1} root levels, got {len(self.roots)}")
+        checked = {"n": n, "N": trotter_number(self.N, 0), "tau": finite_real("tau", self.tau),
+                   "beta": finite_real("beta", self.beta),
+                   "mu": finite_vector("chemical potentials", self.mu, n),
+                   "roots": tuple(tuple(map(complex, level)) for level in self.roots)}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def free(cls, n, beta=0.0, mu=None):
         """Root-free data with N=0: every tableau reduces to a weighted count."""
-        if mu is None:
-            mu = (0.0,) * n
-        return cls(n=n, N=0, tau=0.0, mu=tuple(mu), beta=beta, roots=((),) * (n - 1))
+        return cls(n=n, N=0, tau=0.0, mu=mu, beta=beta, roots=((),) * (n - 1))
 
     def m(self, level):
         """Number of Bethe roots at a level (N/2 exponent for the Phi levels)."""

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, finite_real, finite_vector, tabulated_rank
 from .kernels import kernel_system
 from .solver import _tangent_solver, free_energy, gamma_term, solve_nlie
 
@@ -173,12 +173,9 @@ def thermo_point(
     its window (its diagnostics): how closely the fit carries
     log B - log Binf near the edge, and max |A_2|, max |A_3|.
     """
-    if mu is None:
-        mu = (0.0,) * n
-    mu = tuple(float(v) for v in mu)
-
     t0 = time.perf_counter()
-    state = solve_nlie(n, T, mu=mu, J=J)  # refuses a T not positive and finite
+    state = solve_nlie(n, T, mu=mu, J=J)  # refuses n, T, mu and J first
+    n, T, mu, J = state.n, state.T, state.mu, state.J
     beta = 1.0 / T
     records = [(state.iterations, state.residual, time.perf_counter() - t0)]
     solve = _tangent_solver(state)
@@ -225,7 +222,7 @@ def thermo_point(
 
     its, res, secs = zip(*records)
     return ThermoPoint(
-        T=float(T),
+        T=T,
         mu=mu,
         f=f,
         S=float(-beta * f - beta * F_beta),
@@ -268,10 +265,12 @@ def sweep(
     of `workers` threads (default: one per CPU this process may run on),
     the calling thread one of them; a point's own solves run in its
     thread.  Per-point failures are recorded, as (T, repr(error)) in
-    ascending T, and the sweep continues; a mu of the wrong length raises
-    DomainError before any point runs.  Returns (points, failures)."""
-    if mu is not None and len(mu) != n:
-        raise DomainError(f"expected {n} chemical potentials, got {len(mu)}")
+    ascending T, and the sweep continues; an n, mu or J that every point
+    would refuse raises DomainError before any point runs.  Returns
+    (points, failures)."""
+    n = tabulated_rank(n)
+    mu = finite_vector("chemical potentials", mu, n)
+    J = finite_real("J", J)
     temps = sorted(float(t) for t in temperatures)
 
     def point(T):

@@ -190,15 +190,24 @@ class TestOracle:
     @pytest.mark.parametrize("flag", [[], ["--open"]])
     def test_ed_report(self, flag, tmp_path, capsys, monkeypatch):
         # f is finite_free_energy's, bit for bit, and the ground energy comes
-        # from the same sector spectra: no dense n^L Hamiltonian is built or
-        # diagonalized (the dense minimum is taken here, before the spies)
+        # from the same sector spectra, taken once: no dense n^L Hamiltonian
+        # is built or diagonalized (the dense minimum is taken here, before
+        # the spies)
         from qtmchain import oracle
 
         n, L, periodic = 4, 5, not flag
         f = oracle.finite_free_energy(n, L, 1.0, periodic=periodic)
         H = oracle.build_hamiltonian(n, L, periodic=periodic)
         dense = np.linalg.eigvalsh(H)[0] / L
+        sectors = len(oracle._sector_spectra(n, L, periodic))
         rows, eigvalsh = [], np.linalg.eigvalsh
+        passes, sector_spectra = [], oracle._sector_spectra
+
+        def spectra(*args):
+            passes.append(args)
+            return sector_spectra(*args)
+
+        monkeypatch.setattr(oracle, "_sector_spectra", spectra)
 
         def counted(a, *args, **kwargs):
             rows.append(len(a))
@@ -215,7 +224,8 @@ class TestOracle:
         rep = json.loads(out.read_text())
         assert rep["f"] == f
         assert abs(rep["ground_energy_per_site"] - dense) <= 1e-14
-        assert rows and max(rows) < n**L
+        assert max(rows) < n**L
+        assert passes == [(n, L, periodic)] and len(rows) == sectors
 
 
 class TestDumpKernel:

@@ -301,6 +301,28 @@ class TestTrotterConvergence:
         ratio = errs[0] / errs[1]
         assert 3.0 <= ratio <= 5.5
 
+    # J = -1 (the ferromagnetic sign) against the NLIE at the same J:
+    # N^2 (f_N - f_NLIE) at N = 2, 4, 6, and the residual of the three-term
+    # Richardson value f_inf + a N^-2 + b N^-4 through them, as measured
+    # (the J = +1 residuals at the same points are 2.3e-4 and 4.5e-6)
+    FERRO = {
+        (4, 1.0): ((-0.8376, -0.7173, -0.6994), 2.44e-4),
+        (5, 2.0): ((-0.1660, -0.1592, -0.1580), 4.63e-6),
+    }
+
+    @pytest.mark.parametrize("n, T", sorted(FERRO))
+    def test_negative_coupling_follows_the_trotter_law(self, n, T):
+        from qtmchain import solve_nlie, free_energy
+
+        slopes, residual = self.FERRO[n, T]
+        with pytest.warns(UserWarning, match="J < 0"):
+            f_ref = free_energy(solve_nlie(n, T, J=-1.0))
+        Ns = np.array([2, 4, 6])
+        fs = np.array([trotter_free_energy(n, N, T, J=-1.0) for N in Ns])
+        assert np.allclose(Ns**2 * (fs - f_ref), slopes, rtol=0, atol=1e-4)
+        richardson = np.linalg.solve(np.vander(Ns**-2.0, 3, increasing=True), fs)[0]
+        assert abs(richardson - f_ref) <= 1.1 * residual
+
     def test_finite_size_convergence(self):
         from qtmchain import solve_nlie, free_energy
 

@@ -181,6 +181,18 @@ class TestBetheRoots:
         assert (err.n, err.N) == (4, 12)
         assert err.lambda0.real == pytest.approx(-0.996, abs=1e-3)
 
+    def test_set_off_the_trotter_law_raises(self):
+        # at n = 4, beta = 0.5 the N = 10 Newton solve lands on a set with a
+        # positive Lambda(0) = 3.405, whose f = -2.4749 misses the N^-2 law
+        # of N = 6 and 8 (-2.7572); the N = 8 set follows the law
+        data = solve_bethe_roots(4, 8, beta=0.5)
+        assert max(bae_residuals(data)) <= 1e-10
+        with pytest.raises(BetheStateError) as info:
+            solve_bethe_roots(4, 10, beta=0.5)
+        err = info.value
+        assert (err.n, err.N) == (4, 10)
+        assert err.lambda0.real == pytest.approx(3.405, abs=1e-3)
+
     def test_stall_reports_the_start_residual(self):
         with pytest.raises(ConvergenceError) as info:
             solve_bethe_roots(4, 2, beta=0.7, max_iter=0)
