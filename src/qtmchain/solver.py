@@ -17,15 +17,24 @@ approximate inverse of its Jacobian I + K W(x), W = b/(1+b), and mixes it
 with the last two steps (Anderson mixing); the tangent equations of a
 converged state take the same iteration.  The approximate inverse is
 v -> v - Q * (W v), with Q(k) = (I + K-hat(k) Winf)^-1 K-hat(k) of the
-asymptote per Fourier mode of the window (_precondition).  K-hat(k) tends
-to an integer matrix K-hat(+inf) as k grows, so Q is kept as a table only
-below the cut past which K-hat lies within _LIMIT_DEVIATION = 5e-3 of
-that limit (|k| = 24 at n = 5, 12 at n = 4); every mode past it takes the
-one limit Q_inf and its transpose (_limit_cut, _preconditioner).  At
-W = Winf the map is the exact inverse of the linearization at the
-asymptote, (I + K-hat Winf)^-1 = I - Q Winf, on the table's modes, and
-within 1e-3 of it past them; where W vanishes it is the identity, the
-Jacobian's own inverse there.  The tangent solves take the converged
+asymptote per Fourier mode of the preconditioner's grid: the window and
+L/8 of pad a side at the window's dx, 9M/8 points, whose pad holds the
+far field of W v, fitted as _convolve fits its input (_precondition).  On
+the window's own period 2L a point x = -L + j dx near the edge meets the
+points L - j' dx at the wrapped lag (j + j') dx, where the closed
+operator has them 2L apart; on the padded period no wrapped lag between
+two window points is below L/4, and the pad carries the sources just
+past the edge.  That edge set the iteration count: over the four sweep-C
+points the window's map took 142 iterations and this one 108.  K-hat(k)
+tends to an integer matrix K-hat(+inf) as k grows, so K-hat is sampled,
+and Q kept as a table, only below the cut past which K-hat lies within
+_LIMIT_DEVIATION = 5e-3 of that limit (|k| = 24 at n = 5, 12 at n = 4);
+every mode past it takes the one limit Q_inf and its transpose
+(_limit_table, _preconditioner).  At W = Winf the map is the exact
+inverse of the preconditioner grid's circular operator at the asymptote,
+(I + K-hat Winf)^-1 = I - Q Winf, on the table's modes, and within 1e-3
+of it past them; where W vanishes it is the identity, the Jacobian's own
+inverse there.  The tangent solves take the converged
 state's W(x); the nonlinear solve takes Winf until its residual falls
 below _STATE_SWITCH, and the current iterate's W(x) from then on, which
 at low T, where W(x) nearly vanishes across the centre of the window,
@@ -42,9 +51,9 @@ FFT still misses, the sources past 2L and the pad sources whose lag wraps
 on the 4L period, meets the window only at lags of at least L.  There the
 kernel is its algebraic tail, and _convolve adds it as one fixed linear
 map of the A_p.  How closely the fit carries d is the closure's check:
-solve_nlie warns above _TAIL_FIT_TOL.  The padded grid's table is the one
-table of a grid; the window's modes are its even ones, a strided view that
-the preconditioner takes.
+solve_nlie warns above _TAIL_FIT_TOL.  The padded grid's table is the
+convolution's; the preconditioner keeps K-hat on its own grid's modes
+below their cut (_GridSystem).
 
 The kernel's tail.  The FFT product is circular: with the plain samples
 K-hat(k_m) it would convolve with the periodized kernel sum_n K(u + 4nL).
@@ -237,8 +246,10 @@ class NlieState:
 
 class _GridSystem:
     """Grid-sampled data of one (n, grid), built once (_grid_system) and
-    read-only after; precondition is the map of the mu = 0 asymptote, the
-    same at every T, which every mu = 0 solve on the grid takes."""
+    read-only after: Kpad, the convolution's table; Kprec, K-hat on the
+    preconditioner's grid below its cut; and precondition, the map of the
+    mu = 0 asymptote, the same at every T, which every mu = 0 solve and its
+    tangent solves on the grid take."""
 
     def __init__(self, n, grid):
         self.n = n
@@ -256,15 +267,16 @@ class _GridSystem:
         # the kernel's algebraic tail K(X) ~ sum_q tail[q-2] X^-q, q = 2..4:
         # the images it removes, and the far field of _convolve
         self.tail = _remove_images(self.Kpad, pad, sys.jumps(_TAIL_ORDERS))
-        # the window's modes k_m = 2 pi m / 2L are the padded grid's even
-        # ones: its half table, for the preconditioner, is a strided view
-        self.Kmat = self.Kpad[::2]  # (M/2+1, F, F)
-        # K-hat's limit K-hat(+inf), exact in integers, and the cut below
-        # which the preconditioner keeps a table: above it K-hat is its limit
-        self.K_inf = sys.limit()
-        self.cut = _limit_cut(self.Kmat, self.K_inf)
         self.K0 = sys.matrix0()
         self.far = _far_field(M, grid.half_width)
+        # the preconditioner's grid: the window and L/8 of pad a side at the
+        # window's dx, M + 2P points (_precondition); K-hat sampled on its
+        # modes below their cut, past which K-hat is its limit K-hat(+inf),
+        # exact in integers (_limit_table)
+        Mp = M + 2 * self.far.edge.shape[1]
+        k = 2.0 * np.pi * np.fft.fftfreq(Mp, grid.dx)[: Mp // 2 + 1]
+        self.K_inf = sys.limit()
+        self.Kprec = _limit_table(sys, k, self.K_inf)  # (m_c, F, F)
         # the weights d-hat(-k_m)/M of _ell on all M modes; d-hat is analytic
         # at k = 0 (a ratio of sinh), so it has no algebraic tail and no
         # periodic images to remove
@@ -363,7 +375,7 @@ class _Workspace:
     a name serves only phases that never overlap:
 
     - "padded": _convolve's padded input, then the spectrum it reads back;
-      _precondition's W v, then its result;
+      _precondition's padded W v, then its result;
     - "spectrum": the Hermitian FFT of either, then _convolve's result once
       _contract has copied the spectrum;
     - "blocks": _contract's copies of its input and its result; before the
@@ -497,6 +509,7 @@ class _FarField:
     basis: np.ndarray  # (P, M/4): (L/|x|)^p on the fit region
     scale: np.ndarray  # (P,): L^p, so that A_p = a_p L^p
     pad: np.ndarray  # (P, M/2): (L/|y|)^p on the pad half, y in [-2L, -L)
+    edge: np.ndarray  # (P, M/16): pad's last columns, y in [-9L/8, -L)
     H: np.ndarray  # (Q * 2P, M/2+1): the far-field vectors, q-major
 
 
@@ -529,8 +542,9 @@ def _far_field(points, half_width):
 
     The point y = L is the window's; the lag -2L pairs it with x = -L
     alone, and the fit stands for it there.  H agrees with direct sums over
-    the grid to 4e-12 relative on the default grid.  All arrays are
-    read-only."""
+    the grid to 4e-12 relative on the default grid.  edge is the pad's last
+    M/16 columns, the pad of the preconditioner's grid (_precondition).
+    All arrays are read-only."""
     M, L = points, half_width
     N = M // 2
     dx = 2.0 * L / M
@@ -581,7 +595,8 @@ def _far_field(points, half_width):
     scale = float(L) ** P
     for arr in (basis, fit, scale, pad, H):
         arr.flags.writeable = False
-    return _FarField(fit=fit, basis=basis, scale=scale, pad=pad, H=H)
+    edge = pad[:, N - M // 16:]
+    return _FarField(fit=fit, basis=basis, scale=scale, pad=pad, edge=edge, H=H)
 
 
 def _tail_fit(far, d):
@@ -664,51 +679,64 @@ _MIX_RCOND = 1e-10
 # An iteration diverges once its residual exceeds _DIVERGENCE times the
 # least one since its damping took over.  The worst such rebound of healthy
 # runs is 1.77: 23 nonlinear solves (n = 4, 5; T = 0.005 to 2000; three
-# cases with |beta mu| <= 1) and the tangent solves of five chi points.
+# cases with |beta mu| <= 1) and the tangent solves of five chi points;
+# 1.77 again over the 36 cells of the extremes matrix (|beta mu| <= 2)
+# and four chi points.
 _DIVERGENCE = 1e3
 # The nonlinear solve preconditions with its iterate's own W(x) once its
 # residual max|step(x) - x| is below _STATE_SWITCH, the scale on which
 # log(1 + e^z) stops being linear.  Measured at n = 5, T = 0.05, where the
 # asymptote's W alone takes 33 iterations: W(x) from the first step on
-# diverges (and takes 148 iterations and a restart at T = 0.1), as does a
-# switch at 100; one at 10 takes 16, and one anywhere from 1e-3 to 1 takes
-# 18 to 20.
+# diverges (and takes 35 iterations and a restart at T = 0.1), as does a
+# switch at 100; one at 10 takes 14, and one anywhere from 1e-3 to 1 takes
+# 15 to 18.
 _STATE_SWITCH = 1.0
 
 
-# The preconditioner keeps its table for the window modes below the cut
-# m_c, one past the last mode k_m >= 0 where max|K-hat(k_m) - K-hat(+inf)|
-# is _LIMIT_DEVIATION or more (_limit_cut); past it Q is that of the limit.
-# K-hat reaches its limit like e^{-|k|/4} at n = 5 (0.27, 3.7e-2, 5.0e-3
-# and 6.7e-4 at |k| = 8, 16, 24 and 32) and like e^{-|k|/2} at n = 4
-# (5.0e-3 at |k| = 12), so the default window keeps 382 of its 1025 modes
-# at n = 5 and 191 at n = 4.  Over the four sweep-C points (n = 5), which
-# take 142 iterations with the whole table, 5e-3 and 1e-3 (cut at
-# |k| = 30) take 142, cuts at |k| = 16, 12 and 8 take 144, 152 and 169,
-# and zero in place of the limit past |k| = 16 takes 167.
+# The preconditioner keeps its table for the modes below the cut m_c of
+# its grid, one past the last mode k_m >= 0 where
+# max|K-hat(k_m) - K-hat(+inf)| is _LIMIT_DEVIATION or more (_limit_table);
+# past it Q is that of the limit.  K-hat reaches its limit like e^{-|k|/4}
+# at n = 5 (0.27, 3.7e-2, 5.0e-3 and 6.7e-4 at |k| = 8, 16, 24 and 32) and
+# like e^{-|k|/2} at n = 4 (5.0e-3 at |k| = 12), so the default grid's
+# preconditioner keeps 430 of its 1153 modes at n = 5 and 215 at n = 4.
+# Over the four sweep-C points (n = 5), which take 108 iterations with the
+# whole table, 5e-3 and 1e-3 (cut at |k| = 30) take 108, and cuts at
+# |k| = 16, 12 and 8 take 111, 115 and 129.
 _LIMIT_DEVIATION = 5e-3
+# Modes per block in which _limit_table samples K-hat.
+_CUT_BLOCK = 64
 
 
-def _limit_cut(Kmat, K_inf):
-    """The cut m_c of a window table Kmat (M/2+1, F, F) with limit K_inf =
-    K-hat(+inf): one past the last mode m < M/2 where
+def _limit_table(sys, k, K_inf):
+    """K-hat(k_m) of the kernel system sys, mode-major (m_c, F, F), on the
+    modes m = 0..m_c-1 below the cut of the half modes k (0..M/2 of a grid,
+    the Nyquist one at -pi/dx) with limit K_inf = K-hat(+inf).  The cut
+    m_c is one past the last mode m < M/2 where
     max|K-hat(k_m) - K_inf| >= _LIMIT_DEVIATION, and M/2+1, the whole
-    table, where the Nyquist mode (sampled at k = -pi/dx) departs that far
-    from K-hat(-inf) = K_inf^T.  Mode 0 is always kept.  The table is read
-    in blocks of _INVERSE_CHUNK modes."""
-    half = len(Kmat)
-    deviation = np.empty(half)
-    for start in range(0, half - 1, _INVERSE_CHUNK):
-        stop = min(start + _INVERSE_CHUNK, half - 1)
-        deviation[start:stop] = np.max(np.abs(Kmat[start:stop] - K_inf), axis=(1, 2))
-    deviation[-1] = np.max(np.abs(Kmat[-1] - K_inf.T))
-    far = np.flatnonzero(deviation >= _LIMIT_DEVIATION)
-    return int(far[-1]) + 1 if far.size else 1
+    table, where the Nyquist mode departs that far from
+    K-hat(-inf) = K_inf^T.  Mode 0 is always kept.  K-hat is sampled in
+    blocks of _CUT_BLOCK modes up to the first block that lies within the
+    deviation throughout, so only the table and one block are evaluated:
+    past its last departure K-hat keeps to its limit."""
+    half = len(k)
+    if np.max(np.abs(sys.matrix(k[-1:])[:, :, 0] - K_inf.T)) >= _LIMIT_DEVIATION:
+        return np.ascontiguousarray(sys.matrix(k).transpose(2, 0, 1))
+    blocks, cut = [], 1
+    for start in range(0, half - 1, _CUT_BLOCK):
+        K = sys.matrix(k[start: min(start + _CUT_BLOCK, half - 1)]).transpose(2, 0, 1)
+        far = np.flatnonzero(np.max(np.abs(K - K_inf), axis=(1, 2)) >= _LIMIT_DEVIATION)
+        if far.size:
+            cut = start + int(far[-1]) + 1
+        blocks.append(K[: max(cut - start, 0)])
+        if not far.size:
+            break
+    return np.concatenate(blocks)
 
 
 def _preconditioner(Kmat, K_inf, W):
     """(Q, Q_inf): the half table Q(k) = A(k)^-1 K-hat(k) of the modes of
-    Kmat, a window table's modes below its cut (_limit_cut), and the limit
+    Kmat, a table's modes below its cut (_limit_table), and the limit
     Q_inf = (I + K_inf diag(W))^-1 K_inf, where A(k) = I + K-hat(k) diag(W)
     is the map's linearization at the asymptote, K_inf = K-hat(+inf), and
     W = b/(1+b) there lies in (0, 1).
@@ -720,9 +748,9 @@ def _preconditioner(Kmat, K_inf, W):
     table's modes I - Q(k) W = A(k)^-1, the linearization's inverse
     (_precondition); past the cut I - Q_inf W differs from it by
     A(k)^-1 (K-hat(k) - K_inf) W A_inf^-1, whose entries the deviation
-    below _LIMIT_DEVIATION bounds (at most 9.3e-4 on the default window,
-    n = 4 and 5 at T = 1 and 2).  A table of every mode solves the
-    Nyquist mode as sampled.  A is solved against K-hat in blocks of
+    below _LIMIT_DEVIATION bounds (at most 8.2e-4 on the default grid's
+    preconditioner, n = 4 and 5 at mu = 0).  A table of every mode solves
+    the Nyquist mode as sampled.  A is solved against K-hat in blocks of
     _INVERSE_CHUNK modes, so that no temporary approaches the size of the
     result."""
     eye = np.eye(len(W))
@@ -733,32 +761,55 @@ def _preconditioner(Kmat, K_inf, W):
     return Q, np.linalg.solve(K_inf * W + eye, K_inf)
 
 
-def _precondition(Q, Q_inf, W, v, ws=None):
-    """v - Q * (W v) for a half-space grid vector v (F, M/2+1), with the
-    table Q and limit Q_inf of _preconditioner applied mode by mode
-    (_contract): the approximate inverse of the Jacobian I + K W of the map
-    at the weights W, (F, 1) or (F, M/2+1).  At the asymptote's own W it
-    is the linearization's exact inverse A^-1 = I - Q W on the modes of the
-    table, and within the limit's deviation of it past them; at W = 0 it
-    is the identity.  It takes the "padded", "spectrum" and "blocks" of ws
-    (a _Workspace), never the buffer of v, and returns a view of its
-    "padded"."""
+def _precondition(Q, Q_inf, far, W, v, ws=None):
+    """v - Q * (W v) for a half-space grid vector v (F, M/2+1) of the
+    window, with the weights W, (F, 1) or (F, M/2+1): the approximate
+    inverse of the Jacobian I + K W of the map.  The product runs on the
+    preconditioner's grid, the window and P = M/16 points (L/8) of pad a
+    side at the same dx (M + 2P points), whose half space holds the pad
+    [-9L/8, -L) before the window's half.  The pad holds the far field of
+    W v, its fit sum_p a_p (L/|y|)^p on the window's (-L, -L/2] (far, the
+    window's _FarField, as in _convolve); x = -L is the seam of the
+    window's half, where the product reads Im (W v) from the fit and
+    returns the real part alone.  Q is the table of the grid's modes below
+    its cut and Q_inf the limit past it (_preconditioner), applied mode by
+    mode (_contract).  At the asymptote's own W it is the exact inverse
+    A^-1 = I - Q W of the preconditioner grid's circular operator on the
+    modes of the table, and within the limit's deviation of it past them;
+    at W = 0 it is the identity.  The pad lets the edge of the window see
+    the closed operator's sources past it: a unit residual at one of the
+    first eight points of the window, through the closed Jacobian at Winf
+    and this map, comes back with an error whose moduli sum to at most
+    0.92 (n = 4) and 2.27 (n = 5) over the half space, where the window's
+    own circular map left 1.67 and 2.87.  It takes the "padded",
+    "spectrum" and "blocks" of ws (a _Workspace), never the buffer of v,
+    and returns a view of its "padded"."""
     ws = ws or _Workspace()
     F, half = v.shape
-    M = 2 * (half - 1)
-    wv = np.multiply(W, v, out=ws.get("padded", v.shape, complex))
-    spec = np.fft.irfft(np.conjugate(wv, out=wv), M, axis=1, norm="forward",
-                        out=ws.get("spectrum", (F, M)))
-    out = np.fft.ihfft(_contract(Q, spec, ws, Q_inf), axis=1, out=wv)
+    P = far.edge.shape[1]
+    # padded holds the conjugate, which the Hermitian FFT transforms: conj
+    # W v and the far field of its fit, so a = conj a_p
+    padded = ws.get("padded", (F, half + P), complex)
+    wv = padded[:, P:]
+    np.multiply(W, v, out=wv)
+    np.conjugate(wv, out=wv)
+    a = wv[:, 1: len(far.fit) + 1] @ far.fit
+    np.matmul(a, far.edge, out=padded[:, :P])
+    wv.imag[:, 0] = a.sum(axis=1).imag
+    Mp = 2 * (half + P - 1)
+    spec = np.fft.irfft(padded, Mp, axis=1, norm="forward",
+                        out=ws.get("spectrum", (F, Mp)))
+    out = np.fft.ihfft(_contract(Q, spec, ws, Q_inf), axis=1, out=padded)[:, P:]
+    out.imag[:, 0] = 0.0
     return np.subtract(v, out, out=out)
 
 
 def _asymptote_map(gsys, logb_inf):
     """The preconditioning map (W, v) -> v - Q * (W v) (_precondition) with
-    the table Q of the asymptote logb_inf below the grid's cut and its
-    limit past it (_preconditioner)."""
+    the table Q of the asymptote logb_inf on the grid's modes below their
+    cut, its limit past it (_preconditioner) and the window's far field."""
     W = _weight(logb_inf).real
-    return partial(_precondition, *_preconditioner(gsys.Kmat[: gsys.cut], gsys.K_inf, W))
+    return partial(_precondition, *_preconditioner(gsys.Kprec, gsys.K_inf, W), gsys.far)
 
 
 def _weight(logb):
@@ -931,7 +982,8 @@ def solve_nlie(
     preconditioned and weighted by 1 - damping, is Anderson-mixed with the
     last two steps, until max|map(log b) - log b| < tol.  The
     preconditioner is v -> v - Q * (W v) (_precondition), while W = Winf
-    the inverse of the window's linearization at the asymptote on the
+    the inverse of the linearization at the asymptote on the
+    preconditioner's grid, the window and L/8 of pad a side, on the
     modes below the cut, and that of its large-k limit past it; once
     max|map(log b) - log b| < _STATE_SWITCH it takes the iterate's own
     W(x) = b/(1+b), and after the retry below Winf again until then.
@@ -1129,9 +1181,11 @@ def _tangent_solver(state):
     map that the nonlinear solve of state took, at the converged state's
     own W(x) from the first step on (the operator is
     I + K W, so v -> v - Q * (W v) inverts it exactly where W = 0, and
-    where W = Winf on the modes below the grid's cut, within 1e-3 past it;
-    at low T, where W nearly vanishes across the centre of the
-    window, u_beta takes 11 steps where Winf took 35).  Like the NLIE, the
+    where W = Winf, for the preconditioner grid's circular operator, on
+    the modes below its cut, within 1e-3 past it; at low T, where W
+    nearly vanishes across the centre of the window, u_beta takes 9 steps
+    at n = 5, T = 0.05; at T = 100 u_beta and w_beta,beta take 8 and 9).
+    Like the NLIE, the
     solves run on the half space x <= 0: W, the drives and s keep the
     symmetry, and so do u_theta and every second derivative.
 

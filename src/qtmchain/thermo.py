@@ -31,8 +31,9 @@ densities, and n(n+1)/2 more for chi.  All of them take the solver's one
 iteration (solver._iterate, preconditioned and Anderson-mixed) with the
 preconditioner the nonlinear solve took, kept in its state
 (NlieState.precondition) and taken at the state's own W(x): one table of
-the modes below the grid's cut, where K-hat(k) still departs from its
-large-k limit, and the limit's one matrix past it.  Like that solve
+the modes below the cut of the preconditioner's grid (the window and L/8
+of pad a side), where K-hat(k) still departs from its large-k limit, and
+the limit's one matrix past it.  Like that solve
 they run on the half space x <= 0: W, every drive and every source keep
 the symmetry u(-x) = conj(u(x)) of the converged state.  At mu = 0 the
 asymptote is the same at every T and the map is the grid's own, one
@@ -47,11 +48,9 @@ four temperatures of the benchmark sweep (0.05 to 100, n = 5) is within
 for 1.4e-12 at T = 0.05: there the default grid's fully converged C is
 itself 1.3e-12 off, and C = beta^2 l(w) carries the stop rule's 1e-12
 400-fold.  At low T the tangent solves take
-fewer iterations than the nonlinear one (n = 5, T = 0.05: 11 for u_beta
-and 9 for w_beta,beta against 18; T = 0.01: 10 and 7 against 24, where
-the asymptote's W alone took 45 and 27 against 45).  At high T they take
-more (13 and 12 against 8 at n = 5, T = 100): the preconditioner is exact
-for the window's circular operator, not for the closed one.
+fewer iterations than the nonlinear one (n = 5, T = 0.05: 9 for u_beta
+and 8 for w_beta,beta against 15; T = 0.01: 8 and 7 against 20).  At
+high T they take more (8 and 9 against 5 at n = 5, T = 100).
 
 A point's solves at one level are independent and run on up to `workers`
 threads.  A sweep runs its points on `workers` threads instead, the

@@ -88,26 +88,47 @@ class TestThermoPoint:
         assert len(built) == len(temps)
         assert [p.meta["preconditioners_built"] for p in pts] == [1] * len(temps)
         # the grid's map holds one table, a fresh Q = A^-1 K-hat of the
-        # modes below the grid's cut, and the limit's Q_inf, bit for bit,
-        # and takes its weights per call
+        # preconditioner grid's modes below their cut, the limit's Q_inf,
+        # bit for bit, and the window's far field, which fills the pad; it
+        # takes its weights per call
         logb_inf, _ = solver.asymptotic_constants(4, 1.0)
         W = solver._weight(logb_inf).real
         precondition = gsys.precondition
         assert precondition.func is solver._precondition
-        assert len(precondition.args) == 2
-        Q, Q_inf = orig(gsys.Kmat[: gsys.cut], gsys.K_inf, W)
+        assert len(precondition.args) == 3
+        Q, Q_inf = orig(gsys.Kprec, gsys.K_inf, W)
         assert np.array_equal(precondition.args[0], Q)
         assert np.array_equal(precondition.args[1], Q_inf)
+        assert precondition.args[2] is gsys.far
 
     def test_low_temperature_iteration_budget(self):
-        # 38 iterations over the three solves (18 + 11 + 9) with the
-        # states' own W(x) in the preconditioner; 93 with the asymptote's W
-        # alone, and 183 (69 + 64 + 50) without Anderson mixing
+        # 32 iterations over the three solves (15 + 9 + 8) with the
+        # states' own W(x) in the padded preconditioner, pinned at + 2; 38
+        # (18 + 11 + 9) with the window's, 93 with the asymptote's W alone,
+        # and 183 (69 + 64 + 50) without Anderson mixing
         pt = thermo_point(5, 0.05, with_chi=False, with_densities=False)
         assert pt.meta["solves"] == 3
-        assert pt.meta["iterations"] <= 50
+        assert pt.meta["iterations"] <= 34
         # the nonlinear solve's first step with its iterate's W(x)
         assert pt.meta["state_preconditioned_from"] == 6
+
+    def test_high_temperature_tangent_budget(self, monkeypatch):
+        # at n = 5, T = 100 the tangent solves of S and C take 8 and 9
+        # iterations against the nonlinear solve's 5, pinned at + 2: with
+        # the window's circular preconditioner, whose edge missed the
+        # closed operator, they took 13 and 12 against 8
+        counts = []
+        iterate = solver._iterate
+
+        def spy(*args, **kwargs):
+            out = iterate(*args, **kwargs)
+            counts.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver, "_iterate", spy)
+        thermo_point(5, 100.0, with_chi=False, with_densities=False, workers=1)
+        nonlinear, u_beta, w_beta_beta = counts
+        assert nonlinear <= 7 and u_beta <= 10 and w_beta_beta <= 11
 
 
 class TestTangentPath:
